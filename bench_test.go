@@ -177,6 +177,7 @@ func BenchmarkHistoryObserve(b *testing.B) {
 	c := benchWorkloadCPU(b, "gcc")
 	h := core.NewHistory()
 	var e trace.Exec
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Step(&e); err != nil {
@@ -191,6 +192,7 @@ func BenchmarkTLRStudyConsume(b *testing.B) {
 	c := benchWorkloadCPU(b, "hydro2d")
 	s := core.NewTLRStudy(core.TLRConfig{Window: 256, Variants: []core.Latency{core.ConstLatency(1)}})
 	var e trace.Exec
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := c.Step(&e); err != nil {
@@ -206,6 +208,7 @@ func BenchmarkTLRStudyConsume(b *testing.B) {
 func BenchmarkRTMSimStep(b *testing.B) {
 	c := benchWorkloadCPU(b, "ijpeg")
 	sim := rtm.NewSim(rtm.Config{Geometry: rtm.Geometry4K, Heuristic: rtm.IEXP, N: 4}, c)
+	b.ReportAllocs()
 	b.ResetTimer()
 	if _, err := sim.Run(uint64(b.N)); err != nil {
 		b.Fatal(err)

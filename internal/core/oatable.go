@@ -49,17 +49,22 @@ func sigHash(pc uint64, sig []byte) uint64 {
 	return h
 }
 
-// sigSlot is one open-addressed slot; hash==0 means empty.
+// sigSlot is one open-addressed slot; hash==0 means empty.  The
+// signature's bytes are sigs[off:off+n] of the owning table.
 type sigSlot struct {
 	hash uint64
 	pc   uint64
-	sig  string
+	off  int
+	n    int
 }
 
 // sigTable is an open-addressed (linear probing, power-of-two capacity)
-// set of (pc, signature) pairs.
+// set of (pc, signature) pairs.  Signatures are appended to one byte
+// arena instead of being allocated one by one, so recording a new input
+// vector allocates only when the arena or the slot array grows.
 type sigTable struct {
 	slots []sigSlot
+	sigs  []byte
 	n     int
 }
 
@@ -77,13 +82,12 @@ func (t *sigTable) seen(pc uint64, sig []byte) bool {
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		if s.hash == 0 {
-			s.hash = h
-			s.pc = pc
-			s.sig = string(sig)
+			*s = sigSlot{hash: h, pc: pc, off: len(t.sigs), n: len(sig)}
+			t.sigs = append(t.sigs, sig...)
 			t.n++
 			return false
 		}
-		if s.hash == h && s.pc == pc && s.sig == string(sig) {
+		if s.hash == h && s.pc == pc && s.n == len(sig) && string(t.sigs[s.off:s.off+s.n]) == string(sig) {
 			return true
 		}
 	}

@@ -162,7 +162,8 @@ type TLRStudy struct {
 	base   *dda.Clock
 	clocks []*dda.Clock
 
-	run []trace.Exec // buffered current run of reusable instructions
+	run []trace.Exec     // buffered current run of reusable instructions
+	sum trace.Summarizer // summarises run at flush; reset for every run
 
 	n      int64
 	reused int64
@@ -222,12 +223,16 @@ func (s *TLRStudy) flush() {
 	if len(s.run) == 0 {
 		return
 	}
-	sum := trace.SummarizeRun(s.run)
+	s.sum.Reset()
+	for i := range s.run {
+		s.sum.Add(&s.run[i])
+	}
+	sum := s.sum.Current()
 
 	reusable := true
 	if s.strict != nil {
 		// Strict mode: the whole trace must have been seen before.
-		reusable = s.strict.Observe(&sum)
+		reusable = s.strict.Observe(sum)
 	}
 
 	if !reusable {
@@ -238,7 +243,7 @@ func (s *TLRStudy) flush() {
 		return
 	}
 
-	s.stats.Add(&sum)
+	s.stats.Add(sum)
 	s.reused += int64(sum.Len)
 
 	// Base clock executes the run normally.

@@ -296,3 +296,109 @@ func TestPropertyCyclesAtLeastCriticalLatency(t *testing.T) {
 		}
 	}
 }
+
+// mapClock is the reference ready-time model: every location, register
+// or not, in one map, with the same window and graduation rules as Clock.
+type mapClock struct {
+	window          int
+	ready           map[trace.Loc]float64
+	ring            []float64
+	head, count     int
+	prefixMax, maxC float64
+}
+
+func newMapClock(window int) *mapClock {
+	return &mapClock{window: window, ready: map[trace.Loc]float64{}, ring: make([]float64, window)}
+}
+
+func (c *mapClock) inReady(e *trace.Exec) float64 {
+	var t float64
+	for _, r := range e.Inputs() {
+		t = max(t, c.ready[r.Loc])
+	}
+	return t
+}
+
+func (c *mapClock) windowBound() float64 {
+	if c.window == 0 || c.count < c.window {
+		return 0
+	}
+	return c.ring[c.head]
+}
+
+func (c *mapClock) retireSplit(e *trace.Exec, completion, valueReady float64, occupies bool) {
+	for _, r := range e.Outputs() {
+		c.ready[r.Loc] = valueReady
+	}
+	c.prefixMax = max(c.prefixMax, completion)
+	c.maxC = max(c.maxC, completion)
+	if occupies && c.window > 0 {
+		c.ring[c.head] = c.prefixMax
+		c.head = (c.head + 1) % c.window
+		c.count++
+	}
+}
+
+// TestClockOddLocationsMatchMapModel feeds a Clock locations a
+// hand-crafted or decoded stream can carry besides the register file and
+// memory: register indexes past isa.NumRegs, the unused fourth kind, and
+// locations never written.  Registers live in flat arrays and everything
+// else in a map; the Clock must neither panic nor alias such locations
+// with real registers, must read unwritten ones as zero, and must time
+// the stream exactly as the all-map model does.
+func TestClockOddLocationsMatchMapModel(t *testing.T) {
+	kind3 := func(i uint64) trace.Loc { return trace.Loc(3<<62 | i) }
+	locs := []trace.Loc{
+		trace.IntReg(0), trace.IntReg(5), trace.IntReg(31), trace.IntReg(32), trace.IntReg(255),
+		trace.FPReg(0), trace.FPReg(5), trace.FPReg(31), trace.FPReg(32), trace.FPReg(200),
+		trace.Mem(0), trace.Mem(5), trace.Mem(1 << 40),
+		kind3(0), kind3(5), kind3(32),
+	}
+	// Never written: every read of them must see zero.
+	unseen := []trace.Loc{trace.IntReg(7), trace.IntReg(77), trace.FPReg(64), trace.Mem(9), kind3(9)}
+
+	rng := rand.New(rand.NewSource(7))
+	for _, window := range []int{0, 1, 4, 32} {
+		clk, ref := New(window), newMapClock(window)
+		for i := 0; i < 5000; i++ {
+			var e trace.Exec
+			e.Lat = uint8(1 + rng.Intn(4))
+			for k := rng.Intn(3); k > 0; k-- {
+				e.AddIn(locs[rng.Intn(len(locs))], 0)
+			}
+			if rng.Intn(8) == 0 {
+				e.AddIn(unseen[rng.Intn(len(unseen))], 0)
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				e.AddOut(locs[rng.Intn(len(locs))], 0)
+			}
+			got, want := clk.InReady(&e), ref.inReady(&e)
+			if got != want {
+				t.Fatalf("window %d, instr %d (%v): InReady %v, map model %v", window, i, &e, got, want)
+			}
+			if clk.WindowBound() != ref.windowBound() {
+				t.Fatalf("window %d, instr %d: WindowBound %v, map model %v", window, i, clk.WindowBound(), ref.windowBound())
+			}
+			done := max(got, clk.WindowBound()) + float64(e.Lat)
+			value, occupies := done, rng.Intn(4) != 0
+			if rng.Intn(5) == 0 {
+				value = done - float64(e.Lat)/2
+			}
+			clk.RetireSplit(&e, done, value, occupies)
+			ref.retireSplit(&e, done, value, occupies)
+		}
+		for _, l := range locs {
+			if got, want := clk.ReadyOf(l), ref.ready[l]; got != want {
+				t.Errorf("window %d: ReadyOf(%v) = %v, map model %v", window, l, got, want)
+			}
+		}
+		for _, l := range unseen {
+			if got := clk.ReadyOf(l); got != 0 {
+				t.Errorf("window %d: never-written %v reads %v, want 0", window, l, got)
+			}
+		}
+		if clk.Cycles() != ref.maxC {
+			t.Errorf("window %d: Cycles %v, map model %v", window, clk.Cycles(), ref.maxC)
+		}
+	}
+}

@@ -18,23 +18,7 @@ type Collector interface {
 }
 
 // NewCollector builds the heuristic selected by cfg, inserting into m.
-func NewCollector(cfg Config, m *RTM) Collector {
-	caps := cfg.caps()
-	switch cfg.Heuristic {
-	case ILRNE:
-		return collectorAdapter{&ilrCollector{rtm: m, irb: NewIRB(cfg.Geometry), caps: caps, expand: false}}
-	case ILREXP:
-		return collectorAdapter{&ilrCollector{rtm: m, irb: NewIRB(cfg.Geometry), caps: caps, expand: true}}
-	case IEXP:
-		n := cfg.N
-		if n < 1 {
-			n = 1
-		}
-		return collectorAdapter{&fixedCollector{rtm: m, caps: caps, n: n}}
-	default:
-		panic("rtm: unknown heuristic")
-	}
-}
+func NewCollector(cfg Config, m *RTM) Collector { return collectorAdapter{newCollector(cfg, m)} }
 
 // collectorAdapter lifts the internal collector interface.
 type collectorAdapter struct{ c collector }

@@ -11,10 +11,9 @@ import (
 // PCWays static instructions per set, TracesPerPC input vectors per
 // static instruction, all LRU.
 type IRB struct {
-	geom   Geometry
-	sets   [][]*irbSlot
-	tick   uint64
-	sigBuf []byte
+	geom Geometry
+	sets [][]*irbSlot
+	tick uint64
 
 	tests uint64
 	hits  uint64
@@ -26,8 +25,13 @@ type irbSlot struct {
 	lastUse uint64
 }
 
+// irbSig is one recorded input vector: e's inputs in read order, unused
+// entries zero.  Two vectors match exactly when their counts and refs are
+// equal — the same test as byte-equal input signatures
+// (trace.AppendInputSignature), without building one.
 type irbSig struct {
-	sig     string
+	in      [len(trace.Exec{}.In)]trace.Ref
+	n       uint8
 	lastUse uint64
 }
 
@@ -55,17 +59,21 @@ func (b *IRB) TestAndRecord(e *trace.Exec) bool {
 		}
 	}
 	if slot == nil {
-		slot = &irbSlot{pc: e.PC}
 		if len(b.sets[set]) >= b.geom.PCWays {
-			b.evictLRUSlot(set)
+			// Nothing outside the IRB holds a slot: recycle the victim.
+			slot = b.evictLRUSlot(set)
+			slot.pc, slot.sigs = e.PC, slot.sigs[:0]
+		} else {
+			slot = &irbSlot{pc: e.PC}
 		}
 		b.sets[set] = append(b.sets[set], slot)
 	}
 	slot.lastUse = b.tick
 
-	b.sigBuf = trace.AppendInputSignature(b.sigBuf[:0], e)
+	sig := irbSig{n: e.NIn, lastUse: b.tick}
+	copy(sig.in[:], e.Inputs())
 	for i := range slot.sigs {
-		if slot.sigs[i].sig == string(b.sigBuf) {
+		if slot.sigs[i].n == sig.n && slot.sigs[i].in == sig.in {
 			slot.sigs[i].lastUse = b.tick
 			b.hits++
 			return true
@@ -80,7 +88,7 @@ func (b *IRB) TestAndRecord(e *trace.Exec) bool {
 		}
 		slot.sigs = append(slot.sigs[:vi], slot.sigs[vi+1:]...)
 	}
-	slot.sigs = append(slot.sigs, irbSig{sig: string(b.sigBuf), lastUse: b.tick})
+	slot.sigs = append(slot.sigs, sig)
 	return false
 }
 
@@ -92,12 +100,15 @@ func (b *IRB) HitRate() float64 {
 	return float64(b.hits) / float64(b.tests)
 }
 
-func (b *IRB) evictLRUSlot(set int) {
+// evictLRUSlot removes the least-recently-used slot of set and returns it.
+func (b *IRB) evictLRUSlot(set int) *irbSlot {
 	victim, vi := uint64(1)<<63, -1
 	for i, s := range b.sets[set] {
 		if s.lastUse < victim {
 			victim, vi = s.lastUse, i
 		}
 	}
+	slot := b.sets[set][vi]
 	b.sets[set] = append(b.sets[set][:vi], b.sets[set][vi+1:]...)
+	return slot
 }

@@ -215,6 +215,13 @@ func inputsMatch(s *trace.Summary, st State) bool {
 // least-recently-used trace of the same PC, or the least-recently-used PC
 // of the set when a new PC needs a slot.  A trace identical in inputs to a
 // stored one only refreshes it (its outputs are necessarily equal).
+//
+// The caller keeps ownership of sum's slices: Insert copies them only
+// when sum becomes a stored summary, so a collector can pass its
+// Summarizer's Current summary and reuse the Summarizer straight after.
+// A stored summary is never modified in place — a longer variant
+// replaces it with a fresh copy — so a copy of Entry.Sum taken earlier
+// (Sharded.Lookup) stays intact.
 func (m *RTM) Insert(sum trace.Summary) {
 	if sum.Len < m.minLen {
 		m.stats.RejectedShort++
@@ -231,9 +238,14 @@ func (m *RTM) Insert(sum trace.Summary) {
 	set := m.setOf(sum.StartPC)
 	slot := m.slotOf(sum.StartPC)
 	if slot == nil {
-		slot = &pcSlot{pc: sum.StartPC}
 		if len(m.sets[set]) >= m.geom.PCWays {
-			m.evictLRUPC(set)
+			// Nothing outside the RTM holds a slot (the valid-bit index
+			// has dropped the victim's entries): recycle it.
+			slot = m.evictLRUPC(set)
+			clear(slot.traces)
+			slot.pc, slot.traces = sum.StartPC, slot.traces[:0]
+		} else {
+			slot = &pcSlot{pc: sum.StartPC}
 		}
 		m.sets[set] = append(m.sets[set], slot)
 	}
@@ -245,7 +257,7 @@ func (m *RTM) Insert(sum trace.Summary) {
 			// Prefer the longer variant: expansion replaces the
 			// original (the paper grows traces on reuse).
 			if sum.Len > e.Sum.Len {
-				e.Sum = sum
+				e.Sum = sum.Clone()
 			}
 			e.lastUse = m.tick
 			m.stats.Refreshes++
@@ -256,7 +268,7 @@ func (m *RTM) Insert(sum trace.Summary) {
 	if len(slot.traces) >= m.geom.TracesPerPC {
 		m.evictLRUTrace(slot)
 	}
-	e := &Entry{Sum: sum, lastUse: m.tick}
+	e := &Entry{Sum: sum.Clone(), lastUse: m.tick}
 	slot.traces = append(slot.traces, e)
 	if m.inval != nil {
 		m.inval.register(e, slot)
@@ -300,7 +312,9 @@ func (m *RTM) evictLRUTrace(slot *pcSlot) {
 	m.stats.TraceEvicts++
 }
 
-func (m *RTM) evictLRUPC(set int) {
+// evictLRUPC removes the least-recently-used PC slot of set, with its
+// traces, and returns it.
+func (m *RTM) evictLRUPC(set int) *pcSlot {
 	victim, vi := uint64(1)<<63, -1
 	for i, s := range m.sets[set] {
 		if s.lastUse < victim {
@@ -312,9 +326,11 @@ func (m *RTM) evictLRUPC(set int) {
 			m.inval.unregister(e)
 		}
 	}
-	m.stats.TraceEvicts += uint64(len(m.sets[set][vi].traces))
+	slot := m.sets[set][vi]
+	m.stats.TraceEvicts += uint64(len(slot.traces))
 	m.sets[set] = append(m.sets[set][:vi], m.sets[set][vi+1:]...)
 	m.stats.PCEvicts++
+	return slot
 }
 
 // TraceProfile describes one stored trace for profiling reports.

@@ -121,20 +121,15 @@ func NewSim(cfg Config, c *cpu.CPU) *Sim {
 }
 
 // newCollector builds the configured trace-collection heuristic over m;
-// Sim and Replay share it, so both drive modes collect identically.
+// Sim, Replay and NewCollector share it, so every drive mode collects
+// identically.
 func newCollector(cfg Config, m *RTM) collector {
 	caps := cfg.caps()
 	switch cfg.Heuristic {
-	case ILRNE:
-		return &ilrCollector{rtm: m, irb: NewIRB(cfg.Geometry), caps: caps, expand: false}
-	case ILREXP:
-		return &ilrCollector{rtm: m, irb: NewIRB(cfg.Geometry), caps: caps, expand: true}
+	case ILRNE, ILREXP:
+		return &ilrCollector{rtm: m, irb: NewIRB(cfg.Geometry), caps: caps, expand: cfg.Heuristic == ILREXP}
 	case IEXP:
-		n := cfg.N
-		if n < 1 {
-			n = 1
-		}
-		return &fixedCollector{rtm: m, caps: caps, n: n}
+		return &fixedCollector{rtm: m, caps: caps, n: max(cfg.N, 1)}
 	default:
 		panic(fmt.Sprintf("rtm: unknown heuristic %d", cfg.Heuristic))
 	}
@@ -269,6 +264,12 @@ type collector interface {
 	irbRate() float64
 }
 
+// Both collectors own one Summarizer per role for their whole run and
+// reset it between traces; an empty Summarizer means no trace is being
+// built in that role.  A stored entry is never empty (Len >= MinLen >= 1),
+// so a pending Summarizer seeded from one is non-empty while its
+// expansion lasts.  RTM.Insert copies a summary only when it stores it.
+
 // ilrCollector implements ILR NE and ILR EXP.
 type ilrCollector struct {
 	rtm    *RTM
@@ -276,10 +277,10 @@ type ilrCollector struct {
 	caps   trace.Caps
 	expand bool
 
-	cur *trace.Summarizer // trace being collected (reusable instructions)
+	cur trace.Summarizer // trace being collected (reusable instructions)
 
-	pending    *trace.Summarizer // expansion of a reused trace (EXP only)
-	pendingLen int               // length of the seed entry
+	pending    trace.Summarizer // expansion of a reused trace (EXP only)
+	pendingLen int              // length of the seed entry
 }
 
 func (c *ilrCollector) observe(e *trace.Exec) {
@@ -289,16 +290,12 @@ func (c *ilrCollector) observe(e *trace.Exec) {
 		c.finalizePending()
 		return
 	}
-	if c.cur == nil {
-		c.cur = trace.NewSummarizer()
-	}
 	if !c.cur.TryAdd(e, c.caps) {
 		// Entry format full: store what we have, restart at e.
 		c.finalizeCur()
-		c.cur = trace.NewSummarizer()
 		c.cur.TryAdd(e, c.caps)
 	}
-	if c.pending != nil {
+	if !c.pending.Empty() {
 		if !c.pending.TryAdd(e, c.caps) {
 			c.finalizePending()
 		}
@@ -310,14 +307,13 @@ func (c *ilrCollector) reuseHit(entry *Entry) {
 	if !c.expand {
 		return
 	}
-	if c.pending != nil {
+	if !c.pending.Empty() {
 		// Two consecutive traces reused: merge them into one entry.
 		if c.pending.NextPC() == entry.Sum.StartPC && c.pending.TryMerge(&entry.Sum, c.caps) {
 			return
 		}
 		c.finalizePending()
 	}
-	c.pending = trace.NewSummarizer()
 	c.pending.Seed(&entry.Sum)
 	c.pendingLen = entry.Sum.Len
 }
@@ -330,17 +326,17 @@ func (c *ilrCollector) finish() {
 func (c *ilrCollector) irbRate() float64 { return c.irb.HitRate() }
 
 func (c *ilrCollector) finalizeCur() {
-	if c.cur != nil && !c.cur.Empty() {
-		c.rtm.Insert(c.cur.Summary())
+	if !c.cur.Empty() {
+		c.rtm.Insert(*c.cur.Current())
 	}
-	c.cur = nil
+	c.cur.Reset()
 }
 
 func (c *ilrCollector) finalizePending() {
-	if c.pending != nil && c.pending.Len() > c.pendingLen {
-		c.rtm.Insert(c.pending.Summary())
+	if c.pending.Len() > c.pendingLen {
+		c.rtm.Insert(*c.pending.Current())
 	}
-	c.pending = nil
+	c.pending.Reset()
 }
 
 // fixedCollector implements I(n) EXP: fixed n-instruction traces of any
@@ -350,9 +346,9 @@ type fixedCollector struct {
 	caps trace.Caps
 	n    int
 
-	cur *trace.Summarizer
+	cur trace.Summarizer
 
-	pending      *trace.Summarizer
+	pending      trace.Summarizer
 	pendingBase  int // length of the seed entry
 	pendingExtra int // instructions appended since the seed
 }
@@ -365,19 +361,15 @@ func (c *fixedCollector) observe(e *trace.Exec) {
 		c.finalizePending()
 		return
 	}
-	if c.cur == nil {
-		c.cur = trace.NewSummarizer()
-	}
 	if !c.cur.TryAdd(e, c.caps) {
 		c.finalizeCur()
-		c.cur = trace.NewSummarizer()
 		c.cur.TryAdd(e, c.caps)
 	}
 	if c.cur.Len() >= c.n {
 		c.finalizeCur()
 	}
 
-	if c.pending != nil {
+	if !c.pending.Empty() {
 		if !c.pending.TryAdd(e, c.caps) {
 			c.finalizePending()
 		} else {
@@ -392,8 +384,8 @@ func (c *fixedCollector) observe(e *trace.Exec) {
 func (c *fixedCollector) reuseHit(entry *Entry) {
 	// A partial fixed-length trace interrupted by a hit is an arbitrary
 	// cut: drop it rather than polluting the table.
-	c.cur = nil
-	if c.pending != nil {
+	c.cur.Reset()
+	if !c.pending.Empty() {
 		// Consecutive reuses: merge the new trace into the expansion.
 		if c.pending.NextPC() == entry.Sum.StartPC && c.pending.TryMerge(&entry.Sum, c.caps) {
 			c.pendingExtra += entry.Sum.Len
@@ -404,7 +396,6 @@ func (c *fixedCollector) reuseHit(entry *Entry) {
 		}
 		c.finalizePending()
 	}
-	c.pending = trace.NewSummarizer()
 	c.pending.Seed(&entry.Sum)
 	c.pendingBase = entry.Sum.Len
 	c.pendingExtra = 0
@@ -418,15 +409,15 @@ func (c *fixedCollector) finish() {
 func (c *fixedCollector) irbRate() float64 { return 0 }
 
 func (c *fixedCollector) finalizeCur() {
-	if c.cur != nil && !c.cur.Empty() {
-		c.rtm.Insert(c.cur.Summary())
+	if !c.cur.Empty() {
+		c.rtm.Insert(*c.cur.Current())
 	}
-	c.cur = nil
+	c.cur.Reset()
 }
 
 func (c *fixedCollector) finalizePending() {
-	if c.pending != nil && c.pending.Len() > c.pendingBase {
-		c.rtm.Insert(c.pending.Summary())
+	if c.pending.Len() > c.pendingBase {
+		c.rtm.Insert(*c.pending.Current())
 	}
-	c.pending = nil
+	c.pending.Reset()
 }

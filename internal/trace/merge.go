@@ -9,25 +9,22 @@ package trace
 //
 // Precondition (guaranteed at a reuse hit): s's live-in values equal the
 // current architectural state, so any of its live-ins produced by this run
-// carry the run's output values.
+// carry the run's output values.  s's live-in locations are distinct, as
+// are its output locations, as in every Summary a Summarizer produces.
 func (z *Summarizer) TryMerge(s *Summary, caps Caps) bool {
-	var stagedIns, stagedOuts []Ref
+	// Count what the merge would add before changing anything, so the
+	// rejection path needs no staging copy of s.
+	var addInReg, addInMem, addOutReg, addOutMem int
 	for _, r := range s.Ins {
-		if _, written := z.outIdx[r.Loc]; written {
-			continue
+		if z.isLiveIn(r.Loc) {
+			countRef(r.Loc, &addInReg, &addInMem)
 		}
-		if _, seen := z.inIdx[r.Loc]; seen {
-			continue
-		}
-		stagedIns = append(stagedIns, r)
 	}
 	for _, r := range s.Outs {
-		if _, seen := z.outIdx[r.Loc]; !seen {
-			stagedOuts = append(stagedOuts, r)
+		if !z.outIdx.has(r.Loc) {
+			countRef(r.Loc, &addOutReg, &addOutMem)
 		}
 	}
-	addInReg, addInMem := refCounts(stagedIns)
-	addOutReg, addOutMem := refCounts(stagedOuts)
 	if exceeds(z.inReg+addInReg, caps.InReg) || exceeds(z.inMem+addInMem, caps.InMem) ||
 		exceeds(z.outReg+addOutReg, caps.OutReg) || exceeds(z.outMem+addOutMem, caps.OutMem) {
 		return false
@@ -36,16 +33,21 @@ func (z *Summarizer) TryMerge(s *Summary, caps Caps) bool {
 		z.sum.StartPC = s.StartPC
 		z.started = true
 	}
-	for _, r := range stagedIns {
-		z.inIdx[r.Loc] = len(z.sum.Ins)
-		z.sum.Ins = append(z.sum.Ins, r)
-	}
-	for _, r := range stagedOuts {
-		z.outIdx[r.Loc] = len(z.sum.Outs)
-		z.sum.Outs = append(z.sum.Outs, r)
+	// Live-ins first: whether s's input is internal depends on the
+	// outputs before the merge.
+	for _, r := range s.Ins {
+		if z.isLiveIn(r.Loc) {
+			z.inIdx.set(r.Loc, len(z.sum.Ins))
+			z.sum.Ins = append(z.sum.Ins, r)
+		}
 	}
 	for _, r := range s.Outs {
-		z.sum.Outs[z.outIdx[r.Loc]].Val = r.Val
+		if i, seen := z.outIdx.get(r.Loc); seen {
+			z.sum.Outs[i].Val = r.Val
+			continue
+		}
+		z.outIdx.set(r.Loc, len(z.sum.Outs))
+		z.sum.Outs = append(z.sum.Outs, r)
 	}
 	z.inReg += addInReg
 	z.inMem += addInMem
@@ -54,4 +56,18 @@ func (z *Summarizer) TryMerge(s *Summary, caps Caps) bool {
 	z.sum.Len += s.Len
 	z.sum.Next = s.Next
 	return true
+}
+
+// isLiveIn reports whether a read of l would be a new live-in of the run:
+// neither produced inside it nor already read.
+func (z *Summarizer) isLiveIn(l Loc) bool {
+	return !z.outIdx.has(l) && !z.inIdx.has(l)
+}
+
+func countRef(l Loc, regs, mems *int) {
+	if l.IsMem() {
+		*mems++
+	} else {
+		*regs++
+	}
 }

@@ -24,6 +24,25 @@ func (s *Summary) InCounts() (regs, mems int) { return refCounts(s.Ins) }
 // are memory words.
 func (s *Summary) OutCounts() (regs, mems int) { return refCounts(s.Outs) }
 
+// Clone returns a deep copy of s whose Ins and Outs share one freshly
+// allocated backing array (none when both are empty).
+func (s *Summary) Clone() Summary {
+	c := *s
+	c.Ins, c.Outs = nil, nil
+	if n := len(s.Ins) + len(s.Outs); n > 0 {
+		refs := make([]Ref, n)
+		copy(refs, s.Ins)
+		copy(refs[len(s.Ins):], s.Outs)
+		if len(s.Ins) > 0 {
+			c.Ins = refs[:len(s.Ins):len(s.Ins)]
+		}
+		if len(s.Outs) > 0 {
+			c.Outs = refs[len(s.Ins):]
+		}
+	}
+	return c
+}
+
 func refCounts(refs []Ref) (regs, mems int) {
 	for _, r := range refs {
 		if r.Loc.IsMem() {
@@ -49,28 +68,30 @@ var Unlimited = Caps{InReg: -1, InMem: -1, OutReg: -1, OutMem: -1}
 // It is the building block of both the limit-study trace partitioner and
 // the RTM trace collector; the collector additionally enforces the RTM's
 // input/output capacity limits by passing finite Caps to TryAdd.
+//
+// A Summarizer is meant to be reused: Reset and Seed keep its backing
+// arrays and indexes, so an engine that owns one Summarizer per role
+// summarises run after run without allocating once those have grown to
+// the longest run seen.  The zero Summarizer is empty and ready to use.
 type Summarizer struct {
 	sum     Summary
-	inIdx   map[Loc]int // location -> index in sum.Ins
-	outIdx  map[Loc]int // location -> index in sum.Outs
+	inIdx   locIndex // location -> index in sum.Ins
+	outIdx  locIndex // location -> index in sum.Outs
 	started bool
 
 	inReg, inMem, outReg, outMem int
 }
 
 // NewSummarizer returns an empty Summarizer.
-func NewSummarizer() *Summarizer {
-	return &Summarizer{
-		inIdx:  make(map[Loc]int, 16),
-		outIdx: make(map[Loc]int, 16),
-	}
-}
+func NewSummarizer() *Summarizer { return &Summarizer{} }
 
-// Reset clears the Summarizer for a new run.
+// Reset clears the Summarizer for a new run, keeping its storage.  Its
+// cost follows the last run's reference count, not the longest run the
+// Summarizer has held.
 func (z *Summarizer) Reset() {
-	z.sum = Summary{}
-	clear(z.inIdx)
-	clear(z.outIdx)
+	z.inIdx.drop(z.sum.Ins)
+	z.outIdx.drop(z.sum.Outs)
+	z.sum = Summary{Ins: z.sum.Ins[:0], Outs: z.sum.Outs[:0]}
 	z.started = false
 	z.inReg, z.inMem, z.outReg, z.outMem = 0, 0, 0, 0
 }
@@ -85,10 +106,10 @@ func (z *Summarizer) Seed(s *Summary) {
 	z.sum.Ins = append(z.sum.Ins, s.Ins...)
 	z.sum.Outs = append(z.sum.Outs, s.Outs...)
 	for i, r := range z.sum.Ins {
-		z.inIdx[r.Loc] = i
+		z.inIdx.set(r.Loc, i)
 	}
 	for i, r := range z.sum.Outs {
-		z.outIdx[r.Loc] = i
+		z.outIdx.set(r.Loc, i)
 	}
 	z.inReg, z.inMem = refCounts(z.sum.Ins)
 	z.outReg, z.outMem = refCounts(z.sum.Outs)
@@ -127,11 +148,8 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 	var stagedIns, stagedOuts [3]Ref
 	nIns, nOuts := 0, 0
 	for _, r := range e.Inputs() {
-		if _, written := z.outIdx[r.Loc]; written {
-			continue // produced inside the run: not a live-in
-		}
-		if _, seen := z.inIdx[r.Loc]; seen {
-			continue // already a live-in; first read fixed its value
+		if !z.isLiveIn(r.Loc) {
+			continue // produced inside the run, or first read fixed its value
 		}
 		dup := false
 		for _, s := range stagedIns[:nIns] {
@@ -146,7 +164,7 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 		}
 	}
 	for _, r := range e.Outputs() {
-		if _, seen := z.outIdx[r.Loc]; seen {
+		if z.outIdx.has(r.Loc) {
 			continue
 		}
 		dup := false
@@ -174,16 +192,17 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 		z.started = true
 	}
 	for _, r := range stagedIns[:nIns] {
-		z.inIdx[r.Loc] = len(z.sum.Ins)
+		z.inIdx.set(r.Loc, len(z.sum.Ins))
 		z.sum.Ins = append(z.sum.Ins, r)
 	}
 	for _, r := range stagedOuts[:nOuts] {
-		z.outIdx[r.Loc] = len(z.sum.Outs)
+		z.outIdx.set(r.Loc, len(z.sum.Outs))
 		z.sum.Outs = append(z.sum.Outs, r)
 	}
 	// Writes to already-known output locations take the newest value.
 	for _, r := range e.Outputs() {
-		z.sum.Outs[z.outIdx[r.Loc]].Val = r.Val
+		i, _ := z.outIdx.get(r.Loc)
+		z.sum.Outs[i].Val = r.Val
 	}
 	z.inReg += addInReg
 	z.inMem += addInMem
@@ -196,13 +215,14 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 
 func exceeds(n, limit int) bool { return limit >= 0 && n > limit }
 
-// Summary returns a copy of the accumulated summary.
-func (z *Summarizer) Summary() Summary {
-	s := z.sum
-	s.Ins = append([]Ref(nil), z.sum.Ins...)
-	s.Outs = append([]Ref(nil), z.sum.Outs...)
-	return s
-}
+// Summary returns a copy of the accumulated summary that later use of
+// the Summarizer leaves unchanged.
+func (z *Summarizer) Summary() Summary { return z.sum.Clone() }
+
+// Current returns the accumulated summary in place, without copying.  It
+// aliases the Summarizer's storage: it is valid only until the next
+// Reset, Seed, TryAdd, Add or TryMerge, and must not be modified.
+func (z *Summarizer) Current() *Summary { return &z.sum }
 
 // SummarizeRun computes the Summary of a complete run in one call.
 func SummarizeRun(run []Exec) Summary {
