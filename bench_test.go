@@ -204,14 +204,25 @@ func BenchmarkTLRStudyConsume(b *testing.B) {
 }
 
 // BenchmarkRTMSimStep is the realistic RTM's per-instruction cost
-// (lookup + execute + collect).
+// (lookup + execute + collect): I(4) EXP at 4K entries, I(1) EXP (an
+// insert on nearly every instruction) and ILR EXP at 256K entries.
 func BenchmarkRTMSimStep(b *testing.B) {
-	c := benchWorkloadCPU(b, "ijpeg")
-	sim := rtm.NewSim(rtm.Config{Geometry: rtm.Geometry4K, Heuristic: rtm.IEXP, N: 4}, c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := sim.Run(uint64(b.N)); err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name string
+		cfg  rtm.Config
+	}{
+		{"I4EXP-4K", rtm.Config{Geometry: rtm.Geometry4K, Heuristic: rtm.IEXP, N: 4}},
+		{"I1EXP-4K", rtm.Config{Geometry: rtm.Geometry4K, Heuristic: rtm.IEXP, N: 1}},
+		{"ILREXP-256K", rtm.Config{Geometry: rtm.Geometry256K, Heuristic: rtm.ILREXP}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sim := rtm.NewSim(bc.cfg, benchWorkloadCPU(b, "ijpeg"))
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := sim.Run(uint64(b.N)); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

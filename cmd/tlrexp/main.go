@@ -25,6 +25,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -129,6 +130,9 @@ type sweepBench struct {
 	WarmSpeedup     float64 `json:"warmSpeedup"`
 	ParallelWorkers int     `json:"parallelWorkers"`
 
+	// The deep-skip record/replay grid.  Its seconds and speedup, and
+	// the shallow grid's below, are medians over replayPairs
+	// alternating execute/replay pairs.
 	ReplayCells   int     `json:"replayCells"`
 	ReplaySkip    uint64  `json:"replaySkip"`
 	ReplayBudget  uint64  `json:"replayBudget"`
@@ -339,12 +343,27 @@ func runAnalyzeBench(ctx context.Context, b *sweepBench) error {
 	return nil
 }
 
+// replayPairs is how many alternating execute/replay pairs time each
+// replay grid.
+const replayPairs = 5
+
+// median returns the median of xs (which it sorts).
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
 // runReplayBench times the deep- and shallow-skip grids
 // (internal/replaybench, the same grids BenchmarkReplayVsExecute runs)
 // executed live versus replayed from one recording, verifies the runs
 // agree cell for cell at both depths (replay equivalence, enforced on
 // every CI run), measures the format-level encoding statistics, and
-// fills the replay fields of the summary.
+// fills the replay fields of the summary.  Seconds and speedups are
+// medians over replayPairs pairs.
 func runReplayBench(ctx context.Context, b *sweepBench) error {
 	t0 := time.Now()
 	rec, err := tlr.Record(ctx, replaybench.RecordSpec())
@@ -371,27 +390,36 @@ func runReplayBench(ctx context.Context, b *sweepBench) error {
 		return nil
 	}
 
-	execRes, exec, err := runGrid(replaybench.Grid(nil))
+	// Each depth is timed as replayPairs alternating execute/replay
+	// pairs and judged by the median ratio, so one noisy run cannot
+	// swing the gate; every pair is verified.
+	timePairs := func(grid func(tlr.TraceSource) []tlr.Request, depth string) (cells int, exec, replay, ratio float64, err error) {
+		var execs, replays, ratios []float64
+		for i := 0; i < replayPairs; i++ {
+			execRes, e, err := runGrid(grid(nil))
+			if err != nil {
+				return 0, 0, 0, 0, err
+			}
+			replayRes, r, err := runGrid(grid(rec))
+			if err != nil {
+				return 0, 0, 0, 0, err
+			}
+			if err := verify(execRes, replayRes, depth); err != nil {
+				return 0, 0, 0, 0, err
+			}
+			cells = len(execRes)
+			execs = append(execs, e.Seconds())
+			replays = append(replays, r.Seconds())
+			ratios = append(ratios, e.Seconds()/r.Seconds())
+		}
+		return cells, median(execs), median(replays), median(ratios), nil
+	}
+	cells, exec, replay, speedup, err := timePairs(replaybench.Grid, "deep")
 	if err != nil {
 		return err
 	}
-	replayRes, replay, err := runGrid(replaybench.Grid(rec))
+	_, execShallow, replayShallow, shallowSpeedup, err := timePairs(replaybench.ShallowGrid, "shallow")
 	if err != nil {
-		return err
-	}
-	if err := verify(execRes, replayRes, "deep"); err != nil {
-		return err
-	}
-
-	execShallowRes, execShallow, err := runGrid(replaybench.ShallowGrid(nil))
-	if err != nil {
-		return err
-	}
-	replayShallowRes, replayShallow, err := runGrid(replaybench.ShallowGrid(rec))
-	if err != nil {
-		return err
-	}
-	if err := verify(execShallowRes, replayShallowRes, "shallow"); err != nil {
 		return err
 	}
 
@@ -410,17 +438,17 @@ func runReplayBench(ctx context.Context, b *sweepBench) error {
 		return err
 	}
 
-	b.ReplayCells = len(execRes)
+	b.ReplayCells = cells
 	b.ReplaySkip = replaybench.Skip
 	b.ReplayBudget = replaybench.Budget
 	b.RecordSecs = record.Seconds()
-	b.ExecuteSecs = exec.Seconds()
-	b.ReplaySecs = replay.Seconds()
-	b.ReplaySpeedup = exec.Seconds() / replay.Seconds()
+	b.ExecuteSecs = exec
+	b.ReplaySecs = replay
+	b.ReplaySpeedup = speedup
 	b.ReplayShallowSkip = replaybench.ShallowSkip
-	b.ExecuteShallowSecs = execShallow.Seconds()
-	b.ReplayShallowSecs = replayShallow.Seconds()
-	b.ReplayShallowSpeedup = execShallow.Seconds() / replayShallow.Seconds()
+	b.ExecuteShallowSecs = execShallow
+	b.ReplayShallowSecs = replayShallow
+	b.ReplayShallowSpeedup = shallowSpeedup
 	b.EncodeBytesPerRecord = enc.FileBytesPerRecord
 	b.EncodedMemBytesPerRecord = enc.EncodedBytesPerRecord
 	b.CanonicalBytesPerRecord = enc.CanonicalBytesPerRecord

@@ -145,7 +145,7 @@ func (a *Analyzer) Result() Result {
 	res := Result{Records: a.records}
 	for k := trace.KindIntReg; k <= trace.KindMem; k++ {
 		h := a.hists[k]
-		h.Distinct = uint64(len(a.stacks[k].last))
+		h.Distinct = uint64(a.stacks[k].last.Len())
 		*res.Class(k) = h
 	}
 	return res
@@ -162,13 +162,12 @@ func (a *Analyzer) Result() Result {
 // matters), so the tree's size tracks the distinct-location count, not
 // the stream length, and the amortised cost stays O(log n) per access.
 type distStack struct {
-	last map[trace.Loc]uint64 // location -> timestamp of its marker
+	last trace.LocMap[uint64] // location -> timestamp of its marker (0 = never seen)
 	bit  []int32              // Fenwick tree, 1-based over timestamps
 	t    uint64               // timestamps handed out since last compact
 }
 
 func (s *distStack) init() {
-	s.last = make(map[trace.Loc]uint64)
 	s.bit = make([]int32, 1024)
 }
 
@@ -179,39 +178,36 @@ func (s *distStack) access(l trace.Loc) (dist uint64, cold bool) {
 		s.compact()
 	}
 	s.t++
-	tl, seen := s.last[l]
-	if seen {
+	last := s.last.At(l)
+	tl := *last
+	if tl != 0 {
 		dist = s.prefix(s.t-1) - s.prefix(tl)
 		s.add(tl, -1)
 	}
 	s.add(s.t, 1)
-	s.last[l] = s.t
-	return dist, !seen
+	*last = s.t
+	return dist, tl == 0
 }
 
 // compact renumbers the live markers 1..m in timestamp order and
 // rebuilds the tree, growing it when the live set no longer leaves
 // headroom.  Order is preserved, so every future distance is unchanged.
 func (s *distStack) compact() {
-	times := make([]uint64, 0, len(s.last))
-	for _, t := range s.last {
-		times = append(times, t)
+	marks := make([]*uint64, 0, s.last.Len())
+	for _, t := range s.last.All() {
+		marks = append(marks, t)
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	rank := make(map[uint64]uint64, len(times))
-	for i, t := range times {
-		rank[t] = uint64(i + 1)
-	}
-	for l, t := range s.last {
-		s.last[l] = rank[t]
+	sort.Slice(marks, func(i, j int) bool { return *marks[i] < *marks[j] })
+	for i, t := range marks {
+		*t = uint64(i + 1)
 	}
 	n := len(s.bit)
-	for n < 2*(len(times)+2) {
+	for n < 2*(len(marks)+2) {
 		n *= 2
 	}
 	s.bit = make([]int32, n)
-	s.t = uint64(len(times))
-	for i := range times {
+	s.t = uint64(len(marks))
+	for i := range marks {
 		s.add(uint64(i+1), 1)
 	}
 }

@@ -23,22 +23,14 @@
 // K×(inputs+outputs) of §4.5 needs no rounding convention.
 package dda
 
-import (
-	"github.com/tracereuse/tlr/internal/isa"
-	"github.com/tracereuse/tlr/internal/trace"
-)
+import "github.com/tracereuse/tlr/internal/trace"
 
 // Clock tracks completion times for one machine configuration.
 type Clock struct {
 	window int // 0 = infinite
 
-	// Ready times: registers in flat arrays, memory words in a map, which
-	// also holds any location a malformed (e.g. hand-crafted or decoded)
-	// stream names outside the register file or with an unknown kind.
-	// A location never written reads as zero wherever it lives.
-	reg   [isa.NumRegs]float64
-	freg  [isa.NumRegs]float64
-	ready map[trace.Loc]float64
+	// Ready times of every location; one never written reads as zero.
+	ready trace.LocMap[float64]
 
 	ring  []float64 // graduation times of the last `window` occupying instrs
 	head  int       // ring insert position
@@ -51,10 +43,7 @@ type Clock struct {
 
 // New returns a Clock for the given window size (0 or negative = infinite).
 func New(window int) *Clock {
-	c := &Clock{
-		window: max(window, 0),
-		ready:  make(map[trace.Loc]float64, 1024),
-	}
+	c := &Clock{window: max(window, 0)}
 	if c.window > 0 {
 		c.ring = make([]float64, c.window)
 	}
@@ -66,29 +55,7 @@ func (c *Clock) Window() int { return c.window }
 
 // ReadyOf returns the completion time of the latest producer of loc (zero
 // if the location is live-in to the whole program).
-func (c *Clock) ReadyOf(loc trace.Loc) float64 {
-	if p := c.regSlot(loc); p != nil {
-		return *p
-	}
-	return c.ready[loc]
-}
-
-// regSlot returns the flat-array cell holding loc's ready time, or nil
-// when loc lives in the map.
-func (c *Clock) regSlot(loc trace.Loc) *float64 {
-	idx := loc.Index()
-	switch loc.Kind() {
-	case trace.KindIntReg:
-		if idx < isa.NumRegs {
-			return &c.reg[idx]
-		}
-	case trace.KindFPReg:
-		if idx < isa.NumRegs {
-			return &c.freg[idx]
-		}
-	}
-	return nil
-}
+func (c *Clock) ReadyOf(loc trace.Loc) float64 { return c.ready.Get(loc) }
 
 // InReady returns the earliest cycle at which all of e's inputs are
 // available: the max completion time over its producers.
@@ -127,11 +94,7 @@ func (c *Clock) Retire(e *trace.Exec, completion float64, occupies bool) {
 // and graduating — at completion.
 func (c *Clock) RetireSplit(e *trace.Exec, completion, valueReady float64, occupies bool) {
 	for _, r := range e.Outputs() {
-		if p := c.regSlot(r.Loc); p != nil {
-			*p = valueReady
-		} else {
-			c.ready[r.Loc] = valueReady
-		}
+		c.ready.Set(r.Loc, valueReady)
 	}
 	if completion > c.prefixMax {
 		c.prefixMax = completion

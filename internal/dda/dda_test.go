@@ -342,10 +342,12 @@ func (c *mapClock) retireSplit(e *trace.Exec, completion, valueReady float64, oc
 // TestClockOddLocationsMatchMapModel feeds a Clock locations a
 // hand-crafted or decoded stream can carry besides the register file and
 // memory: register indexes past isa.NumRegs, the unused fourth kind, and
-// locations never written.  Registers live in flat arrays and everything
-// else in a map; the Clock must neither panic nor alias such locations
-// with real registers, must read unwritten ones as zero, and must time
-// the stream exactly as the all-map model does.
+// locations never written, among enough memory words to grow the
+// Clock's location table several times.  Registers live in the table's
+// flat arrays and everything else in its hashed part; the Clock must
+// neither panic nor alias such locations with real registers, must read
+// unwritten ones as zero, and must time the stream exactly as the
+// all-map model does.
 func TestClockOddLocationsMatchMapModel(t *testing.T) {
 	kind3 := func(i uint64) trace.Loc { return trace.Loc(3<<62 | i) }
 	locs := []trace.Loc{
@@ -353,6 +355,9 @@ func TestClockOddLocationsMatchMapModel(t *testing.T) {
 		trace.FPReg(0), trace.FPReg(5), trace.FPReg(31), trace.FPReg(32), trace.FPReg(200),
 		trace.Mem(0), trace.Mem(5), trace.Mem(1 << 40),
 		kind3(0), kind3(5), kind3(32),
+	}
+	for a := uint64(0); a < 300; a++ {
+		locs = append(locs, trace.Mem(64+a*8))
 	}
 	// Never written: every read of them must see zero.
 	unseen := []trace.Loc{trace.IntReg(7), trace.IntReg(77), trace.FPReg(64), trace.Mem(9), kind3(9)}

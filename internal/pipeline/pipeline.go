@@ -111,7 +111,7 @@ type Sim struct {
 	slotsUsed  int
 
 	// dataflow state
-	ready map[trace.Loc]float64
+	ready trace.LocMap[float64]
 
 	// in-order graduation window (one entry per window occupant)
 	ring      []float64
@@ -131,10 +131,9 @@ type Sim struct {
 func New(cfg Config, c *cpu.CPU) *Sim {
 	cfg = cfg.Normalized()
 	s := &Sim{
-		cfg:   cfg,
-		cpu:   c,
-		ready: make(map[trace.Loc]float64, 1024),
-		ring:  make([]float64, cfg.Window),
+		cfg:  cfg,
+		cpu:  c,
+		ring: make([]float64, cfg.Window),
 	}
 	if cfg.RTM != nil {
 		s.mem = rtm.New(cfg.RTM.Geometry, cfg.RTM.MinLen)
@@ -182,7 +181,7 @@ func (s *Sim) occupy(g float64) {
 func (s *Sim) inReady(refs []trace.Ref) float64 {
 	var t float64
 	for _, r := range refs {
-		if rt := s.ready[r.Loc]; rt > t {
+		if rt := s.ready.Get(r.Loc); rt > t {
 			t = rt
 		}
 	}
@@ -244,7 +243,7 @@ func (s *Sim) execute(e *trace.Exec) {
 	f := s.fetchSlot()
 	c := max(s.inReady(e.Inputs()), f+float64(s.cfg.FrontLat)) + float64(e.Lat)
 	for _, r := range e.Outputs() {
-		s.ready[r.Loc] = c
+		s.ready.Set(r.Loc, c)
 	}
 	if c > s.maxC {
 		s.maxC = c
@@ -264,7 +263,7 @@ func (s *Sim) reuse(entry *rtm.Entry) {
 		s.DebugReuse(f, in, t, entry.Sum.Len)
 	}
 	for _, r := range entry.Sum.Outs {
-		s.ready[r.Loc] = t
+		s.ready.Set(r.Loc, t)
 	}
 	if t > s.maxC {
 		s.maxC = t

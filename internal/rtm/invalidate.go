@@ -96,32 +96,9 @@ func (m *RTM) removeEntry(slot *pcSlot, e *Entry) {
 	for i, se := range slot.traces {
 		if se == e {
 			slot.traces = append(slot.traces[:i], slot.traces[i+1:]...)
+			m.retire(e)
 			break
 		}
 	}
 	m.inval.unregister(e)
-}
-
-// lookupValid is the valid-bit reuse test: any stored (hence valid) trace
-// at pc is reusable without comparing values; prefer the longest.
-func (m *RTM) lookupValid(pc uint64) *Entry {
-	slot := m.slotOf(pc)
-	if slot == nil {
-		return nil
-	}
-	var best *Entry
-	for _, e := range slot.traces {
-		if best == nil || e.Sum.Len > best.Sum.Len {
-			best = e
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	m.tick++
-	best.lastUse = m.tick
-	slot.lastUse = m.tick
-	best.hits++
-	m.stats.Hits++
-	return best
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"github.com/tracereuse/tlr/internal/cpu"
-	"github.com/tracereuse/tlr/internal/isa"
 	"github.com/tracereuse/tlr/internal/trace"
 )
 
@@ -62,7 +61,7 @@ func NewReplay(cfg Config, src ReplayStream) *Replay {
 	if cfg.InvalidateOnWrite {
 		m.EnableInvalidation()
 	}
-	return &Replay{cfg: cfg, src: src, rtm: m, col: newCollector(cfg, m), state: newReplayState()}
+	return &Replay{cfg: cfg, src: src, rtm: m, col: newCollector(cfg, m)}
 }
 
 // RTM returns the trace memory.
@@ -165,63 +164,18 @@ func (p *Replay) result() Result {
 	}
 }
 
-// replayState is the shadow architectural state: registers in flat
-// arrays, memory in a map, plus an overflow map for locations a
-// malformed (e.g. hand-crafted) stream may name outside the register
-// file.  Locations never yet observed read as zero; the reuse test
+// replayState is the shadow architectural state, one value per
+// location.  Locations never yet observed read as zero; the reuse test
 // never probes such a location on a well-formed stream (see the package
 // comment above).
 type replayState struct {
-	r    [isa.NumRegs]uint64
-	f    [isa.NumRegs]uint64
-	m    map[uint64]uint64
-	over map[trace.Loc]uint64
-}
-
-func newReplayState() replayState {
-	return replayState{m: make(map[uint64]uint64)}
+	vals trace.LocMap[uint64]
 }
 
 // ReadLoc answers the reuse test's state probes (rtm.State).
-func (s *replayState) ReadLoc(l trace.Loc) uint64 {
-	idx := l.Index()
-	switch l.Kind() {
-	case trace.KindIntReg:
-		if idx < isa.NumRegs {
-			return s.r[idx]
-		}
-	case trace.KindFPReg:
-		if idx < isa.NumRegs {
-			return s.f[idx]
-		}
-	case trace.KindMem:
-		return s.m[idx]
-	}
-	return s.over[l]
-}
+func (s *replayState) ReadLoc(l trace.Loc) uint64 { return s.vals.Get(l) }
 
-func (s *replayState) write(l trace.Loc, v uint64) {
-	idx := l.Index()
-	switch l.Kind() {
-	case trace.KindIntReg:
-		if idx < isa.NumRegs {
-			s.r[idx] = v
-			return
-		}
-	case trace.KindFPReg:
-		if idx < isa.NumRegs {
-			s.f[idx] = v
-			return
-		}
-	case trace.KindMem:
-		s.m[idx] = v
-		return
-	}
-	if s.over == nil {
-		s.over = make(map[trace.Loc]uint64)
-	}
-	s.over[l] = v
-}
+func (s *replayState) write(l trace.Loc, v uint64) { s.vals.Set(l, v) }
 
 // observe applies one executed record: inputs teach the shadow state
 // values read from so-far-unseen locations, then outputs overwrite

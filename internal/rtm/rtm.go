@@ -55,8 +55,14 @@ var (
 var DefaultCaps = trace.Caps{InReg: 8, InMem: 4, OutReg: 8, OutMem: 4}
 
 // Entry is one stored trace.
+//
+// The RTM recycles entries: one that is evicted or invalidated is reused
+// for a later trace, and a refresh by a longer variant rewrites Sum in
+// place.  An *Entry returned by Lookup stays intact until the next
+// Lookup, and its Sum must not be modified.
 type Entry struct {
 	Sum     trace.Summary
+	buf     []trace.Ref // backing array of Sum.Ins and Sum.Outs
 	lastUse uint64
 	hits    uint64
 }
@@ -100,6 +106,16 @@ type RTM struct {
 	// reproduces the unsharded set mapping exactly.
 	pcMask  uint64
 	pcShift uint
+
+	// Entry recycling.  An evicted or invalidated entry goes straight
+	// back to free, except held, the entry the last Lookup returned: the
+	// Inserts that follow a hit may evict it, and it must stay intact
+	// until the caller's next Lookup, which recycles it then
+	// (heldRetired).  So at most one retired entry waits, whatever the
+	// mix of calls.  New entries come from free before any is allocated.
+	free        []*Entry
+	held        *Entry
+	heldRetired bool
 }
 
 // New builds an empty RTM with the given geometry.  minLen is the minimum
@@ -175,22 +191,30 @@ func (m *RTM) slotOf(pc uint64) *pcSlot {
 // currently holds the recorded value, refreshing LRU state.  Preferring
 // the longest match is the paper's §4.4 objective — one reuse operation
 // should skip as many instructions as possible — and is what makes
-// dynamic trace expansion effective.  Nil means no reusable trace.
+// dynamic trace expansion effective.  Nil means no reusable trace.  In
+// valid-bit mode (see EnableInvalidation) every stored trace is valid,
+// so the test compares no values.
+//
+// The returned entry stays intact until the next Lookup, even if the
+// Inserts in between evict it (see Entry).
 func (m *RTM) Lookup(pc uint64, st State) *Entry {
 	m.stats.Lookups++
-	if m.inval != nil {
-		return m.lookupValid(pc)
+	if m.heldRetired {
+		m.free = append(m.free, m.held)
+		m.heldRetired = false
 	}
 	slot := m.slotOf(pc)
 	if slot == nil {
+		m.held = nil
 		return nil
 	}
 	var best *Entry
 	for _, e := range slot.traces {
-		if (best == nil || e.Sum.Len > best.Sum.Len) && inputsMatch(&e.Sum, st) {
+		if (best == nil || e.Sum.Len > best.Sum.Len) && (m.inval != nil || inputsMatch(&e.Sum, st)) {
 			best = e
 		}
 	}
+	m.held = best
 	if best == nil {
 		return nil
 	}
@@ -216,12 +240,9 @@ func inputsMatch(s *trace.Summary, st State) bool {
 // of the set when a new PC needs a slot.  A trace identical in inputs to a
 // stored one only refreshes it (its outputs are necessarily equal).
 //
-// The caller keeps ownership of sum's slices: Insert copies them only
-// when sum becomes a stored summary, so a collector can pass its
+// The caller keeps ownership of sum's slices: Insert copies them into
+// the stored entry's own buffer, so a collector can pass its
 // Summarizer's Current summary and reuse the Summarizer straight after.
-// A stored summary is never modified in place — a longer variant
-// replaces it with a fresh copy — so a copy of Entry.Sum taken earlier
-// (Sharded.Lookup) stays intact.
 func (m *RTM) Insert(sum trace.Summary) {
 	if sum.Len < m.minLen {
 		m.stats.RejectedShort++
@@ -257,7 +278,7 @@ func (m *RTM) Insert(sum trace.Summary) {
 			// Prefer the longer variant: expansion replaces the
 			// original (the paper grows traces on reuse).
 			if sum.Len > e.Sum.Len {
-				e.Sum = sum.Clone()
+				e.store(&sum)
 			}
 			e.lastUse = m.tick
 			m.stats.Refreshes++
@@ -268,12 +289,49 @@ func (m *RTM) Insert(sum trace.Summary) {
 	if len(slot.traces) >= m.geom.TracesPerPC {
 		m.evictLRUTrace(slot)
 	}
-	e := &Entry{Sum: sum.Clone(), lastUse: m.tick}
+	e := m.newEntry()
+	e.lastUse, e.hits = m.tick, 0
+	e.store(&sum)
 	slot.traces = append(slot.traces, e)
 	if m.inval != nil {
 		m.inval.register(e, slot)
 	}
 	m.stats.Inserts++
+}
+
+// newEntry returns an entry to store a trace in: a recycled one, else
+// a new one.
+func (m *RTM) newEntry() *Entry {
+	if n := len(m.free); n > 0 {
+		e := m.free[n-1]
+		m.free = m.free[:n-1]
+		return e
+	}
+	return new(Entry)
+}
+
+// store copies sum into e, reusing e's buffer when it is big enough.
+func (e *Entry) store(sum *trace.Summary) {
+	nIn, n := len(sum.Ins), len(sum.Ins)+len(sum.Outs)
+	e.buf = append(append(e.buf[:0], sum.Ins...), sum.Outs...)
+	e.Sum = *sum
+	e.Sum.Ins, e.Sum.Outs = nil, nil
+	if nIn > 0 {
+		e.Sum.Ins = e.buf[:nIn:nIn]
+	}
+	if n > nIn {
+		e.Sum.Outs = e.buf[nIn:n:n]
+	}
+}
+
+// retire recycles an entry that has left the RTM; the one the last
+// Lookup returned waits for the next Lookup.
+func (m *RTM) retire(e *Entry) {
+	if e == m.held {
+		m.heldRetired = true
+		return
+	}
+	m.free = append(m.free, e)
 }
 
 // outputsOverlapInputs reports whether the trace writes any of its own
@@ -308,12 +366,13 @@ func (m *RTM) evictLRUTrace(slot *pcSlot) {
 	if m.inval != nil {
 		m.inval.unregister(slot.traces[vi])
 	}
+	m.retire(slot.traces[vi])
 	slot.traces = append(slot.traces[:vi], slot.traces[vi+1:]...)
 	m.stats.TraceEvicts++
 }
 
 // evictLRUPC removes the least-recently-used PC slot of set, with its
-// traces, and returns it.
+// traces, retires the traces and returns the slot.
 func (m *RTM) evictLRUPC(set int) *pcSlot {
 	victim, vi := uint64(1)<<63, -1
 	for i, s := range m.sets[set] {
@@ -327,6 +386,9 @@ func (m *RTM) evictLRUPC(set int) *pcSlot {
 		}
 	}
 	slot := m.sets[set][vi]
+	for _, e := range slot.traces {
+		m.retire(e)
+	}
 	m.stats.TraceEvicts += uint64(len(slot.traces))
 	m.sets[set] = append(m.sets[set][:vi], m.sets[set][vi+1:]...)
 	m.stats.PCEvicts++

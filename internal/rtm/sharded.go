@@ -17,9 +17,10 @@ import (
 // RTM — the striping changes only the locking, never the paper's §4.6
 // semantics.
 //
-// Lookup returns a copy of the matching trace summary taken under the
-// shard lock; concurrent Inserts may replace an entry's summary (dynamic
-// trace expansion), and the copy keeps readers off that torn window.
+// Lookup returns a deep copy of the matching trace summary taken under
+// the shard lock: concurrent Inserts rewrite stored summaries in place
+// (dynamic trace expansion, recycled entries), and the copy keeps
+// readers off them.
 type Sharded struct {
 	shards []rtmShard
 	mask   uint64 // nshards - 1
@@ -74,7 +75,7 @@ func (s *Sharded) EnableInvalidation() {
 func (s *Sharded) shardOf(pc uint64) *rtmShard { return &s.shards[pc&s.mask] }
 
 // Lookup performs the reuse test at a fetch of pc against st, returning a
-// copy of the longest matching trace summary.  st is read under the shard
+// deep copy of the longest matching trace summary.  st is read under the shard
 // lock, so a caller's private CPU state needs no extra synchronisation.
 func (s *Sharded) Lookup(pc uint64, st State) (trace.Summary, bool) {
 	sh := s.shardOf(pc)
@@ -84,7 +85,7 @@ func (s *Sharded) Lookup(pc uint64, st State) (trace.Summary, bool) {
 		sh.mu.Unlock()
 		return trace.Summary{}, false
 	}
-	sum := e.Sum
+	sum := e.Sum.Clone()
 	sh.mu.Unlock()
 	return sum, true
 }

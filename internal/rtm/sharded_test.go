@@ -1,6 +1,9 @@
 package rtm
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -165,5 +168,79 @@ func TestShardedInvalidation(t *testing.T) {
 	}
 	if st := m.Stats(); st.Invalidations != 4 {
 		t.Errorf("Invalidations = %d, want 4", st.Invalidations)
+	}
+}
+
+// tornKey builds the summary whose every field derives from k, so a
+// reader can tell a consistent copy from one mixing two stored traces.
+func tornKey(k uint64) trace.Summary {
+	pc := k & 3
+	outs := make([]trace.Ref, 1+k%5)
+	for i := range outs {
+		outs[i] = trace.Ref{Loc: trace.Mem(uint64(i)), Val: k*100 + uint64(i)}
+	}
+	return sum(pc, 1+int(k), []trace.Ref{{Loc: trace.IntReg(1), Val: k % 3}}, outs)
+}
+
+// checkTorn reports how a returned summary departs from tornKey.
+func checkTorn(s trace.Summary, pc uint64) error {
+	k := uint64(s.Len - 1)
+	if want := tornKey(k); s.StartPC != pc || !reflect.DeepEqual(s, want) {
+		return fmt.Errorf("torn summary at pc %d: %+v, want %+v", pc, s, want)
+	}
+	return nil
+}
+
+// TestShardedLookupNeverTorn hammers a tiny Sharded RTM with concurrent
+// Inserts, which recycle entries and rewrite stored summaries in place,
+// and Lookups.  Every summary a Lookup returns must be one stored trace,
+// whole, and must stay so while the inserts go on.
+func TestShardedLookupNeverTorn(t *testing.T) {
+	m := NewSharded(Geometry{Sets: 2, PCWays: 1, TracesPerPC: 2}, 1, 2)
+	const goroutines, perG = 4, 20000
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			var held []trace.Summary
+			var heldPC []uint64
+			for i := 0; i < perG; i++ {
+				k := uint64(rng.Intn(60))
+				if rng.Intn(2) == 0 {
+					m.Insert(tornKey(k))
+					continue
+				}
+				pc := k & 3
+				s, ok := m.Lookup(pc, fakeState{trace.IntReg(1): k % 3})
+				if !ok {
+					continue
+				}
+				if err := checkTorn(s, pc); err != nil {
+					errs <- err
+					return
+				}
+				held, heldPC = append(held, s), append(heldPC, pc)
+				if len(held) == 16 {
+					for j := range held {
+						if err := checkTorn(held[j], heldPC[j]); err != nil {
+							errs <- fmt.Errorf("after later inserts: %w", err)
+							return
+						}
+					}
+					held, heldPC = held[:0], heldPC[:0]
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := m.Stats(); st.Hits == 0 || st.TraceEvicts == 0 {
+		t.Fatalf("stats %+v: the test needs hits and evictions", st)
 	}
 }

@@ -21,7 +21,7 @@ func (z *Summarizer) TryMerge(s *Summary, caps Caps) bool {
 		}
 	}
 	for _, r := range s.Outs {
-		if !z.outIdx.has(r.Loc) {
+		if z.pos.Get(r.Loc).out == 0 {
 			countRef(r.Loc, &addOutReg, &addOutMem)
 		}
 	}
@@ -36,18 +36,19 @@ func (z *Summarizer) TryMerge(s *Summary, caps Caps) bool {
 	// Live-ins first: whether s's input is internal depends on the
 	// outputs before the merge.
 	for _, r := range s.Ins {
-		if z.isLiveIn(r.Loc) {
-			z.inIdx.set(r.Loc, len(z.sum.Ins))
+		if p := z.pos.At(r.Loc); *p == (refPos{}) {
 			z.sum.Ins = append(z.sum.Ins, r)
+			p.in = int32(len(z.sum.Ins))
 		}
 	}
 	for _, r := range s.Outs {
-		if i, seen := z.outIdx.get(r.Loc); seen {
-			z.sum.Outs[i].Val = r.Val
+		p := z.pos.At(r.Loc)
+		if p.out != 0 {
+			z.sum.Outs[p.out-1].Val = r.Val
 			continue
 		}
-		z.outIdx.set(r.Loc, len(z.sum.Outs))
 		z.sum.Outs = append(z.sum.Outs, r)
+		p.out = int32(len(z.sum.Outs))
 	}
 	z.inReg += addInReg
 	z.inMem += addInMem
@@ -61,7 +62,7 @@ func (z *Summarizer) TryMerge(s *Summary, caps Caps) bool {
 // isLiveIn reports whether a read of l would be a new live-in of the run:
 // neither produced inside it nor already read.
 func (z *Summarizer) isLiveIn(l Loc) bool {
-	return !z.outIdx.has(l) && !z.inIdx.has(l)
+	return z.pos.Get(l) == refPos{}
 }
 
 func countRef(l Loc, regs, mems *int) {

@@ -202,33 +202,47 @@ func TestTryMergeEqualsSequentialAdds(t *testing.T) {
 	}
 }
 
-// TestLocIndexMatchesMap checks the Summarizer's location index against a
-// plain map, over registers, memory words and locations outside the
-// register file, through sets, lookups and drops.
+// TestLocIndexMatchesMap checks the Summarizer's location table against
+// a map rebuilt from its Ins and Outs lists, over registers, memory words
+// and locations outside the register file, through adds, merges, resets
+// and seeds: every location must report exactly its positions in the
+// lists, and every other location none.
 func TestLocIndexMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var x locIndex
-	model := map[Loc]int{}
-	var refs []Ref
-	for i := 0; i < 20000; i++ {
-		l := randLoc(rng)
-		switch rng.Intn(6) {
+	tight := Caps{InReg: 3, InMem: 1, OutReg: 2, OutMem: 1}
+	var z Summarizer
+	for op := 0; op < 20000; op++ {
+		switch rng.Intn(8) {
 		case 0:
-			x.drop(refs)
-			for _, r := range refs {
-				delete(model, r.Loc)
-			}
-			refs = refs[:0]
-		case 1, 2:
-			pos := rng.Intn(1 << 20)
-			x.set(l, pos)
-			model[l] = pos
-			refs = append(refs, Ref{Loc: l})
+			z.Reset()
+		case 1:
+			seed := randSummary(rng, uint64(rng.Intn(50)))
+			z.Seed(&seed)
+		case 2:
+			s := randSummary(rng, z.NextPC())
+			z.TryMerge(&s, tight)
 		default:
-			got, ok := x.get(l)
-			want, wantOK := model[l]
-			if ok != wantOK || ok && got != want {
-				t.Fatalf("op %d: get(%v) = %d,%v, map %d,%v", i, l, got, ok, want, wantOK)
+			e := randExec(rng, z.NextPC())
+			z.TryAdd(&e, Unlimited)
+		}
+		model := map[Loc]refPos{}
+		for i, r := range z.sum.Ins {
+			p := model[r.Loc]
+			p.in = int32(i + 1)
+			model[r.Loc] = p
+		}
+		for i, r := range z.sum.Outs {
+			p := model[r.Loc]
+			p.out = int32(i + 1)
+			model[r.Loc] = p
+		}
+		if z.pos.Len() != len(model) {
+			t.Fatalf("op %d: table holds %d locations, lists %d", op, z.pos.Len(), len(model))
+		}
+		for k := 0; k < 8; k++ {
+			l := randLoc(rng)
+			if got, want := z.pos.Get(l), model[l]; got != want {
+				t.Fatalf("op %d: position of %v = %+v, lists say %+v", op, l, got, want)
 			}
 		}
 	}

@@ -75,22 +75,24 @@ var Unlimited = Caps{InReg: -1, InMem: -1, OutReg: -1, OutMem: -1}
 // the longest run seen.  The zero Summarizer is empty and ready to use.
 type Summarizer struct {
 	sum     Summary
-	inIdx   locIndex // location -> index in sum.Ins
-	outIdx  locIndex // location -> index in sum.Outs
+	pos     LocMap[refPos] // location -> its positions in sum.Ins and sum.Outs
 	started bool
 
 	inReg, inMem, outReg, outMem int
 }
 
+// refPos locates one location in a Summarizer's lists: its index+1 in
+// Ins and in Outs, 0 where it is absent (so the zero value means "not in
+// the run").
+type refPos struct{ in, out int32 }
+
 // NewSummarizer returns an empty Summarizer.
 func NewSummarizer() *Summarizer { return &Summarizer{} }
 
-// Reset clears the Summarizer for a new run, keeping its storage.  Its
-// cost follows the last run's reference count, not the longest run the
-// Summarizer has held.
+// Reset clears the Summarizer for a new run, keeping its storage, in
+// O(1).
 func (z *Summarizer) Reset() {
-	z.inIdx.drop(z.sum.Ins)
-	z.outIdx.drop(z.sum.Outs)
+	z.pos.Reset()
 	z.sum = Summary{Ins: z.sum.Ins[:0], Outs: z.sum.Outs[:0]}
 	z.started = false
 	z.inReg, z.inMem, z.outReg, z.outMem = 0, 0, 0, 0
@@ -106,10 +108,10 @@ func (z *Summarizer) Seed(s *Summary) {
 	z.sum.Ins = append(z.sum.Ins, s.Ins...)
 	z.sum.Outs = append(z.sum.Outs, s.Outs...)
 	for i, r := range z.sum.Ins {
-		z.inIdx.set(r.Loc, i)
+		z.pos.At(r.Loc).in = int32(i + 1)
 	}
 	for i, r := range z.sum.Outs {
-		z.outIdx.set(r.Loc, i)
+		z.pos.At(r.Loc).out = int32(i + 1)
 	}
 	z.inReg, z.inMem = refCounts(z.sum.Ins)
 	z.outReg, z.outMem = refCounts(z.sum.Outs)
@@ -164,7 +166,7 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 		}
 	}
 	for _, r := range e.Outputs() {
-		if z.outIdx.has(r.Loc) {
+		if z.pos.Get(r.Loc).out != 0 {
 			continue
 		}
 		dup := false
@@ -192,17 +194,16 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 		z.started = true
 	}
 	for _, r := range stagedIns[:nIns] {
-		z.inIdx.set(r.Loc, len(z.sum.Ins))
 		z.sum.Ins = append(z.sum.Ins, r)
+		z.pos.At(r.Loc).in = int32(len(z.sum.Ins))
 	}
 	for _, r := range stagedOuts[:nOuts] {
-		z.outIdx.set(r.Loc, len(z.sum.Outs))
 		z.sum.Outs = append(z.sum.Outs, r)
+		z.pos.At(r.Loc).out = int32(len(z.sum.Outs))
 	}
 	// Writes to already-known output locations take the newest value.
 	for _, r := range e.Outputs() {
-		i, _ := z.outIdx.get(r.Loc)
-		z.sum.Outs[i].Val = r.Val
+		z.sum.Outs[z.pos.Get(r.Loc).out-1].Val = r.Val
 	}
 	z.inReg += addInReg
 	z.inMem += addInMem
