@@ -1,0 +1,159 @@
+package expt
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/tracereuse/tlr/internal/rtm"
+	"github.com/tracereuse/tlr/internal/service"
+	"github.com/tracereuse/tlr/internal/workload"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/figures.golden.jsonl from the current engines")
+
+// goldenCfg is the reduced configuration the figure golden is pinned at:
+// every limit study of Figures 3-8 and the ablations, and the full
+// 560-cell Figure-9 grid, at budgets that fit the test suite.
+var goldenCfg = Config{Budget: 40_000, Skip: 500, Window: 256, RTMBudget: 12_000}
+
+const goldenFile = "figures.golden.jsonl"
+
+// goldenLines renders the engines' results at goldenCfg as JSON lines:
+// one per workload's limit-study Measurement, then one per Figure-9 cell
+// (its rtm.Result with the Top profile) in heuristic x geometry x
+// workload order.
+func goldenLines(t *testing.T) []string {
+	svc := service.New(service.Options{})
+	defer svc.Close()
+	ms, err := MeasureWith(svc, goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := measureRTMGrid(svc, goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	add := func(v any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(b))
+	}
+	for _, m := range ms {
+		add(m)
+	}
+	k := 0
+	for _, h := range RTMHeuristics() {
+		for _, g := range RTMGeometries() {
+			for _, w := range workload.All() {
+				add(struct {
+					Workload  string
+					Heuristic string
+					Geometry  rtm.Geometry
+					Result    rtm.Result
+				}{w.Name, h.Label, g, grid[k]})
+				k++
+			}
+		}
+	}
+	return lines
+}
+
+// TestFigureGolden pins every figure value: the limit-study measurements
+// and the per-cell Figure-9 results must match the committed golden byte
+// for byte, so an engine change that shifts any number, however slightly,
+// fails here with the first field that differs.  Regenerate (only for an
+// intended change of results) with
+//
+//	go test ./internal/expt -run TestFigureGolden -update
+func TestFigureGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole reduced evaluation")
+	}
+	got := goldenLines(t)
+	path := filepath.Join("testdata", goldenFile)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d golden lines, engines produced %d", len(want), len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("golden line %d differs: %s", i+1, firstDiff(got[i], want[i]))
+		}
+	}
+}
+
+// firstDiff names the first field, in sorted key order, where two JSON
+// documents differ, with both values.
+func firstDiff(got, want string) string {
+	var g, w any
+	if json.Unmarshal([]byte(got), &g) != nil || json.Unmarshal([]byte(want), &w) != nil {
+		return fmt.Sprintf("got %s, want %s", got, want)
+	}
+	path, gv, wv := diffJSON("", g, w)
+	return fmt.Sprintf("%s: got %s, want %s", path, gv, wv)
+}
+
+func diffJSON(path string, g, w any) (string, string, string) {
+	switch wt := w.(type) {
+	case map[string]any:
+		if gt, ok := g.(map[string]any); ok {
+			keys := make([]string, 0, len(wt))
+			for k := range wt {
+				keys = append(keys, k)
+			}
+			for k := range gt {
+				if _, ok := wt[k]; !ok {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				if !reflect.DeepEqual(gt[k], wt[k]) {
+					return diffJSON(path+"."+k, gt[k], wt[k])
+				}
+			}
+		}
+	case []any:
+		if gt, ok := g.([]any); ok && len(gt) == len(wt) {
+			for i := range wt {
+				if !reflect.DeepEqual(gt[i], wt[i]) {
+					return diffJSON(fmt.Sprintf("%s[%d]", path, i), gt[i], wt[i])
+				}
+			}
+		}
+	}
+	return path, compact(g), compact(w)
+}
+
+func compact(v any) string {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(v); err != nil {
+		return fmt.Sprint(v)
+	}
+	return strings.TrimSpace(buf.String())
+}

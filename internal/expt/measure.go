@@ -244,13 +244,40 @@ func MeasureRTM(cfg Config) ([]RTMCell, error) {
 // the whole sweep fans out across the service's worker pool; a repeated
 // sweep at the same configuration is answered from the result cache.
 func MeasureRTMWith(svc *service.Service, cfg Config) ([]RTMCell, error) {
+	res, err := measureRTMGrid(svc, cfg)
+	if err != nil {
+		return nil, err
+	}
 	suite := workload.All()
-	heur := RTMHeuristics()
-	geoms := RTMGeometries()
+	var cells []RTMCell
+	k := 0
+	for _, h := range RTMHeuristics() {
+		for _, g := range RTMGeometries() {
+			fracs := make([]float64, len(suite))
+			sizes := make([]float64, len(suite))
+			for wi := range suite {
+				fracs[wi] = res[k].ReusedFraction()
+				sizes[wi] = res[k].AvgReusedLen()
+				k++
+			}
+			cells = append(cells, RTMCell{
+				Heuristic:      h.Label,
+				Geometry:       g,
+				ReusedFraction: mean(fracs),
+				AvgTraceSize:   mean(sizes),
+			})
+		}
+	}
+	return cells, nil
+}
 
+// measureRTMGrid runs every heuristic x geometry x workload cell of the
+// Figure-9 sweep and returns their results in that nesting order.
+func measureRTMGrid(svc *service.Service, cfg Config) ([]rtm.Result, error) {
+	suite := workload.All()
 	var jobs []service.Job
-	for _, h := range heur {
-		for _, g := range geoms {
+	for _, h := range RTMHeuristics() {
+		for _, g := range RTMGeometries() {
 			for _, w := range suite {
 				prog, err := w.Program()
 				if err != nil {
@@ -270,28 +297,11 @@ func MeasureRTMWith(svc *service.Service, cfg Config) ([]RTMCell, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	var cells []RTMCell
-	k := 0
-	for _, h := range heur {
-		for _, g := range geoms {
-			fracs := make([]float64, len(suite))
-			sizes := make([]float64, len(suite))
-			for wi := range suite {
-				r := res[k].Value.(rtm.Result)
-				fracs[wi] = r.ReusedFraction()
-				sizes[wi] = r.AvgReusedLen()
-				k++
-			}
-			cells = append(cells, RTMCell{
-				Heuristic:      h.Label,
-				Geometry:       g,
-				ReusedFraction: mean(fracs),
-				AvgTraceSize:   mean(sizes),
-			})
-		}
+	out := make([]rtm.Result, len(res))
+	for i, r := range res {
+		out[i] = r.Value.(rtm.Result)
 	}
-	return cells, nil
+	return out, nil
 }
 
 func mean(xs []float64) float64 {
