@@ -42,10 +42,14 @@ func measurements(b *testing.B) []*expt.Measurement {
 
 // BenchmarkLimitStudyPipeline measures the full Figures 3-8 pipeline: 14
 // workloads, one simulation each, fanned out to both reuse engines at
-// every latency variant.
+// every latency variant.  Every iteration runs on a fresh service, so
+// none is answered from the result cache.
 func BenchmarkLimitStudyPipeline(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ms, err := expt.Measure(benchConfig)
+		svc := service.New(service.Options{})
+		ms, err := expt.MeasureWith(svc, benchConfig)
+		svc.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -132,10 +136,14 @@ func BenchmarkExtensionPipeline(b *testing.B) {
 }
 
 // BenchmarkFig9RTMSweep runs the realistic-RTM sweep (10 heuristics x 4
-// capacities x 14 workloads) and renders both Figure 9 tables.
+// capacities x 14 workloads) on a fresh service per iteration, cold, and
+// renders both Figure 9 tables.
 func BenchmarkFig9RTMSweep(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cells, err := expt.MeasureRTM(benchConfig)
+		svc := service.New(service.Options{})
+		cells, err := expt.MeasureRTMWith(svc, benchConfig)
+		svc.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,10 +21,13 @@ import (
 //	engine      before   after   gate
 //	TLRStudy       475       0      5
 //	ILRStudy        64       0      5
+//	VPStudy          0       0      5
 //
 // "before" is the engine that summarised every reusable run with a fresh
 // Summarizer, kept register ready-times in a map, and allocated a string
-// per new history vector.
+// per new history vector.  VPStudy's last-value table was a Go map that
+// allocated a slice per new PC; gcc meets no new PC after the warm-up, so
+// its gate guards the flat table against per-record allocation.
 const (
 	allocGateWarm = 60_000
 	allocGateStep = 20_000
@@ -52,6 +55,7 @@ func TestStudySteadyStateAllocs(t *testing.T) {
 	}{
 		{"TLRStudy", NewTLRStudy(TLRConfig{Window: 256, Variants: []Latency{ConstLatency(1)}}).Consume, 0.005},
 		{"ILRStudy", NewILRStudy(ILRConfig{Window: 256, Latencies: []float64{1}}).Consume, 0.005},
+		{"VPStudy", NewVPStudy(VPConfig{Window: 256}).Consume, 0.005},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			pos := 0

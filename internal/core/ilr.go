@@ -43,21 +43,25 @@ func (r *ILRResult) Reusability() float64 {
 // instructions are still fetched and occupy window slots — that is the
 // structural disadvantage trace-level reuse removes.
 type ILRStudy struct {
-	cfg    ILRConfig
-	hist   *History
-	base   *dda.Clock
-	clocks []*dda.Clock
+	cfg  ILRConfig
+	hist *History
+	clk  *dda.Clock // lane 0: the base machine; lane 1+i: Latencies[i]
+	done []float64  // per-lane scratch: input-ready, then completion time
+	occ  []bool     // every lane occupies a window slot
 
 	n, reusable int64
 }
 
 // NewILRStudy builds a study for the given configuration.
 func NewILRStudy(cfg ILRConfig) *ILRStudy {
-	s := &ILRStudy{cfg: cfg, hist: NewHistory(), base: dda.New(cfg.Window)}
-	for range cfg.Latencies {
-		s.clocks = append(s.clocks, dda.New(cfg.Window))
+	k := 1 + len(cfg.Latencies)
+	return &ILRStudy{
+		cfg:  cfg,
+		hist: NewHistory(),
+		clk:  dda.New(sameWindows(k, cfg.Window)),
+		done: make([]float64, k),
+		occ:  occupying(k),
 	}
-	return s
 }
 
 // Consume processes one dynamic instruction, classifying it against the
@@ -76,19 +80,19 @@ func (s *ILRStudy) ConsumeClassified(e *trace.Exec, reusable bool) {
 	}
 	s.n++
 
-	tb := max(s.base.InReady(e), s.base.WindowBound()) + float64(e.Lat)
-	s.base.Retire(e, tb, true)
-
-	for i, clk := range s.clocks {
-		start := max(clk.InReady(e), clk.WindowBound())
-		t := start + float64(e.Lat)
-		if reusable {
-			if r := start + s.cfg.Latencies[i]; r < t {
+	s.clk.InReady(e, s.done)
+	lat := float64(e.Lat)
+	for j, in := range s.done {
+		start := max(in, s.clk.WindowBound(j))
+		t := start + lat
+		if reusable && j > 0 {
+			if r := start + s.cfg.Latencies[j-1]; r < t {
 				t = r
 			}
 		}
-		clk.Retire(e, t, true)
+		s.done[j] = t
 	}
+	s.clk.Retire(e, s.done, s.done, s.occ)
 }
 
 // Finish completes the study (present for Consumer symmetry; no-op).
@@ -99,18 +103,47 @@ func (s *ILRStudy) Result() ILRResult {
 	r := ILRResult{
 		Instructions: s.n,
 		Reusable:     s.reusable,
-		BaseCycles:   s.base.Cycles(),
+		BaseCycles:   s.clk.Cycles(0),
 	}
-	for _, clk := range s.clocks {
-		r.Cycles = append(r.Cycles, clk.Cycles())
-		sp := 0.0
-		if clk.Cycles() > 0 {
-			sp = r.BaseCycles / clk.Cycles()
-		}
-		r.Speedups = append(r.Speedups, sp)
-	}
+	r.Cycles, r.Speedups = laneSpeedups(s.clk)
 	return r
 }
 
 // History exposes the underlying reuse table (for table-size reporting).
 func (s *ILRStudy) History() *History { return s.hist }
+
+// sameWindows returns k copies of window, the lane windows of a study
+// whose machines differ only in reuse policy.
+func sameWindows(k, window int) []int {
+	ws := make([]int, k)
+	for i := range ws {
+		ws[i] = window
+	}
+	return ws
+}
+
+// occupying returns an occupancy vector in which all k lanes hold a
+// window slot.
+func occupying(k int) []bool {
+	occ := make([]bool, k)
+	for i := range occ {
+		occ[i] = true
+	}
+	return occ
+}
+
+// laneSpeedups returns the cycles of lanes 1.. of clk and their speed-ups
+// over lane 0, the base machine.
+func laneSpeedups(clk *dda.Clock) (cycles, speedups []float64) {
+	base := clk.Cycles(0)
+	for j := 1; j < clk.Lanes(); j++ {
+		c := clk.Cycles(j)
+		cycles = append(cycles, c)
+		sp := 0.0
+		if c > 0 {
+			sp = base / c
+		}
+		speedups = append(speedups, sp)
+	}
+	return cycles, speedups
+}

@@ -1,5 +1,7 @@
 package core
 
+import "github.com/tracereuse/tlr/internal/trace"
+
 // Open-addressed hash tables for the reuse histories.  The limit-study
 // classification sits on the hot path of every simulated instruction, and
 // the seed's map[uint64]map[string]struct{} paid two map lookups plus a
@@ -171,4 +173,64 @@ func (s *u64Set) size() int {
 		return s.n + 1
 	}
 	return s.n
+}
+
+// lastOutputs is an open-addressed (linear probing, power-of-two
+// capacity) table from a static instruction's PC to the outputs of its
+// latest execution, held inline: VPStudy's last-value table.  Recording
+// an execution allocates only when the table doubles.
+type lastOutputs struct {
+	slots []lastOut
+	n     int
+}
+
+// lastOut is one slot; used marks it taken (any PC, zero included, is a
+// valid key).  Output refs past n are zero, so whole arrays compare.
+type lastOut struct {
+	pc   uint64
+	used bool
+	n    uint8
+	outs [len(trace.Exec{}.Out)]trace.Ref
+}
+
+// swap records outs as pc's latest outputs and reports whether pc's
+// previous execution produced exactly the same ones.
+func (t *lastOutputs) swap(pc uint64, outs []trace.Ref) bool {
+	if t.slots == nil {
+		t.slots = make([]lastOut, sigTableInitial)
+	} else if t.n*8 >= len(t.slots)*sigTableMaxLoad {
+		t.grow()
+	}
+	cur := lastOut{pc: pc, used: true, n: uint8(len(outs))}
+	copy(cur.outs[:], outs)
+	mask := uint64(len(t.slots) - 1)
+	for i := hash64(pc) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if !s.used {
+			*s = cur
+			t.n++
+			return false
+		}
+		if s.pc == pc {
+			match := *s == cur
+			*s = cur
+			return match
+		}
+	}
+}
+
+func (t *lastOutputs) grow() {
+	old := t.slots
+	t.slots = make([]lastOut, 2*len(old))
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if !s.used {
+			continue
+		}
+		i := hash64(s.pc) & mask
+		for t.slots[i].used {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
 }

@@ -159,8 +159,11 @@ type TLRStudy struct {
 	cfg    TLRConfig
 	hist   *History
 	strict *TraceHistory
-	base   *dda.Clock
-	clocks []*dda.Clock
+	clk    *dda.Clock // lane 0: the base machine; lane 1+i: Variants[i]
+	done   []float64  // per-lane scratch: input-ready, then completion time
+	tTrace []float64  // per-lane completion of the reused trace being retired
+	occ    []bool     // every lane occupies a window slot
+	reuse  []bool     // only the base lane does: reused instructions are not fetched
 
 	run []trace.Exec     // buffered current run of reusable instructions
 	sum trace.Summarizer // summarises run at flush; reset for every run
@@ -172,12 +175,19 @@ type TLRStudy struct {
 
 // NewTLRStudy builds a study for the given configuration.
 func NewTLRStudy(cfg TLRConfig) *TLRStudy {
-	s := &TLRStudy{cfg: cfg, hist: NewHistory(), base: dda.New(cfg.Window)}
+	k := 1 + len(cfg.Variants)
+	s := &TLRStudy{
+		cfg:    cfg,
+		hist:   NewHistory(),
+		clk:    dda.New(sameWindows(k, cfg.Window)),
+		done:   make([]float64, k),
+		tTrace: make([]float64, k),
+		occ:    occupying(k),
+		reuse:  make([]bool, k),
+	}
+	s.reuse[0] = true
 	if cfg.Strict {
 		s.strict = NewTraceHistory()
-	}
-	for range cfg.Variants {
-		s.clocks = append(s.clocks, dda.New(cfg.Window))
 	}
 	return s
 }
@@ -208,14 +218,13 @@ func (s *TLRStudy) ConsumeClassified(e *trace.Exec, reusable bool) {
 // Finish flushes the trailing run; call once after the stream ends.
 func (s *TLRStudy) Finish() { s.flush() }
 
-// retireNormal processes a non-reused instruction on every clock.
+// retireNormal processes a non-reused instruction on every lane.
 func (s *TLRStudy) retireNormal(e *trace.Exec) {
-	tb := max(s.base.InReady(e), s.base.WindowBound()) + float64(e.Lat)
-	s.base.Retire(e, tb, true)
-	for _, clk := range s.clocks {
-		t := max(clk.InReady(e), clk.WindowBound()) + float64(e.Lat)
-		clk.Retire(e, t, true)
+	s.clk.InReady(e, s.done)
+	for j, in := range s.done {
+		s.done[j] = max(in, s.clk.WindowBound(j)) + float64(e.Lat)
 	}
+	s.clk.Retire(e, s.done, s.done, s.occ)
 }
 
 // flush closes the current reusable run and applies trace-reuse timing.
@@ -246,34 +255,27 @@ func (s *TLRStudy) flush() {
 	s.stats.Add(sum)
 	s.reused += int64(sum.Len)
 
-	// Base clock executes the run normally.
+	// All trace outputs become available one reuse latency after the
+	// trace's live-ins are ready (§4.5).
+	s.clk.ReadyMax(sum.Ins, s.tTrace)
+	for j := 1; j < len(s.tTrace); j++ {
+		s.tTrace[j] += s.cfg.Variants[j-1].Of(len(sum.Ins), len(sum.Outs))
+	}
 	for i := range s.run {
 		e := &s.run[i]
-		tb := max(s.base.InReady(e), s.base.WindowBound()) + float64(e.Lat)
-		s.base.Retire(e, tb, true)
-	}
-
-	for vi, clk := range s.clocks {
-		// All trace outputs become available one reuse latency after the
-		// trace's live-ins are ready (§4.5).
-		var tIn float64
-		for _, r := range sum.Ins {
-			if rt := clk.ReadyOf(r.Loc); rt > tIn {
-				tIn = rt
-			}
-		}
-		tTrace := tIn + s.cfg.Variants[vi].Of(len(sum.Ins), len(sum.Outs))
-
-		for i := range s.run {
-			e := &s.run[i]
+		s.clk.InReady(e, s.done)
+		lat := float64(e.Lat)
+		// The base machine executes the run normally.
+		s.done[0] = max(s.done[0], s.clk.WindowBound(0)) + lat
+		for j := 1; j < len(s.done); j++ {
 			// Oracle: never worse than normal dataflow execution.
-			normal := clk.InReady(e) + float64(e.Lat)
-			t := tTrace
-			if normal < t {
+			t := s.tTrace[j]
+			if normal := s.done[j] + lat; normal < t {
 				t = normal
 			}
-			clk.Retire(e, t, false) // no fetch, no window slot
+			s.done[j] = t
 		}
+		s.clk.Retire(e, s.done, s.done, s.reuse) // no fetch, no window slot
 	}
 	s.run = s.run[:0]
 }
@@ -283,16 +285,9 @@ func (s *TLRStudy) Result() TLRResult {
 	r := TLRResult{
 		Instructions:       s.n,
 		ReusedInstructions: s.reused,
-		BaseCycles:         s.base.Cycles(),
+		BaseCycles:         s.clk.Cycles(0),
 		Stats:              s.stats,
 	}
-	for _, clk := range s.clocks {
-		r.Cycles = append(r.Cycles, clk.Cycles())
-		sp := 0.0
-		if clk.Cycles() > 0 {
-			sp = r.BaseCycles / clk.Cycles()
-		}
-		r.Speedups = append(r.Speedups, sp)
-	}
+	r.Cycles, r.Speedups = laneSpeedups(s.clk)
 	return r
 }

@@ -56,11 +56,13 @@ func (r *VPResult) PredictedFraction() float64 {
 // VPStudy consumes a dynamic instruction stream and evaluates the
 // last-value-prediction limit.
 type VPStudy struct {
-	cfg  VPConfig
-	base *dda.Clock
-	clk  *dda.Clock
+	cfg   VPConfig
+	clk   *dda.Clock // lane 0: the base machine; lane 1: the predictor
+	done  []float64  // per-lane scratch: input-ready, then completion time
+	value []float64  // per-lane time the outputs become visible
+	occ   []bool     // both lanes occupy a window slot
 
-	last map[uint64][]trace.Ref // PC -> outputs of the previous execution
+	last lastOutputs // PC -> outputs of the previous execution
 
 	n, predicted int64
 }
@@ -71,10 +73,11 @@ func NewVPStudy(cfg VPConfig) *VPStudy {
 		cfg.PredLat = 1
 	}
 	return &VPStudy{
-		cfg:  cfg,
-		base: dda.New(cfg.Window),
-		clk:  dda.New(cfg.Window),
-		last: make(map[uint64][]trace.Ref, 4096),
+		cfg:   cfg,
+		clk:   dda.New([]int{cfg.Window, cfg.Window}),
+		done:  make([]float64, 2),
+		value: make([]float64, 2),
+		occ:   occupying(2),
 	}
 }
 
@@ -86,21 +89,20 @@ func (s *VPStudy) Consume(e *trace.Exec) {
 		s.predicted++
 	}
 
-	tb := max(s.base.InReady(e), s.base.WindowBound()) + float64(e.Lat)
-	s.base.Retire(e, tb, true)
-
-	wb := s.clk.WindowBound()
-	completion := max(s.clk.InReady(e), wb) + float64(e.Lat)
+	s.clk.InReady(e, s.done)
+	lat := float64(e.Lat)
+	s.done[0] = max(s.done[0], s.clk.WindowBound(0)) + lat
+	wb := s.clk.WindowBound(1)
+	s.done[1] = max(s.done[1], wb) + lat
+	copy(s.value, s.done)
 	if predicted {
 		// Consumers see the predicted outputs as soon as the prediction
-		// is made; validation still completes at `completion`.
-		valueReady := wb + s.cfg.PredLat
-		if valueReady < completion {
-			s.clk.RetireSplit(e, completion, valueReady, true)
-			return
+		// is made; validation still completes at done[1].
+		if v := wb + s.cfg.PredLat; v < s.done[1] {
+			s.value[1] = v
 		}
 	}
-	s.clk.Retire(e, completion, true)
+	s.clk.Retire(e, s.done, s.value, s.occ)
 }
 
 // checkAndUpdate reports whether e's outputs equal the previous execution
@@ -112,29 +114,7 @@ func (s *VPStudy) checkAndUpdate(e *trace.Exec) bool {
 		// predictor's job, not the value predictor's.
 		return false
 	}
-	outs := e.Outputs()
-	prev, seen := s.last[e.PC]
-	match := seen && len(prev) == len(outs)
-	if match {
-		for i := range outs {
-			if prev[i] != outs[i] {
-				match = false
-				break
-			}
-		}
-	}
-	if !seen {
-		s.last[e.PC] = append([]trace.Ref(nil), outs...)
-		return false
-	}
-	if !match {
-		if len(prev) == len(outs) {
-			copy(prev, outs)
-		} else {
-			s.last[e.PC] = append([]trace.Ref(nil), outs...)
-		}
-	}
-	return match
+	return s.last.swap(e.PC, e.Outputs())
 }
 
 // Finish completes the study (no-op; Consumer symmetry).
@@ -145,8 +125,8 @@ func (s *VPStudy) Result() VPResult {
 	r := VPResult{
 		Instructions: s.n,
 		Predicted:    s.predicted,
-		BaseCycles:   s.base.Cycles(),
-		Cycles:       s.clk.Cycles(),
+		BaseCycles:   s.clk.Cycles(0),
+		Cycles:       s.clk.Cycles(1),
 	}
 	if r.Cycles > 0 {
 		r.Speedup = r.BaseCycles / r.Cycles

@@ -12,12 +12,21 @@
 // W-back constraint disappears for the infinite-window machine.  IPC is
 // the instruction count divided by the maximum completion time.
 //
+// A Clock times several machines ("lanes") over one dynamic stream: a
+// study compares a base machine with reuse machines of different
+// latencies, or base machines of different window sizes, and every lane
+// sees every instruction.  Each lane keeps its own window, graduation
+// prefix and completion maximum; the ready times of all lanes for one
+// location sit in one row of a single location table, so each input is
+// probed and each output written once per instruction, whatever the lane
+// count.  Lanes never read each other's state, so timing them together is
+// exactly timing each alone.
+//
 // For trace-level reuse, instructions of a reused trace are not fetched
-// and occupy no window entry; the Clock therefore distinguishes
-// window-occupying retires from non-occupying ones: only occupying
-// instructions enter the W-back ring, while every instruction feeds the
-// in-order graduation prefix (reused outputs still commit in order, cf.
-// the paper's footnote 2 on precise exceptions).
+// and occupy no window entry; Retire therefore takes a per-lane occupancy:
+// only occupying instructions enter a lane's W-back ring, while every
+// instruction feeds its in-order graduation prefix (reused outputs still
+// commit in order, cf. the paper's footnote 2 on precise exceptions).
 //
 // Completion times are float64 so that the proportional reuse latency
 // K×(inputs+outputs) of §4.5 needs no rounding convention.
@@ -25,12 +34,22 @@ package dda
 
 import "github.com/tracereuse/tlr/internal/trace"
 
-// Clock tracks completion times for one machine configuration.
+// Clock tracks completion times for one or more machine configurations
+// (lanes) over one instruction stream.
 type Clock struct {
-	window int // 0 = infinite
+	// rows maps each written location to its row of ready; locations
+	// never written map to row 0, which stays all zero.
+	rows  trace.LocMap[int32]
+	ready []float64 // row r holds lane j's ready time at ready[r*len(lanes)+j]
+	nrows int32
 
-	// Ready times of every location; one never written reads as zero.
-	ready trace.LocMap[float64]
+	lanes []lane
+	n     int64
+}
+
+// lane is one machine's in-order window state.
+type lane struct {
+	window int // 0 = infinite
 
 	ring  []float64 // graduation times of the last `window` occupying instrs
 	head  int       // ring insert position
@@ -38,117 +57,123 @@ type Clock struct {
 
 	prefixMax float64 // graduation time of the latest retired instruction
 	maxC      float64
-	n         int64
 }
 
-// New returns a Clock for the given window size (0 or negative = infinite).
-func New(window int) *Clock {
-	c := &Clock{window: max(window, 0)}
-	if c.window > 0 {
-		c.ring = make([]float64, c.window)
+// New returns a Clock with one lane per window size (0 or negative =
+// infinite).
+func New(windows []int) *Clock {
+	c := &Clock{lanes: make([]lane, len(windows)), ready: make([]float64, len(windows)), nrows: 1}
+	for i, w := range windows {
+		l := &c.lanes[i]
+		l.window = max(w, 0)
+		if l.window > 0 {
+			l.ring = make([]float64, l.window)
+		}
 	}
 	return c
 }
 
-// Window returns the configured window size (0 = infinite).
-func (c *Clock) Window() int { return c.window }
+// Lanes returns the number of machines the Clock times.
+func (c *Clock) Lanes() int { return len(c.lanes) }
 
-// ReadyOf returns the completion time of the latest producer of loc (zero
-// if the location is live-in to the whole program).
-func (c *Clock) ReadyOf(loc trace.Loc) float64 { return c.ready.Get(loc) }
+// Window returns lane's window size (0 = infinite).
+func (c *Clock) Window(lane int) int { return c.lanes[lane].window }
 
-// InReady returns the earliest cycle at which all of e's inputs are
-// available: the max completion time over its producers.
-func (c *Clock) InReady(e *trace.Exec) float64 {
-	var t float64
-	for _, r := range e.Inputs() {
-		if rt := c.ReadyOf(r.Loc); rt > t {
-			t = rt
+// ReadyOf returns the completion time of the latest producer of loc in
+// lane (zero if the location is live-in to the whole program).
+func (c *Clock) ReadyOf(loc trace.Loc, lane int) float64 {
+	return c.ready[int(c.rows.Get(loc))*len(c.lanes)+lane]
+}
+
+// InReady sets t[j] to the earliest cycle at which all of e's inputs are
+// available in lane j: the max completion time over its producers.
+func (c *Clock) InReady(e *trace.Exec, t []float64) { c.ReadyMax(e.Inputs(), t) }
+
+// ReadyMax sets t[j] to the latest ready time in lane j over the
+// locations of refs (zero for none).  len(t) must be Lanes().
+func (c *Clock) ReadyMax(refs []trace.Ref, t []float64) {
+	clear(t)
+	k := len(c.lanes)
+	for _, r := range refs {
+		row := int(c.rows.Get(r.Loc))
+		if row == 0 {
+			continue
+		}
+		ready := c.ready[row*k : row*k+k]
+		for j, rt := range ready {
+			if rt > t[j] {
+				t[j] = rt
+			}
 		}
 	}
-	return t
 }
 
 // WindowBound returns the graduation time of the instruction W
-// window-occupying retires ago, i.e. the earliest cycle at which the
-// current instruction can enter the instruction window.  It is zero for
-// the infinite-window machine or while the window is not yet full.
-func (c *Clock) WindowBound() float64 {
-	if c.window == 0 || c.count < c.window {
+// window-occupying retires ago in lane, i.e. the earliest cycle at which
+// the current instruction can enter that lane's instruction window.  It is
+// zero for the infinite-window machine or while the window is not yet
+// full.
+func (c *Clock) WindowBound(lane int) float64 {
+	l := &c.lanes[lane]
+	if l.window == 0 || l.count < l.window {
 		return 0
 	}
-	return c.ring[c.head] // oldest entry
+	return l.ring[l.head] // oldest entry
 }
 
-// Retire commits e with the given completion time.  occupies tells whether
-// the instruction held an instruction-window slot (false for instructions
-// skipped by trace reuse).
-func (c *Clock) Retire(e *trace.Exec, completion float64, occupies bool) {
-	c.RetireSplit(e, completion, completion, occupies)
-}
-
-// RetireSplit commits e with separate completion and value-availability
-// times.  Data value speculation needs the split: a correctly predicted
-// instruction's consumers see its outputs at valueReady (prediction time)
-// while the instruction itself still executes to validate, completing —
-// and graduating — at completion.
-func (c *Clock) RetireSplit(e *trace.Exec, completion, valueReady float64, occupies bool) {
+// Retire commits e in every lane j: it completes — and graduates — at
+// completion[j], its outputs become available to consumers at
+// valueReady[j], and it holds a window slot iff occupies[j] (false for
+// instructions skipped by trace reuse).  Data value speculation needs
+// valueReady apart from completion: a correctly predicted instruction's
+// consumers see its outputs at prediction time while the instruction
+// itself still executes to validate.  Pass completion as valueReady where
+// the two coincide.
+func (c *Clock) Retire(e *trace.Exec, completion, valueReady []float64, occupies []bool) {
+	k := len(c.lanes)
 	for _, r := range e.Outputs() {
-		c.ready.Set(r.Loc, valueReady)
-	}
-	if completion > c.prefixMax {
-		c.prefixMax = completion
-	}
-	if completion > c.maxC {
-		c.maxC = completion
-	}
-	if occupies && c.window > 0 {
-		c.ring[c.head] = c.prefixMax
-		c.head++
-		if c.head == c.window {
-			c.head = 0
+		row := c.rows.At(r.Loc)
+		if *row == 0 {
+			*row = c.nrows
+			c.nrows++
+			c.ready = append(c.ready, valueReady[:k]...)
+			continue
 		}
-		c.count++
+		copy(c.ready[int(*row)*k:int(*row)*k+k], valueReady)
+	}
+	for j := range c.lanes {
+		l := &c.lanes[j]
+		done := completion[j]
+		if done > l.prefixMax {
+			l.prefixMax = done
+		}
+		if done > l.maxC {
+			l.maxC = done
+		}
+		if occupies[j] && l.window > 0 {
+			l.ring[l.head] = l.prefixMax
+			l.head++
+			if l.head == l.window {
+				l.head = 0
+			}
+			l.count++
+		}
 	}
 	c.n++
 }
 
-// Cycles returns the maximum completion time seen so far (total execution
-// cycles of the analytical machine).
-func (c *Clock) Cycles() float64 { return c.maxC }
+// Cycles returns lane's maximum completion time so far (total execution
+// cycles of that analytical machine).
+func (c *Clock) Cycles(lane int) float64 { return c.lanes[lane].maxC }
 
-// Instructions returns the number of retired instructions.
+// Instructions returns the number of retired instructions (the same in
+// every lane).
 func (c *Clock) Instructions() int64 { return c.n }
 
-// IPC returns instructions per cycle (0 for an empty stream).
-func (c *Clock) IPC() float64 {
-	if c.maxC == 0 {
-		return 0
+// IPC returns lane's instructions per cycle (0 for an empty stream).
+func (c *Clock) IPC(lane int) float64 {
+	if m := c.lanes[lane].maxC; m != 0 {
+		return float64(c.n) / m
 	}
-	return float64(c.n) / c.maxC
+	return 0
 }
-
-// Base is the no-reuse machine: every instruction executes normally and
-// occupies a window slot.  It is the denominator of every speed-up in the
-// paper.
-type Base struct {
-	clk *Clock
-}
-
-// NewBase returns a base machine with the given window size.
-func NewBase(window int) *Base { return &Base{clk: New(window)} }
-
-// Consume processes one dynamic instruction.
-func (b *Base) Consume(e *trace.Exec) {
-	t := max(b.clk.InReady(e), b.clk.WindowBound()) + float64(e.Lat)
-	b.clk.Retire(e, t, true)
-}
-
-// Clock exposes the underlying clock (read-only use).
-func (b *Base) Clock() *Clock { return b.clk }
-
-// Cycles returns total cycles.
-func (b *Base) Cycles() float64 { return b.clk.Cycles() }
-
-// IPC returns instructions per cycle.
-func (b *Base) IPC() float64 { return b.clk.IPC() }

@@ -40,20 +40,38 @@ func independent(n int, lat uint8) []trace.Exec {
 	return out
 }
 
-func runBase(window int, stream []trace.Exec) *Base {
-	b := NewBase(window)
+// runBase runs the base machine of one window size over stream.
+func runBase(window int, stream []trace.Exec) Point {
+	s := NewStudy([]int{window})
 	for i := range stream {
-		b.Consume(&stream[i])
+		s.Consume(&stream[i])
 	}
-	return b
+	return s.Result()[0]
+}
+
+// single drives a one-lane Clock through scalar helpers.
+type single struct {
+	*Clock
+	t [1]float64
+}
+
+func newSingle(window int) *single { return &single{Clock: New([]int{window})} }
+
+func (s *single) inReady(e *trace.Exec) float64 {
+	s.InReady(e, s.t[:])
+	return s.t[0]
+}
+
+func (s *single) retire(e *trace.Exec, completion, valueReady float64, occupies bool) {
+	s.Retire(e, []float64{completion}, []float64{valueReady}, []bool{occupies})
 }
 
 func TestSerialChainInfiniteWindow(t *testing.T) {
 	b := runBase(0, chain(10, 1))
-	if got := b.Cycles(); got != 10 {
+	if got := b.Cycles; got != 10 {
 		t.Errorf("Cycles = %v, want 10 (fully serial chain)", got)
 	}
-	if got := b.IPC(); got != 1 {
+	if got := b.IPC; got != 1 {
 		t.Errorf("IPC = %v, want 1", got)
 	}
 }
@@ -62,10 +80,10 @@ func TestIndependentInfiniteWindow(t *testing.T) {
 	// With no dependences and no window, everything completes at its own
 	// latency: cycles = lat, IPC = n/lat.
 	b := runBase(0, independent(100, 2))
-	if got := b.Cycles(); got != 2 {
+	if got := b.Cycles; got != 2 {
 		t.Errorf("Cycles = %v, want 2", got)
 	}
-	if got := b.IPC(); got != 50 {
+	if got := b.IPC; got != 50 {
 		t.Errorf("IPC = %v, want 50", got)
 	}
 }
@@ -74,7 +92,7 @@ func TestWindowOneIsSequential(t *testing.T) {
 	// W=1: every instruction waits for the graduation of its predecessor,
 	// so even independent instructions serialize: cycles = sum(latencies).
 	b := runBase(1, independent(20, 3))
-	if got := b.Cycles(); got != 60 {
+	if got := b.Cycles; got != 60 {
 		t.Errorf("Cycles = %v, want 60", got)
 	}
 }
@@ -83,7 +101,7 @@ func TestWindowLimitsParallelism(t *testing.T) {
 	// 8 independent 4-cycle instructions, W=4: the second group of 4 can
 	// only start after the first group graduates at cycle 4 -> 8 cycles.
 	b := runBase(4, independent(8, 4))
-	if got := b.Cycles(); got != 8 {
+	if got := b.Cycles; got != 8 {
 		t.Errorf("Cycles = %v, want 8", got)
 	}
 }
@@ -107,7 +125,7 @@ func TestHandComputedMixedExample(t *testing.T) {
 	mk(2, 1, nil, trace.IntReg(3))
 	mk(3, 1, []trace.Loc{trace.IntReg(2), trace.IntReg(3)}, trace.IntReg(4))
 	b := runBase(0, s[:])
-	if got := b.Cycles(); got != 4 {
+	if got := b.Cycles; got != 4 {
 		t.Errorf("Cycles = %v, want 4", got)
 	}
 }
@@ -121,7 +139,7 @@ func TestMemoryDependence(t *testing.T) {
 	s[1].AddIn(trace.Mem(5), 9)
 	s[1].AddOut(trace.IntReg(1), 9)
 	b := runBase(0, s[:])
-	if got := b.Cycles(); got != 3 {
+	if got := b.Cycles; got != 3 {
 		t.Errorf("Cycles = %v, want 3 (1 store + 2 load)", got)
 	}
 }
@@ -130,49 +148,48 @@ func TestNonOccupyingRetiresSkipWindowRing(t *testing.T) {
 	// Two occupying instructions around 10 non-occupying ones, W=2.
 	// If the non-occupying retires entered the ring, the final occupying
 	// instruction would see a much later window bound.
-	clk := New(2)
+	clk := newSingle(2)
 	var e trace.Exec
 	e.Op, e.Lat = isa.ADD, 1
-	clk.Retire(&e, 1, true)
+	clk.retire(&e, 1, 1, true)
 	for i := 0; i < 10; i++ {
-		clk.Retire(&e, 100, false) // reused trace instructions
+		clk.retire(&e, 100, 100, false) // reused trace instructions
 	}
-	if wb := clk.WindowBound(); wb != 0 {
+	if wb := clk.WindowBound(0); wb != 0 {
 		t.Errorf("WindowBound = %v, want 0 (only one occupying instr so far)", wb)
 	}
-	clk.Retire(&e, 1, true)
-	if wb := clk.WindowBound(); wb != 100 {
-		// With the window full, the bound is the graduation prefix at the
-		// time of the first occupying retire... which includes the
-		// non-occupying completions only if they retired earlier.
-		t.Logf("WindowBound after fill = %v", wb)
+	clk.retire(&e, 1, 1, true)
+	if wb := clk.WindowBound(0); wb != 1 {
+		// With the window full, the bound is the graduation prefix of
+		// the first occupying retire, before the reused completions.
+		t.Errorf("WindowBound after fill = %v, want 1", wb)
 	}
 }
 
 func TestWindowBoundUsesGraduationNotCompletion(t *testing.T) {
 	// Graduation is an in-order prefix max: a slow early instruction
 	// drags the graduation time of later fast ones.
-	clk := New(1)
+	clk := newSingle(1)
 	var slow, fast trace.Exec
 	slow.Op, slow.Lat = isa.MUL, 8
 	fast.Op, fast.Lat = isa.ADD, 1
-	clk.Retire(&slow, 8, true)
-	clk.Retire(&fast, 1, true) // graduates at 8 (after slow)
-	if wb := clk.WindowBound(); wb != 8 {
+	clk.retire(&slow, 8, 8, true)
+	clk.retire(&fast, 1, 1, true) // graduates at 8 (after slow)
+	if wb := clk.WindowBound(0); wb != 8 {
 		t.Errorf("WindowBound = %v, want 8 (graduation of fast = prefix max)", wb)
 	}
 }
 
 func TestReadyOfTracksLatestProducer(t *testing.T) {
-	clk := New(0)
+	clk := newSingle(0)
 	var e trace.Exec
 	e.Op = isa.ADD
 	e.AddOut(trace.IntReg(5), 1)
-	clk.Retire(&e, 7, true)
-	if got := clk.ReadyOf(trace.IntReg(5)); got != 7 {
+	clk.retire(&e, 7, 7, true)
+	if got := clk.ReadyOf(trace.IntReg(5), 0); got != 7 {
 		t.Errorf("ReadyOf = %v, want 7", got)
 	}
-	if got := clk.ReadyOf(trace.IntReg(6)); got != 0 {
+	if got := clk.ReadyOf(trace.IntReg(6), 0); got != 0 {
 		t.Errorf("ReadyOf(untouched) = %v, want 0", got)
 	}
 }
@@ -181,7 +198,7 @@ func TestRetireSplitDecouplesValueFromCompletion(t *testing.T) {
 	// A correctly predicted instruction: consumers see its value at
 	// valueReady, but graduation (and the window) still wait for its
 	// completion.
-	clk := New(1) // W=1: the next instruction waits for graduation
+	clk := newSingle(1) // W=1: the next instruction waits for graduation
 	var prod, cons trace.Exec
 	prod.Op, prod.Lat = isa.MUL, 8
 	prod.AddOut(trace.IntReg(1), 42)
@@ -189,36 +206,44 @@ func TestRetireSplitDecouplesValueFromCompletion(t *testing.T) {
 	cons.AddIn(trace.IntReg(1), 42)
 	cons.AddOut(trace.IntReg(2), 43)
 
-	clk.RetireSplit(&prod, 8, 1, true) // completes at 8, value at 1
-	if got := clk.ReadyOf(trace.IntReg(1)); got != 1 {
+	clk.retire(&prod, 8, 1, true) // completes at 8, value at 1
+	if got := clk.ReadyOf(trace.IntReg(1), 0); got != 1 {
 		t.Errorf("value ready at %v, want 1", got)
 	}
-	if wb := clk.WindowBound(); wb != 8 {
+	if wb := clk.WindowBound(0); wb != 8 {
 		t.Errorf("window bound %v, want 8 (graduation uses completion)", wb)
 	}
 	// The consumer's dataflow could start at 1, but W=1 holds it to 8.
-	c := max(clk.InReady(&cons), clk.WindowBound()) + float64(cons.Lat)
+	c := max(clk.inReady(&cons), clk.WindowBound(0)) + float64(cons.Lat)
 	if c != 9 {
 		t.Errorf("consumer completes at %v, want 9", c)
 	}
 }
 
 func TestRetireEqualsRetireSplitWithSameTimes(t *testing.T) {
-	a, b := New(4), New(4)
+	// Passing the completion slice itself as valueReady is the same as
+	// passing an equal copy of it.
+	a, b := New([]int{4, 0}), New([]int{4, 0})
 	var e trace.Exec
 	e.Op, e.Lat = isa.ADD, 1
 	e.AddOut(trace.IntReg(3), 7)
-	a.Retire(&e, 5, true)
-	b.RetireSplit(&e, 5, 5, true)
-	if a.ReadyOf(trace.IntReg(3)) != b.ReadyOf(trace.IntReg(3)) || a.Cycles() != b.Cycles() {
-		t.Error("Retire must be RetireSplit with valueReady == completion")
+	occ := []bool{true, true}
+	done := []float64{5, 6}
+	a.Retire(&e, done, done, occ)
+	b.Retire(&e, done, []float64{5, 6}, occ)
+	for j := range done {
+		if a.ReadyOf(trace.IntReg(3), j) != b.ReadyOf(trace.IntReg(3), j) || a.Cycles(j) != b.Cycles(j) {
+			t.Errorf("lane %d: valueReady aliasing completion changed the timing", j)
+		}
 	}
 }
 
 func TestEmptyStreamIPC(t *testing.T) {
-	b := NewBase(0)
-	if b.IPC() != 0 || b.Cycles() != 0 {
-		t.Error("empty stream must report zero IPC and cycles")
+	c := New([]int{0, 4})
+	for j := 0; j < c.Lanes(); j++ {
+		if c.IPC(j) != 0 || c.Cycles(j) != 0 {
+			t.Error("empty stream must report zero IPC and cycles")
+		}
 	}
 }
 
@@ -257,7 +282,7 @@ func TestPropertyWindowMonotonic(t *testing.T) {
 		s := randomStream(rng, 300)
 		prev := -1.0
 		for _, w := range []int{1, 2, 4, 16, 64, 256, 0} {
-			cyc := runBase(w, s).Cycles()
+			cyc := runBase(w, s).Cycles
 			if w == 0 {
 				w = 1 << 30
 			}
@@ -273,8 +298,8 @@ func TestPropertyHugeWindowEqualsInfinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 20; trial++ {
 		s := randomStream(rng, 200)
-		finite := runBase(len(s)+1, s).Cycles() // window larger than stream
-		inf := runBase(0, s).Cycles()
+		finite := runBase(len(s)+1, s).Cycles // window larger than stream
+		inf := runBase(0, s).Cycles
 		if finite != inf {
 			t.Fatalf("trial %d: W>n gave %v, infinite gave %v", trial, finite, inf)
 		}
@@ -291,7 +316,7 @@ func TestPropertyCyclesAtLeastCriticalLatency(t *testing.T) {
 				maxLat = l
 			}
 		}
-		if cyc := runBase(0, s).Cycles(); cyc < maxLat {
+		if cyc := runBase(0, s).Cycles; cyc < maxLat {
 			t.Fatalf("trial %d: cycles %v below max latency %v", trial, cyc, maxLat)
 		}
 	}
@@ -364,7 +389,7 @@ func TestClockOddLocationsMatchMapModel(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	for _, window := range []int{0, 1, 4, 32} {
-		clk, ref := New(window), newMapClock(window)
+		clk, ref := newSingle(window), newMapClock(window)
 		for i := 0; i < 5000; i++ {
 			var e trace.Exec
 			e.Lat = uint8(1 + rng.Intn(4))
@@ -377,33 +402,95 @@ func TestClockOddLocationsMatchMapModel(t *testing.T) {
 			for k := rng.Intn(3); k > 0; k-- {
 				e.AddOut(locs[rng.Intn(len(locs))], 0)
 			}
-			got, want := clk.InReady(&e), ref.inReady(&e)
+			got, want := clk.inReady(&e), ref.inReady(&e)
 			if got != want {
 				t.Fatalf("window %d, instr %d (%v): InReady %v, map model %v", window, i, &e, got, want)
 			}
-			if clk.WindowBound() != ref.windowBound() {
-				t.Fatalf("window %d, instr %d: WindowBound %v, map model %v", window, i, clk.WindowBound(), ref.windowBound())
+			if clk.WindowBound(0) != ref.windowBound() {
+				t.Fatalf("window %d, instr %d: WindowBound %v, map model %v", window, i, clk.WindowBound(0), ref.windowBound())
 			}
-			done := max(got, clk.WindowBound()) + float64(e.Lat)
+			done := max(got, clk.WindowBound(0)) + float64(e.Lat)
 			value, occupies := done, rng.Intn(4) != 0
 			if rng.Intn(5) == 0 {
 				value = done - float64(e.Lat)/2
 			}
-			clk.RetireSplit(&e, done, value, occupies)
+			clk.retire(&e, done, value, occupies)
 			ref.retireSplit(&e, done, value, occupies)
 		}
 		for _, l := range locs {
-			if got, want := clk.ReadyOf(l), ref.ready[l]; got != want {
+			if got, want := clk.ReadyOf(l, 0), ref.ready[l]; got != want {
 				t.Errorf("window %d: ReadyOf(%v) = %v, map model %v", window, l, got, want)
 			}
 		}
 		for _, l := range unseen {
-			if got := clk.ReadyOf(l); got != 0 {
+			if got := clk.ReadyOf(l, 0); got != 0 {
 				t.Errorf("window %d: never-written %v reads %v, want 0", window, l, got)
 			}
 		}
-		if clk.Cycles() != ref.maxC {
-			t.Errorf("window %d: Cycles %v, map model %v", window, clk.Cycles(), ref.maxC)
+		if clk.Cycles(0) != ref.maxC {
+			t.Errorf("window %d: Cycles %v, map model %v", window, clk.Cycles(0), ref.maxC)
+		}
+	}
+}
+
+// TestMultiLaneClockMatchesSingleMachines times K machines on one Clock
+// and on K separate copies of the map model, over random streams with
+// per-lane windows (infinite included), random per-lane occupancy and
+// split value-ready times.  Every lane must read the same ready times
+// and window bounds and end on bit-identical cycles as its model.
+func TestMultiLaneClockMatchesSingleMachines(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		k := 1 + rng.Intn(12)
+		windows := make([]int, k)
+		refs := make([]*mapClock, k)
+		for j := range windows {
+			windows[j] = []int{0, 1, 2, 7, 64}[rng.Intn(5)]
+			refs[j] = newMapClock(windows[j])
+		}
+		clk := New(windows)
+		in := make([]float64, k)
+		done := make([]float64, k)
+		value := make([]float64, k)
+		occ := make([]bool, k)
+		stream := randomStream(rng, 400)
+		for i := range stream {
+			e := &stream[i]
+			if rng.Intn(3) == 0 {
+				clk.ReadyMax(e.Inputs(), in)
+			} else {
+				clk.InReady(e, in)
+			}
+			for j, ref := range refs {
+				if want := ref.inReady(e); in[j] != want {
+					t.Fatalf("trial %d, instr %d, lane %d: InReady %v, model %v", trial, i, j, in[j], want)
+				}
+				wb := clk.WindowBound(j)
+				if want := ref.windowBound(); wb != want {
+					t.Fatalf("trial %d, instr %d, lane %d: WindowBound %v, model %v", trial, i, j, wb, want)
+				}
+				// Each lane gets its own reuse-like shortcut so the lanes
+				// drift apart.
+				done[j] = max(in[j], wb) + float64(e.Lat)/float64(1+rng.Intn(3))
+				value[j] = done[j]
+				if rng.Intn(4) == 0 {
+					value[j] = wb + 0.5
+				}
+				occ[j] = rng.Intn(4) != 0
+				ref.retireSplit(e, done[j], value[j], occ[j])
+			}
+			clk.Retire(e, done, value, occ)
+		}
+		for j, ref := range refs {
+			if clk.Cycles(j) != ref.maxC {
+				t.Fatalf("trial %d, lane %d (window %d): Cycles %v, model %v", trial, j, windows[j], clk.Cycles(j), ref.maxC)
+			}
+			if clk.Window(j) != windows[j] {
+				t.Fatalf("lane %d: Window %d, want %d", j, clk.Window(j), windows[j])
+			}
+		}
+		if clk.Instructions() != int64(len(stream)) {
+			t.Fatalf("Instructions %d, want %d", clk.Instructions(), len(stream))
 		}
 	}
 }

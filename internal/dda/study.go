@@ -25,37 +25,43 @@ type Point struct {
 }
 
 // Study runs one base machine per window size over a single dynamic
-// stream pass.
+// stream pass: every instruction executes normally and occupies a window
+// slot.  The base machine is the denominator of every speed-up in the
+// paper.
 type Study struct {
-	bases []*Base
+	clk  *Clock
+	done []float64
+	occ  []bool
 }
 
 // NewStudy returns a Study over the given window sizes (0 or negative =
 // infinite).
 func NewStudy(windows []int) *Study {
-	s := &Study{bases: make([]*Base, len(windows))}
-	for i, w := range windows {
-		s.bases[i] = NewBase(w)
+	s := &Study{clk: New(windows), done: make([]float64, len(windows)), occ: make([]bool, len(windows))}
+	for i := range s.occ {
+		s.occ[i] = true
 	}
 	return s
 }
 
 // Consume processes one dynamic instruction on every machine.
 func (s *Study) Consume(e *trace.Exec) {
-	for _, b := range s.bases {
-		b.Consume(e)
+	s.clk.InReady(e, s.done)
+	for j, in := range s.done {
+		s.done[j] = max(in, s.clk.WindowBound(j)) + float64(e.Lat)
 	}
+	s.clk.Retire(e, s.done, s.done, s.occ)
 }
 
 // Result returns one Point per window, in the order given to NewStudy.
 func (s *Study) Result() []Point {
-	out := make([]Point, len(s.bases))
-	for i, b := range s.bases {
+	out := make([]Point, s.clk.Lanes())
+	for i := range out {
 		out[i] = Point{
-			Window:       b.Clock().Window(),
-			Cycles:       b.Cycles(),
-			IPC:          b.IPC(),
-			Instructions: b.Clock().Instructions(),
+			Window:       s.clk.Window(i),
+			Cycles:       s.clk.Cycles(i),
+			IPC:          s.clk.IPC(i),
+			Instructions: s.clk.Instructions(),
 		}
 	}
 	return out
