@@ -1,6 +1,10 @@
 package core
 
-import "github.com/tracereuse/tlr/internal/trace"
+import (
+	"encoding/binary"
+
+	"github.com/tracereuse/tlr/internal/trace"
+)
 
 // Open-addressed hash tables for the reuse histories.  The limit-study
 // classification sits on the hot path of every simulated instruction, and
@@ -29,22 +33,23 @@ func hash64(x uint64) uint64 {
 	return x
 }
 
-// sigHash hashes a (pc, signature) pair with FNV-1a, folding the pc in
-// first.  The result is forced non-zero so zero can mark empty slots.
+// sigHash hashes a (pc, signature) pair, mixing the signature 8 bytes at
+// a time (signatures are 16 bytes per operand) and finishing with hash64
+// so the low bits that pick a slot depend on every byte.  The result is
+// forced non-zero so zero can mark empty slots.
 func sigHash(pc uint64, sig []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= (pc >> (8 * i)) & 0xff
-		h *= prime64
+	const k = 0x9e3779b97f4a7c15
+	h := (pc ^ uint64(len(sig))) * k
+	for ; len(sig) >= 8; sig = sig[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(sig)) * k
+		h ^= h >> 29
 	}
-	for _, b := range sig {
-		h ^= uint64(b)
-		h *= prime64
+	if len(sig) > 0 {
+		var tail [8]byte
+		copy(tail[:], sig)
+		h = (h ^ binary.LittleEndian.Uint64(tail[:])) * k
 	}
+	h = hash64(h)
 	if h == 0 {
 		h = 1
 	}

@@ -22,6 +22,7 @@ type IRB struct {
 type irbSlot struct {
 	pc      uint64
 	sigs    []irbSig
+	fps     []uint64 // fps[i] is the fingerprint of sigs[i]
 	lastUse uint64
 }
 
@@ -35,6 +36,19 @@ type irbSig struct {
 	lastUse uint64
 }
 
+// irbFingerprint hashes an input vector to 64 bits.  Equal vectors have
+// equal fingerprints, so a slot compares in full only the vectors whose
+// fingerprint matches, and almost never one that then differs.
+func irbFingerprint(in []trace.Ref) uint64 {
+	h := uint64(len(in)) * 0x9e3779b97f4a7c15
+	for _, r := range in {
+		h = (h ^ uint64(r.Loc)) * 0xbf58476d1ce4e5b9
+		h = (h ^ r.Val) * 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	return h
+}
+
 // NewIRB builds an empty instruction-reuse buffer with the RTM's geometry.
 func NewIRB(geom Geometry) *IRB {
 	return &IRB{geom: geom, sets: make([][]*irbSlot, geom.Sets)}
@@ -44,6 +58,10 @@ func NewIRB(geom Geometry) *IRB {
 // (instruction-level reusable with this finite table) and records the
 // vector.  Side-effecting instructions are never reusable and never
 // recorded.
+//
+// The order of vectors inside a slot is unobservable — they are distinct,
+// so at most one matches, and their last-use ticks are unique, so the LRU
+// victim is too — which lets a new vector overwrite the victim in place.
 func (b *IRB) TestAndRecord(e *trace.Exec) bool {
 	if e.SideEffect {
 		return false
@@ -62,7 +80,7 @@ func (b *IRB) TestAndRecord(e *trace.Exec) bool {
 		if len(b.sets[set]) >= b.geom.PCWays {
 			// Nothing outside the IRB holds a slot: recycle the victim.
 			slot = b.evictLRUSlot(set)
-			slot.pc, slot.sigs = e.PC, slot.sigs[:0]
+			slot.pc, slot.sigs, slot.fps = e.PC, slot.sigs[:0], slot.fps[:0]
 		} else {
 			slot = &irbSlot{pc: e.PC}
 		}
@@ -72,23 +90,26 @@ func (b *IRB) TestAndRecord(e *trace.Exec) bool {
 
 	sig := irbSig{n: e.NIn, lastUse: b.tick}
 	copy(sig.in[:], e.Inputs())
-	for i := range slot.sigs {
-		if slot.sigs[i].n == sig.n && slot.sigs[i].in == sig.in {
+	fp := irbFingerprint(e.Inputs())
+	for i, f := range slot.fps {
+		if f == fp && slot.sigs[i].n == sig.n && slot.sigs[i].in == sig.in {
 			slot.sigs[i].lastUse = b.tick
 			b.hits++
 			return true
 		}
 	}
-	if len(slot.sigs) >= b.geom.TracesPerPC {
-		victim, vi := uint64(1)<<63, -1
-		for i := range slot.sigs {
-			if slot.sigs[i].lastUse < victim {
-				victim, vi = slot.sigs[i].lastUse, i
-			}
-		}
-		slot.sigs = append(slot.sigs[:vi], slot.sigs[vi+1:]...)
+	if len(slot.sigs) < b.geom.TracesPerPC {
+		slot.sigs = append(slot.sigs, sig)
+		slot.fps = append(slot.fps, fp)
+		return false
 	}
-	slot.sigs = append(slot.sigs, sig)
+	victim, vi := uint64(1)<<63, -1
+	for i := range slot.sigs {
+		if slot.sigs[i].lastUse < victim {
+			victim, vi = slot.sigs[i].lastUse, i
+		}
+	}
+	slot.sigs[vi], slot.fps[vi] = sig, fp
 	return false
 }
 

@@ -195,6 +195,12 @@ func (m *RTM) slotOf(pc uint64) *pcSlot {
 // valid-bit mode (see EnableInvalidation) every stored trace is valid,
 // so the test compares no values.
 //
+// Every trace stored for pc starts with the same instruction, so nearly
+// all of them share their first live-in, and most candidates that fail
+// fail there.  The test reads that live-in once per Lookup, through a
+// one-entry (location, value) cache, and compares the remaining live-ins
+// only of candidates that pass it.
+//
 // The returned entry stays intact until the next Lookup, even if the
 // Inserts in between evict it (see Entry).
 func (m *RTM) Lookup(pc uint64, st State) *Entry {
@@ -209,10 +215,28 @@ func (m *RTM) Lookup(pc uint64, st State) *Entry {
 		return nil
 	}
 	var best *Entry
+	var firstLoc trace.Loc // the cached first live-in and its value
+	var firstVal uint64
+	cached := false
+candidates:
 	for _, e := range slot.traces {
-		if (best == nil || e.Sum.Len > best.Sum.Len) && (m.inval != nil || inputsMatch(&e.Sum, st)) {
-			best = e
+		if best != nil && e.Sum.Len <= best.Sum.Len {
+			continue
 		}
+		if ins := e.Sum.Ins; m.inval == nil && len(ins) > 0 {
+			if !cached || ins[0].Loc != firstLoc {
+				firstLoc, firstVal, cached = ins[0].Loc, st.ReadLoc(ins[0].Loc), true
+			}
+			if firstVal != ins[0].Val {
+				continue
+			}
+			for _, r := range ins[1:] {
+				if st.ReadLoc(r.Loc) != r.Val {
+					continue candidates
+				}
+			}
+		}
+		best = e
 	}
 	m.held = best
 	if best == nil {
@@ -224,15 +248,6 @@ func (m *RTM) Lookup(pc uint64, st State) *Entry {
 	best.hits++
 	m.stats.Hits++
 	return best
-}
-
-func inputsMatch(s *trace.Summary, st State) bool {
-	for _, r := range s.Ins {
-		if st.ReadLoc(r.Loc) != r.Val {
-			return false
-		}
-	}
-	return true
 }
 
 // Insert stores a collected trace, evicting by LRU at both levels: the

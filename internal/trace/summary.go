@@ -140,50 +140,44 @@ func (z *Summarizer) Add(e *Exec) {
 
 // TryAdd extends the run with e unless e is side-effecting or a cap would
 // be exceeded.  On rejection the Summarizer is unchanged.
+//
+// One pass over e's operands probes each location once: it stages the
+// new live-ins and outputs (deduplicated within e) with their register
+// and memory counts, and notes where every output's value lands — an
+// output already in the run by the index the probe found, a new one by
+// its staged position — so committing needs no second probe.
 func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 	if e.SideEffect {
 		return false // side effects can never be replayed from a table
 	}
 
-	// Stage new live-ins and outputs (deduplicated within e) so the
-	// rejection path leaves state untouched.
-	var stagedIns, stagedOuts [3]Ref
-	nIns, nOuts := 0, 0
+	var staged [len(e.In) + len(e.Out)]Ref // new live-ins, then new outputs
+	var outAt [len(e.Out)]int32             // each output's index in sum.Outs
+	nIns := 0
+	var addInReg, addInMem, addOutReg, addOutMem int
 	for _, r := range e.Inputs() {
-		if !z.isLiveIn(r.Loc) {
+		if !z.isLiveIn(r.Loc) || staging(staged[:nIns], r.Loc) >= 0 {
 			continue // produced inside the run, or first read fixed its value
 		}
-		dup := false
-		for _, s := range stagedIns[:nIns] {
-			if s.Loc == r.Loc {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			stagedIns[nIns] = r
-			nIns++
-		}
+		staged[nIns] = r
+		nIns++
+		countRef(r.Loc, &addInReg, &addInMem)
 	}
-	for _, r := range e.Outputs() {
-		if z.pos.Get(r.Loc).out != 0 {
+	newOuts := staged[nIns:nIns]
+	for i, r := range e.Outputs() {
+		if at := z.pos.Get(r.Loc).out; at != 0 {
+			outAt[i] = at - 1
 			continue
 		}
-		dup := false
-		for _, s := range stagedOuts[:nOuts] {
-			if s.Loc == r.Loc {
-				dup = true
-				break
-			}
+		k := staging(newOuts, r.Loc)
+		if k < 0 {
+			k = len(newOuts)
+			newOuts = append(newOuts, r)
+			countRef(r.Loc, &addOutReg, &addOutMem)
 		}
-		if !dup {
-			stagedOuts[nOuts] = r
-			nOuts++
-		}
+		outAt[i] = int32(len(z.sum.Outs) + k)
 	}
 
-	addInReg, addInMem := refCounts(stagedIns[:nIns])
-	addOutReg, addOutMem := refCounts(stagedOuts[:nOuts])
 	if exceeds(z.inReg+addInReg, caps.InReg) || exceeds(z.inMem+addInMem, caps.InMem) ||
 		exceeds(z.outReg+addOutReg, caps.OutReg) || exceeds(z.outMem+addOutMem, caps.OutMem) {
 		return false
@@ -193,17 +187,17 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 		z.sum.StartPC = e.PC
 		z.started = true
 	}
-	for _, r := range stagedIns[:nIns] {
+	for _, r := range staged[:nIns] {
 		z.sum.Ins = append(z.sum.Ins, r)
 		z.pos.At(r.Loc).in = int32(len(z.sum.Ins))
 	}
-	for _, r := range stagedOuts[:nOuts] {
+	for _, r := range newOuts {
 		z.sum.Outs = append(z.sum.Outs, r)
 		z.pos.At(r.Loc).out = int32(len(z.sum.Outs))
 	}
-	// Writes to already-known output locations take the newest value.
-	for _, r := range e.Outputs() {
-		z.sum.Outs[z.pos.Get(r.Loc).out-1].Val = r.Val
+	// Writes take the newest value, in write order.
+	for i, r := range e.Outputs() {
+		z.sum.Outs[outAt[i]].Val = r.Val
 	}
 	z.inReg += addInReg
 	z.inMem += addInMem
@@ -212,6 +206,16 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 	z.sum.Len++
 	z.sum.Next = e.Next
 	return true
+}
+
+// staging returns the index of l among refs, or -1.
+func staging(refs []Ref, l Loc) int {
+	for i, s := range refs {
+		if s.Loc == l {
+			return i
+		}
+	}
+	return -1
 }
 
 func exceeds(n, limit int) bool { return limit >= 0 && n > limit }
