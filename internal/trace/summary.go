@@ -152,7 +152,7 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 	}
 
 	var staged [len(e.In) + len(e.Out)]Ref // new live-ins, then new outputs
-	var outAt [len(e.Out)]int32             // each output's index in sum.Outs
+	var outAt [len(e.Out)]int32            // each output's index in sum.Outs
 	nIns := 0
 	var addInReg, addInMem, addOutReg, addOutMem int
 	for _, r := range e.Inputs() {
