@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"github.com/tracereuse/tlr/internal/isa"
@@ -120,5 +122,43 @@ func TestTraceHistoryStrict(t *testing.T) {
 	}
 	if th.Vectors() != 3 {
 		t.Errorf("Vectors = %d, want 3", th.Vectors())
+	}
+}
+
+// TestHistoryMatchesExactSignatureSet checks History against a map of
+// exact (PC, input signature) strings over a random stream long enough
+// to grow the table several times: an instance is reusable exactly when
+// its PC and input vector were recorded before.
+func TestHistoryMatchesExactSignatureSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	h := NewHistory()
+	seen := map[string]bool{}
+	pcs := map[uint64]bool{}
+	var buf []byte
+	for i := 0; i < 200000; i++ {
+		var e trace.Exec
+		e.PC = uint64(rng.Intn(64))
+		e.SideEffect = rng.Intn(100) == 0
+		for k := rng.Intn(4); k > 0; k-- {
+			l := trace.IntReg(uint8(rng.Intn(4)))
+			if rng.Intn(3) == 0 {
+				l = trace.Mem(uint64(rng.Intn(8)))
+			}
+			e.AddIn(l, uint64(rng.Intn(6)))
+		}
+		buf = binary.LittleEndian.AppendUint64(buf[:0], e.PC)
+		key := string(trace.AppendInputSignature(buf, &e))
+		want := !e.SideEffect && seen[key]
+		if got := h.Observe(&e); got != want {
+			t.Fatalf("instance %d (%v): Observe %v, exact set %v", i, &e, got, want)
+		}
+		if !e.SideEffect {
+			seen[key] = true
+			pcs[e.PC] = true
+		}
+	}
+	if h.Vectors() != int64(len(seen)) || h.StaticInstructions() != len(pcs) {
+		t.Fatalf("History holds %d vectors of %d PCs, exact set %d of %d",
+			h.Vectors(), h.StaticInstructions(), len(seen), len(pcs))
 	}
 }
