@@ -275,7 +275,7 @@ func (s *TLRStudy) flush() {
 			}
 			s.done[j] = t
 		}
-		s.clk.Retire(e, s.done, s.done, s.reuse) // no fetch, no window slot
+		s.clk.Retire(e, s.done, s.done, s.reuse) // reused: no fetch, no window slot
 	}
 	s.run = s.run[:0]
 }
