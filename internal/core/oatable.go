@@ -183,14 +183,18 @@ func (s *u64Set) size() int {
 // lastOutputs is an open-addressed (linear probing, power-of-two
 // capacity) table from a static instruction's PC to the outputs of its
 // latest execution, held inline: VPStudy's last-value table.  Recording
-// an execution allocates only when the table doubles.
+// an execution allocates only when the table doubles.  A PC's low bits
+// pick its home slot, as they pick an RTM set: workload PCs are dense
+// instruction indices, so neighbouring instructions share cache lines.
+// Folding in the bits above a 4 KiB page keeps page-strided foreign PCs
+// from sharing one home slot.
 type lastOutputs struct {
 	slots []lastOut
 	n     int
 }
 
 // lastOut is one slot; used marks it taken (any PC, zero included, is a
-// valid key).  Output refs past n are zero, so whole arrays compare.
+// valid key).  Output refs past n are zero.
 type lastOut struct {
 	pc   uint64
 	used bool
@@ -206,21 +210,35 @@ func (t *lastOutputs) swap(pc uint64, outs []trace.Ref) bool {
 	} else if t.n*8 >= len(t.slots)*sigTableMaxLoad {
 		t.grow()
 	}
-	cur := lastOut{pc: pc, used: true, n: uint8(len(outs))}
-	copy(cur.outs[:], outs)
 	mask := uint64(len(t.slots) - 1)
-	for i := hash64(pc) & mask; ; i = (i + 1) & mask {
+	for i := pcHome(pc) & mask; ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		if !s.used {
-			*s = cur
+			s.pc, s.used = pc, true
 			t.n++
+			s.set(outs)
 			return false
 		}
 		if s.pc == pc {
-			match := *s == cur
-			*s = cur
+			match := int(s.n) == len(outs)
+			for j, r := range outs {
+				if s.outs[j] != r {
+					match = false
+				}
+			}
+			s.set(outs)
 			return match
 		}
+	}
+}
+
+func pcHome(pc uint64) uint64 { return pc ^ pc>>12 }
+
+func (s *lastOut) set(outs []trace.Ref) {
+	s.n = uint8(len(outs))
+	s.outs = [len(s.outs)]trace.Ref{}
+	for j, r := range outs {
+		s.outs[j] = r
 	}
 }
 
@@ -232,7 +250,7 @@ func (t *lastOutputs) grow() {
 		if !s.used {
 			continue
 		}
-		i := hash64(s.pc) & mask
+		i := pcHome(s.pc) & mask
 		for t.slots[i].used {
 			i = (i + 1) & mask
 		}

@@ -94,7 +94,7 @@ func (s *VPStudy) Consume(e *trace.Exec) {
 	s.done[0] = max(s.done[0], s.clk.WindowBound(0)) + lat
 	wb := s.clk.WindowBound(1)
 	s.done[1] = max(s.done[1], wb) + lat
-	copy(s.value, s.done)
+	s.value[0], s.value[1] = s.done[0], s.done[1]
 	if predicted {
 		// Consumers see the predicted outputs as soon as the prediction
 		// is made; validation still completes at done[1].

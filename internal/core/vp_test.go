@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tracereuse/tlr/internal/isa"
@@ -160,5 +162,33 @@ func TestVPPredLatDefault(t *testing.T) {
 	s := NewVPStudy(VPConfig{})
 	if s.cfg.PredLat != 1 {
 		t.Errorf("default PredLat = %v, want 1", s.cfg.PredLat)
+	}
+}
+
+// TestLastOutputsMatchesMap checks the last-value table against a map
+// over PCs that are dense, zero, and strided like foreign addresses,
+// enough of them to grow the table several times.
+func TestLastOutputsMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var tab lastOutputs
+	model := map[uint64][]trace.Ref{}
+	for i := 0; i < 100000; i++ {
+		pc := uint64(rng.Intn(3000))
+		if rng.Intn(2) == 0 {
+			pc *= 4096 // all in one home slot until the table is large
+		}
+		outs := make([]trace.Ref, rng.Intn(3))
+		for j := range outs {
+			outs[j] = trace.Ref{Loc: trace.IntReg(uint8(j)), Val: uint64(rng.Intn(2))}
+		}
+		prev, seen := model[pc]
+		want := seen && slices.Equal(prev, outs)
+		if got := tab.swap(pc, outs); got != want {
+			t.Fatalf("swap %d (pc %d, outs %v): %v, map %v (previous %v)", i, pc, outs, got, want, prev)
+		}
+		model[pc] = outs
+	}
+	if tab.n != len(model) {
+		t.Fatalf("table holds %d PCs, map %d", tab.n, len(model))
 	}
 }

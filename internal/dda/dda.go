@@ -37,10 +37,13 @@ import "github.com/tracereuse/tlr/internal/trace"
 // Clock tracks completion times for one or more machine configurations
 // (lanes) over one instruction stream.
 type Clock struct {
-	// rows maps each written location to its row of ready; locations
-	// never written map to row 0, which stays all zero.
+	// ready holds one row of per-lane ready times per location: lane j
+	// of row r at ready[r*len(lanes)+j].  Row 0 stays all zero; register
+	// i (trace.RegIndex) owns row 1+i, so the registers, most of every
+	// stream's references, need no table probe; rows maps every other
+	// written location to its row, and one never written to row 0.
+	ready []float64
 	rows  trace.LocMap[int32]
-	ready []float64 // row r holds lane j's ready time at ready[r*len(lanes)+j]
 	nrows int32
 
 	lanes []lane
@@ -62,7 +65,11 @@ type lane struct {
 // New returns a Clock with one lane per window size (0 or negative =
 // infinite).
 func New(windows []int) *Clock {
-	c := &Clock{lanes: make([]lane, len(windows)), ready: make([]float64, len(windows)), nrows: 1}
+	c := &Clock{
+		lanes: make([]lane, len(windows)),
+		ready: make([]float64, (1+trace.RegLocs)*len(windows)),
+		nrows: 1 + trace.RegLocs,
+	}
 	for i, w := range windows {
 		l := &c.lanes[i]
 		l.window = max(w, 0)
@@ -82,7 +89,11 @@ func (c *Clock) Window(lane int) int { return c.lanes[lane].window }
 // ReadyOf returns the completion time of the latest producer of loc in
 // lane (zero if the location is live-in to the whole program).
 func (c *Clock) ReadyOf(loc trace.Loc, lane int) float64 {
-	return c.ready[int(c.rows.Get(loc))*len(c.lanes)+lane]
+	row := trace.RegIndex(loc) + 1
+	if row == 0 {
+		row = int(c.rows.Get(loc))
+	}
+	return c.ready[row*len(c.lanes)+lane]
 }
 
 // InReady sets t[j] to the earliest cycle at which all of e's inputs are
@@ -95,12 +106,11 @@ func (c *Clock) ReadyMax(refs []trace.Ref, t []float64) {
 	clear(t)
 	k := len(c.lanes)
 	for _, r := range refs {
-		row := int(c.rows.Get(r.Loc))
+		row := trace.RegIndex(r.Loc) + 1
 		if row == 0 {
-			continue
+			row = int(c.rows.Get(r.Loc))
 		}
-		ready := c.ready[row*k : row*k+k]
-		for j, rt := range ready {
+		for j, rt := range c.ready[row*k : row*k+k] {
 			if rt > t[j] {
 				t[j] = rt
 			}
@@ -132,14 +142,20 @@ func (c *Clock) WindowBound(lane int) float64 {
 func (c *Clock) Retire(e *trace.Exec, completion, valueReady []float64, occupies []bool) {
 	k := len(c.lanes)
 	for _, r := range e.Outputs() {
-		row := c.rows.At(r.Loc)
-		if *row == 0 {
-			*row = c.nrows
-			c.nrows++
-			c.ready = append(c.ready, valueReady[:k]...)
-			continue
+		row := trace.RegIndex(r.Loc) + 1
+		if row == 0 {
+			p := c.rows.At(r.Loc)
+			if *p == 0 {
+				*p = c.nrows
+				c.nrows++
+				c.ready = append(c.ready, valueReady[:k]...)
+				continue
+			}
+			row = int(*p)
 		}
-		copy(c.ready[int(*row)*k:int(*row)*k+k], valueReady)
+		for j, v := range valueReady[:k] {
+			c.ready[row*k+j] = v
+		}
 	}
 	for j := range c.lanes {
 		l := &c.lanes[j]

@@ -19,7 +19,7 @@ import (
 // empty.  Nothing is ever deleted, which keeps linear probing free of
 // tombstones.  The zero LocMap is empty and ready to use.
 type LocMap[V any] struct {
-	reg   [2 * isa.NumRegs]locEntry[V] // int then FP registers
+	reg   [RegLocs]locEntry[V] // int then FP registers
 	tab   []locEntry[V]                // power-of-two length, or nil
 	shift uint8                        // 64 - log2(len(tab))
 	used  int                          // live slots in tab
@@ -37,8 +37,13 @@ type locEntry[V any] struct {
 // non-register location.
 const locMapMinTable = 64
 
-// regIndex returns l's flat-array index, or -1 when l lives in the table.
-func regIndex(l Loc) int {
+// RegLocs is the number of register locations: integer, then FP.
+const RegLocs = 2 * isa.NumRegs
+
+// RegIndex returns l's index among the RegLocs register locations, or -1
+// when l is not a register of the register file (a LocMap keeps it in
+// its table).
+func RegIndex(l Loc) int {
 	if u := uint64(l); u < isa.NumRegs {
 		return int(u)
 	}
@@ -57,7 +62,7 @@ func (m *LocMap[V]) slot(l Loc) int {
 // Get returns l's value, or the zero value when l is absent.
 func (m *LocMap[V]) Get(l Loc) V {
 	stamp := m.gen + 1
-	if i := regIndex(l); i >= 0 {
+	if i := RegIndex(l); i >= 0 {
 		if e := &m.reg[i]; e.stamp == stamp {
 			return e.val
 		}
@@ -87,7 +92,7 @@ func (m *LocMap[V]) Set(l Loc, v V) { *m.At(l) = v }
 // is absent.  The pointer is valid until the next At, Set or Reset.
 func (m *LocMap[V]) At(l Loc) *V {
 	stamp := m.gen + 1
-	if i := regIndex(l); i >= 0 {
+	if i := RegIndex(l); i >= 0 {
 		e := &m.reg[i]
 		if e.stamp != stamp {
 			m.claim(e, l, stamp)
