@@ -20,11 +20,11 @@ import (
 // tombstones.  The zero LocMap is empty and ready to use.
 type LocMap[V any] struct {
 	reg   [RegLocs]locEntry[V] // int then FP registers
-	tab   []locEntry[V]                // power-of-two length, or nil
-	shift uint8                        // 64 - log2(len(tab))
-	used  int                          // live slots in tab
-	n     int                          // live locations
-	gen   uint32                       // live slots are stamped gen+1
+	tab   []locEntry[V]        // power-of-two length, or nil
+	shift uint8                // 64 - log2(len(tab))
+	used  int                  // live slots in tab
+	n     int                  // live locations
+	gen   uint32               // live slots are stamped gen+1
 }
 
 type locEntry[V any] struct {
