@@ -17,9 +17,9 @@
 // latencies, or base machines of different window sizes, and every lane
 // sees every instruction.  Each lane keeps its own window, graduation
 // prefix and completion maximum; the ready times of all lanes for one
-// location sit in one row of a single location table, so each input is
-// probed and each output written once per instruction, whatever the lane
-// count.  Lanes never read each other's state, so timing them together is
+// location sit in one row (a fixed one per register, one found through a
+// location table for any other location), so each input is probed and
+// each output written once per instruction, whatever the lane count.  Lanes never read each other's state, so timing them together is
 // exactly timing each alone.
 //
 // For trace-level reuse, instructions of a reused trace are not fetched
