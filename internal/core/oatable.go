@@ -194,7 +194,7 @@ type lastOutputs struct {
 }
 
 // lastOut is one slot; used marks it taken (any PC, zero included, is a
-// valid key).  Output refs past n are zero.
+// valid key).  Only outs[:n] is meaningful.
 type lastOut struct {
 	pc   uint64
 	used bool
@@ -236,7 +236,6 @@ func pcHome(pc uint64) uint64 { return pc ^ pc>>12 }
 
 func (s *lastOut) set(outs []trace.Ref) {
 	s.n = uint8(len(outs))
-	s.outs = [len(s.outs)]trace.Ref{}
 	for j, r := range outs {
 		s.outs[j] = r
 	}
