@@ -156,7 +156,7 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 	nIns := 0
 	var addInReg, addInMem, addOutReg, addOutMem int
 	for _, r := range e.Inputs() {
-		if !z.isLiveIn(r.Loc) || staging(staged[:nIns], r.Loc) >= 0 {
+		if !z.isLiveIn(r.Loc) || refIndex(staged[:nIns], r.Loc) >= 0 {
 			continue // produced inside the run, or first read fixed its value
 		}
 		staged[nIns] = r
@@ -169,7 +169,7 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 			outAt[i] = at - 1
 			continue
 		}
-		k := staging(newOuts, r.Loc)
+		k := refIndex(newOuts, r.Loc)
 		if k < 0 {
 			k = len(newOuts)
 			newOuts = append(newOuts, r)
@@ -208,8 +208,8 @@ func (z *Summarizer) TryAdd(e *Exec, caps Caps) bool {
 	return true
 }
 
-// staging returns the index of l among refs, or -1.
-func staging(refs []Ref, l Loc) int {
+// refIndex returns the index of l among refs, or -1.
+func refIndex(refs []Ref, l Loc) int {
 	for i, s := range refs {
 		if s.Loc == l {
 			return i
