@@ -1,7 +1,6 @@
 package tlr
 
 import (
-	"context"
 	"io"
 	"sync"
 
@@ -13,74 +12,6 @@ import (
 // StreamBatch: a worker pool plus program and result caches that persist
 // across calls, so configuration sweeps pay for each distinct simulation
 // once.  cmd/tlrserve serves the same API over HTTP/JSON.
-//
-// This file also keeps the pre-Request batch surface (BatchJob,
-// Batcher.Measure, MeasureBatch) alive as thin deprecated wrappers.
-
-// BatchJob is one simulation request in the deprecated batch surface.
-//
-// Deprecated: use Request, which additionally covers the Pipeline and VP
-// kinds.  BatchJob remains as a conversion shim for existing callers.
-type BatchJob struct {
-	// ID is an opaque label echoed in the result (defaults to the
-	// job's index).
-	ID string
-
-	// Workload names a built-in benchmark (see Workloads).
-	Workload string
-	// Source is assembly text, assembled through the batch program
-	// cache.
-	Source string
-	// Prog is an already-assembled program.
-	Prog *Program
-
-	// Study runs the reuse limit studies (as MeasureReuse).
-	Study *StudyConfig
-	// RTM runs a realistic RTM simulation (as SimulateRTM) with the
-	// job's Skip/Budget bounds.
-	RTM *RTMConfig
-	// Skip and Budget bound an RTM simulation (ignored for Study jobs,
-	// which carry their own inside StudyConfig).
-	Skip, Budget uint64
-}
-
-// request converts the deprecated job to the unified model, preserving
-// BatchJob's documented quirk that Skip/Budget are ignored for Study
-// jobs (Request treats setting both as an error).
-func (j BatchJob) request() Request {
-	r := Request{
-		ID:       j.ID,
-		Workload: j.Workload,
-		Source:   j.Source,
-		Prog:     j.Prog,
-		Study:    j.Study,
-		RTM:      j.RTM,
-		Skip:     j.Skip,
-		Budget:   j.Budget,
-	}
-	if j.Study != nil {
-		r.Skip, r.Budget = 0, 0
-	}
-	return r
-}
-
-// BatchResult is one finished BatchJob.
-//
-// Deprecated: use Result, the unified form returned by Run, RunBatch and
-// StreamBatch.
-type BatchResult struct {
-	// Index is the job's position in the submitted slice; results from
-	// Measure are ordered by it.
-	Index int
-	ID    string
-	// Study is set for Study jobs, RTM for RTM jobs.
-	Study *StudyResult
-	RTM   *RTMResult
-	// Cached reports that the result came from the batch cache rather
-	// than a fresh simulation.
-	Cached bool
-	Err    error
-}
 
 // BatchStats counts batch-service traffic.
 type BatchStats struct {
@@ -245,66 +176,6 @@ func (b *Batcher) Stats() BatchStats {
 	}
 }
 
-// batchResult narrows a unified Result to the deprecated form.
-func batchResult(r Result) BatchResult {
-	return BatchResult{
-		Index:  r.Index,
-		ID:     r.ID,
-		Study:  r.Study,
-		RTM:    r.RTM,
-		Cached: r.Cached,
-		Err:    r.Err,
-	}
-}
-
-// Measure runs a batch and returns the results ordered by job index.
-// If any jobs failed, the returned error joins every failure (results
-// are still returned in full, so callers can inspect every job's
-// outcome).
-//
-// Deprecated: use RunBatch, which takes a context and covers all four
-// simulation kinds.
-func (b *Batcher) Measure(jobs []BatchJob) ([]BatchResult, error) {
-	res, err := b.RunBatch(context.Background(), requests(jobs))
-	if res == nil {
-		return nil, err
-	}
-	out := make([]BatchResult, len(res))
-	for i, r := range res {
-		out[i] = batchResult(r)
-	}
-	return out, err
-}
-
-// Stream submits a batch and returns a channel streaming each result as
-// its simulation finishes (completion order, exactly len(jobs) results).
-// Malformed jobs fail the whole batch before any simulation starts.
-//
-// Deprecated: use StreamBatch, which takes a context and covers all
-// four simulation kinds.
-func (b *Batcher) Stream(jobs []BatchJob) (<-chan BatchResult, error) {
-	stream, err := b.StreamBatch(context.Background(), requests(jobs))
-	if err != nil {
-		return nil, err
-	}
-	out := make(chan BatchResult, cap(stream))
-	go func() {
-		defer close(out)
-		for r := range stream {
-			out <- batchResult(r)
-		}
-	}()
-	return out, nil
-}
-
-func requests(jobs []BatchJob) []Request {
-	reqs := make([]Request, len(jobs))
-	for i, j := range jobs {
-		reqs[i] = j.request()
-	}
-	return reqs
-}
-
 // The package-level Batcher behind Run/RunBatch/StreamBatch, started on
 // first use.
 var (
@@ -318,11 +189,4 @@ var (
 func DefaultBatcher() *Batcher {
 	defaultBatcherOnce.Do(func() { defaultBatcher = NewBatcher(BatchOptions{}) })
 	return defaultBatcher
-}
-
-// MeasureBatch runs a batch of simulation jobs on the shared Batcher.
-//
-// Deprecated: use RunBatch.
-func MeasureBatch(jobs []BatchJob) ([]BatchResult, error) {
-	return DefaultBatcher().Measure(jobs)
 }

@@ -1,18 +1,21 @@
 package tlr
 
 import (
+	"context"
 	"testing"
 )
 
+// TestMeasureBatchMixedKinds: a Study and an RTM request in one RunBatch
+// agree with a fresh Batcher and are answered from cache when rerun.
 func TestMeasureBatchMixedKinds(t *testing.T) {
-	jobs := []BatchJob{
+	reqs := []Request{
 		{Workload: "compress", RTM: &RTMConfig{Geometry: Geometry512, Heuristic: ILREXP},
 			Skip: 500, Budget: 10_000},
 		{Workload: "li", Study: &StudyConfig{Budget: 10_000, Skip: 500, Window: 256}},
 	}
 	b := NewBatcher(BatchOptions{Workers: 2})
 	defer b.Close()
-	res, err := b.Measure(jobs)
+	res, err := b.RunBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,23 +29,23 @@ func TestMeasureBatchMixedKinds(t *testing.T) {
 		t.Errorf("TLR speedup %v < 1", res[1].Study.TLR.Speedups)
 	}
 
-	// The same study through the direct facade must agree exactly.
-	w, _ := WorkloadByName("li")
-	prog, err := w.Program()
+	// The same study on a fresh Batcher must agree exactly.
+	fresh := NewBatcher(BatchOptions{Workers: 1})
+	defer fresh.Close()
+	direct, err := fresh.Run(context.Background(), reqs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := MeasureReuse(prog, StudyConfig{Budget: 10_000, Skip: 500, Window: 256})
-	if err != nil {
-		t.Fatal(err)
+	if direct.Cached {
+		t.Fatal("fresh Batcher must simulate, not hit a cache")
 	}
-	if direct.TLR.Speedups[0] != res[1].Study.TLR.Speedups[0] {
-		t.Errorf("batch study %v != direct study %v",
-			res[1].Study.TLR.Speedups[0], direct.TLR.Speedups[0])
+	if direct.Study.TLR.Speedups[0] != res[1].Study.TLR.Speedups[0] {
+		t.Errorf("batch study %v != fresh study %v",
+			res[1].Study.TLR.Speedups[0], direct.Study.TLR.Speedups[0])
 	}
 
 	// Rerunning the batch is answered from cache with identical values.
-	res2, err := b.Measure(jobs)
+	res2, err := b.RunBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +62,8 @@ func TestMeasureBatchMixedKinds(t *testing.T) {
 	}
 }
 
+// TestMeasureBatchSourceJobs: identical Source requests in one RunBatch
+// share one simulation.
 func TestMeasureBatchSourceJobs(t *testing.T) {
 	const src = `
 main:   ldi  r9, 1000000
@@ -68,13 +73,10 @@ loop:   ldi  r1, 7
         bgtz r9, loop
         halt
 `
-	jobs := []BatchJob{
-		{Source: src, RTM: &RTMConfig{Geometry: Geometry512, Heuristic: IEXP, N: 2}, Budget: 5_000},
-		{Source: src, RTM: &RTMConfig{Geometry: Geometry512, Heuristic: IEXP, N: 2}, Budget: 5_000},
-	}
+	req := Request{Source: src, RTM: &RTMConfig{Geometry: Geometry512, Heuristic: IEXP, N: 2}, Budget: 5_000}
 	b := NewBatcher(BatchOptions{Workers: 2})
 	defer b.Close()
-	res, err := b.Measure(jobs)
+	res, err := b.RunBatch(context.Background(), []Request{req, req})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,23 +86,5 @@ loop:   ldi  r1, 7
 	}
 	if res[0].RTM.Total() != res[1].RTM.Total() {
 		t.Error("identical jobs returned different results")
-	}
-}
-
-func TestMeasureBatchValidation(t *testing.T) {
-	b := NewBatcher(BatchOptions{Workers: 1})
-	defer b.Close()
-	bad := [][]BatchJob{
-		{{RTM: &RTMConfig{Geometry: Geometry512}, Budget: 100}},                   // no program
-		{{Workload: "compress"}},                                                  // no config
-		{{Workload: "nope", RTM: &RTMConfig{Geometry: Geometry512}, Budget: 100}}, // unknown workload
-		{{Workload: "compress", RTM: &RTMConfig{Geometry: Geometry512}}},          // no budget
-		{{Workload: "compress", Source: "x",
-			RTM: &RTMConfig{Geometry: Geometry512}, Budget: 100}}, // two programs
-	}
-	for i, jobs := range bad {
-		if _, err := b.Measure(jobs); err == nil {
-			t.Errorf("case %d: expected validation error", i)
-		}
 	}
 }

@@ -262,7 +262,7 @@ func BenchmarkSignature(b *testing.B) {
 	_ = buf
 }
 
-// --- batch service and sharded-engine benchmarks ---
+// --- batch service benchmarks ---
 
 // BenchmarkFig9SweepSequential is the seed's serial Figure-9 path: the
 // whole heuristic x geometry x workload grid on one worker, cold.
@@ -304,48 +304,4 @@ func BenchmarkFig9SweepWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkShardedRTMLookupParallel hammers one sharded RTM from every
-// core: the concurrent reuse-test hot path.
-func BenchmarkShardedRTMLookupParallel(b *testing.B) {
-	m := rtm.NewSharded(rtm.Geometry4K, 1, 0)
-	for pc := uint64(0); pc < 1024; pc++ {
-		m.Insert(trace.Summary{
-			StartPC: pc, Next: pc + 2, Len: 2,
-			Ins:  []trace.Ref{{Loc: trace.IntReg(1), Val: pc & 7}},
-			Outs: []trace.Ref{{Loc: trace.IntReg(2), Val: pc}},
-		})
-	}
-	st := benchState{}
-	b.RunParallel(func(pb *testing.PB) {
-		pc := uint64(0)
-		for pb.Next() {
-			m.Lookup(pc&1023, st)
-			pc++
-		}
-	})
-}
-
-// benchState reads every location as its low PC bits, matching ~1/8th of
-// the stored traces.
-type benchState struct{}
-
-func (benchState) ReadLoc(trace.Loc) uint64 { return 3 }
-
-// BenchmarkShardedHistoryObserveParallel is the concurrent
-// classification hot path.
-func BenchmarkShardedHistoryObserveParallel(b *testing.B) {
-	h := core.NewShardedHistory(0)
-	b.RunParallel(func(pb *testing.PB) {
-		var e trace.Exec
-		var i uint64
-		for pb.Next() {
-			e.Reset()
-			e.PC = i & 0xfff
-			e.AddIn(trace.IntReg(1), i&0xf)
-			h.Observe(&e)
-			i++
-		}
-	})
 }

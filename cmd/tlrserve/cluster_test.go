@@ -14,12 +14,7 @@ import (
 
 	"github.com/tracereuse/tlr"
 	"github.com/tracereuse/tlr/internal/cluster"
-	"github.com/tracereuse/tlr/internal/rtm"
 )
-
-// testGeom is the shared-RTM geometry every in-process cluster node
-// uses; restart must rebuild a node with the same one.
-var testGeom = rtm.Geometry{Sets: 64, PCWays: 4, TracesPerPC: 4}
 
 // cnode is one in-process cluster node: a full server (own batcher,
 // trace dir, result dir, fabric) listening on a real TCP port.  The
@@ -52,7 +47,7 @@ func (n *cnode) close() {
 func (n *cnode) start(t *testing.T, ln net.Listener) {
 	t.Helper()
 	cc := n.cc // newClusterServer wires closures into the copy
-	srv, err := newClusterServer(n.opt, testGeom, 0, &cc)
+	srv, err := newClusterServer(n.opt, &cc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +352,6 @@ func TestClusterSurvivesOwnerDown(t *testing.T) {
 func TestRestartPreservesTracesAndResults(t *testing.T) {
 	traceDir, resultDir := t.TempDir(), t.TempDir()
 	opt := tlr.BatchOptions{Workers: 2, TraceDir: traceDir, ResultDir: resultDir}
-	geom := rtm.Geometry{Sets: 64, PCWays: 4, TracesPerPC: 4}
 
 	rec, err := tlr.Record(context.Background(), tlr.RecordSpec{Workload: "li", Budget: 10_000})
 	if err != nil {
@@ -365,7 +359,7 @@ func TestRestartPreservesTracesAndResults(t *testing.T) {
 	}
 	digest := rec.Digest()
 
-	srv1 := newServer(opt, geom, 0)
+	srv1 := newServer(opt)
 	ts1 := httptest.NewServer(srv1.mux())
 	uploadTrace(t, ts1.URL, rec)
 	cold := runDigestStudy(t, ts1.URL, digest)
@@ -377,7 +371,7 @@ func TestRestartPreservesTracesAndResults(t *testing.T) {
 
 	// Restart on the same directories: the trace and the warm result
 	// must both come back.
-	srv2 := newServer(opt, geom, 0)
+	srv2 := newServer(opt)
 	ts2 := httptest.NewServer(srv2.mux())
 	defer func() {
 		ts2.Close()

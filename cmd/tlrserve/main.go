@@ -1,14 +1,13 @@
 // Command tlrserve serves the simulation API over HTTP/JSON: the public
 // tlr Request/Run facade (worker pool, result cache, in-flight
-// coalescing) behind POST /v1/run and POST /v1/batch, a digest-addressed
-// trace store behind /v1/traces for record-once/sweep-many workflows,
-// and a shared concurrent (sharded) Reuse Trace Memory behind /v1/rtm
-// for trace-reuse-as-a-service experiments.
+// coalescing) behind POST /v1/run and POST /v1/batch, and a
+// digest-addressed trace store behind /v1/traces for
+// record-once/sweep-many workflows.
 //
 // Usage:
 //
 //	tlrserve [-addr :8321] [-workers N] [-cache N] [-trace-store-mb 64] [-trace-dir DIR]
-//	         [-max-trace-mb 64] [-rtm-sets 128] [-rtm-ways 4] [-rtm-traces 8]
+//	         [-max-trace-mb 64]
 //
 // # Run API
 //
@@ -76,14 +75,6 @@
 // whole length.  Analyses are cached and digest-routed like every other
 // request kind.
 //
-// # Shared RTM
-//
-// POST /v1/rtm/insert stores a trace summary in the server-wide sharded
-// RTM; POST /v1/rtm/lookup runs the reuse test against caller-supplied
-// state.  Locations are {"kind": "r"|"f"|"m", "index": N}.  The RTM and
-// the trace history behind it are lock-striped, so concurrent requests
-// proceed in parallel — many goroutines, one engine instance.
-//
 // # Cluster
 //
 // With -peers (a comma-separated list of node base URLs, self
@@ -118,9 +109,9 @@
 // -chaos-drop and -chaos-delay inject transport faults on peer
 // traffic for chaos testing.
 //
-// GET /healthz reports liveness; GET /v1/stats reports service, RTM,
-// history, admission, and (when clustered) per-peer health and fabric
-// counters.
+// GET /healthz reports liveness; GET /v1/stats reports service,
+// trace-store, result-cache, analytics, admission and runtime counters,
+// and (when clustered) per-peer health and fabric counters.
 // With -pprof, the standard net/http/pprof endpoints are mounted under
 // /debug/pprof/ so decode and simulation hot paths can be profiled
 // against the live server.
@@ -145,10 +136,7 @@ import (
 
 	"github.com/tracereuse/tlr"
 	"github.com/tracereuse/tlr/internal/cluster"
-	"github.com/tracereuse/tlr/internal/core"
 	"github.com/tracereuse/tlr/internal/metrics"
-	"github.com/tracereuse/tlr/internal/rtm"
-	"github.com/tracereuse/tlr/internal/trace"
 	"github.com/tracereuse/tlr/internal/tracefile"
 	"github.com/tracereuse/tlr/internal/workload"
 )
@@ -160,10 +148,6 @@ func main() {
 	traceStoreMB := flag.Int64("trace-store-mb", 0, "trace store memory tier capacity in MiB (0 = default 64)")
 	traceDir := flag.String("trace-dir", "", "trace store disk tier directory (empty = memory only); created if absent")
 	maxTraceMB := flag.Int64("max-trace-mb", 0, "largest accepted trace upload in MiB (0 = default 64)")
-	rtmSets := flag.Int("rtm-sets", 128, "shared RTM sets (power of two)")
-	rtmWays := flag.Int("rtm-ways", 4, "shared RTM PC ways per set")
-	rtmTraces := flag.Int("rtm-traces", 8, "shared RTM traces per PC")
-	rtmShards := flag.Int("rtm-shards", 0, "shared RTM lock stripes (0 = auto)")
 	withPprof := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	resultDir := flag.String("result-dir", "", "persistent result cache directory (empty = memory only); created if absent")
 	peers := flag.String("peers", "", "comma-separated cluster peer base URLs, self included (empty = single node)")
@@ -178,14 +162,6 @@ func main() {
 	chaosDelay := flag.Duration("chaos-delay", 0, "fault injection: added latency on every peer request (testing only)")
 	flag.Parse()
 
-	geom := rtm.Geometry{Sets: *rtmSets, PCWays: *rtmWays, TracesPerPC: *rtmTraces}
-	if geom.Sets <= 0 || geom.Sets&(geom.Sets-1) != 0 {
-		log.Fatalf("tlrserve: -rtm-sets must be a positive power of two, got %d", geom.Sets)
-	}
-	if geom.PCWays < 1 || geom.TracesPerPC < 1 {
-		log.Fatalf("tlrserve: -rtm-ways and -rtm-traces must be >= 1, got %d and %d",
-			geom.PCWays, geom.TracesPerPC)
-	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			log.Fatalf("tlrserve: -trace-dir: %v", err)
@@ -238,7 +214,7 @@ func main() {
 			log.Printf("tlrserve: chaos injection on peer traffic: drop %.2f, delay %s", *chaosDrop, *chaosDelay)
 		}
 	}
-	srv, err := newClusterServer(opt, geom, *rtmShards, cc)
+	srv, err := newClusterServer(opt, cc)
 	if err != nil {
 		log.Fatalf("tlrserve: %v", err)
 	}
@@ -254,8 +230,7 @@ func main() {
 		log.Printf("tlrserve: cluster fabric: self %s, %d peers, replication %d",
 			srv.fabric.Self(), len(srv.fabric.Peers()), srv.fabric.Replication())
 	}
-	log.Printf("tlrserve: listening on %s (shared RTM %v, %d stripes)",
-		*addr, geom, srv.shared.Shards())
+	log.Printf("tlrserve: listening on %s", *addr)
 
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -315,8 +290,6 @@ func splitPeers(list string) []string {
 
 type server struct {
 	batcher       *tlr.Batcher
-	shared        *rtm.Sharded
-	hist          *core.ShardedTraceHistory
 	fabric        *cluster.Fabric // nil: single node
 	maxTraceBytes int64
 
@@ -324,11 +297,9 @@ type server struct {
 	hm       httpMetrics
 }
 
-func newServer(opt tlr.BatchOptions, geom rtm.Geometry, shards int) *server {
+func newServer(opt tlr.BatchOptions) *server {
 	s := &server{
 		batcher:       tlr.NewBatcher(opt),
-		shared:        rtm.NewSharded(geom, 1, shards),
-		hist:          core.NewShardedTraceHistory(0),
 		maxTraceBytes: 64 << 20,
 	}
 	s.registerMetrics()
@@ -341,7 +312,7 @@ func newServer(opt tlr.BatchOptions, geom rtm.Geometry, shards int) *server {
 // closure: the batcher is constructed first with a PeerFetch that
 // consults the fabric variable, then the fabric is wired to the
 // batcher's store — all before the server takes traffic.
-func newClusterServer(opt tlr.BatchOptions, geom rtm.Geometry, shards int, cc *cluster.Config) (*server, error) {
+func newClusterServer(opt tlr.BatchOptions, cc *cluster.Config) (*server, error) {
 	var fab *cluster.Fabric
 	if cc != nil {
 		opt.PeerFetch = func(digest string, exclude []string) (io.ReadCloser, string, error) {
@@ -351,7 +322,7 @@ func newClusterServer(opt tlr.BatchOptions, geom rtm.Geometry, shards int, cc *c
 			return fab.Fetch(digest, exclude...)
 		}
 	}
-	s := newServer(opt, geom, shards)
+	s := newServer(opt)
 	if cc != nil {
 		// The fabric's instruments join the batcher's registry, so one
 		// /metrics scrape covers both layers.
@@ -385,8 +356,6 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	mux.HandleFunc("GET /v1/traces", s.handleTraceList)
 	mux.HandleFunc("GET /v1/traces/{digest}", s.handleTraceDownload)
-	mux.HandleFunc("POST /v1/rtm/insert", s.handleRTMInsert)
-	mux.HandleFunc("POST /v1/rtm/lookup", s.handleRTMLookup)
 	mux.HandleFunc("POST /v1/repair", s.handleRepair)
 	return mux
 }
@@ -783,133 +752,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// --- shared RTM API ---
-
-type jsonLoc struct {
-	Kind  string `json:"kind"` // "r", "f", "m"
-	Index uint64 `json:"index"`
-}
-
-func (l jsonLoc) loc() (trace.Loc, error) {
-	switch l.Kind {
-	case "r":
-		return trace.IntReg(uint8(l.Index)), nil
-	case "f":
-		return trace.FPReg(uint8(l.Index)), nil
-	case "m":
-		return trace.Mem(l.Index), nil
-	default:
-		return 0, fmt.Errorf("unknown location kind %q", l.Kind)
-	}
-}
-
-func toJSONLoc(l trace.Loc) jsonLoc {
-	switch l.Kind() {
-	case trace.KindIntReg:
-		return jsonLoc{Kind: "r", Index: l.Index()}
-	case trace.KindFPReg:
-		return jsonLoc{Kind: "f", Index: l.Index()}
-	default:
-		return jsonLoc{Kind: "m", Index: l.Index()}
-	}
-}
-
-type jsonRef struct {
-	Loc jsonLoc `json:"loc"`
-	Val uint64  `json:"val"`
-}
-
-type jsonSummary struct {
-	StartPC uint64    `json:"startPC"`
-	Next    uint64    `json:"next"`
-	Len     int       `json:"len"`
-	Ins     []jsonRef `json:"ins"`
-	Outs    []jsonRef `json:"outs"`
-}
-
-func (js jsonSummary) summary() (trace.Summary, error) {
-	s := trace.Summary{StartPC: js.StartPC, Next: js.Next, Len: js.Len}
-	for _, r := range js.Ins {
-		l, err := r.Loc.loc()
-		if err != nil {
-			return s, err
-		}
-		s.Ins = append(s.Ins, trace.Ref{Loc: l, Val: r.Val})
-	}
-	for _, r := range js.Outs {
-		l, err := r.Loc.loc()
-		if err != nil {
-			return s, err
-		}
-		s.Outs = append(s.Outs, trace.Ref{Loc: l, Val: r.Val})
-	}
-	return s, nil
-}
-
-func toJSONSummary(s trace.Summary) jsonSummary {
-	js := jsonSummary{StartPC: s.StartPC, Next: s.Next, Len: s.Len}
-	for _, r := range s.Ins {
-		js.Ins = append(js.Ins, jsonRef{Loc: toJSONLoc(r.Loc), Val: r.Val})
-	}
-	for _, r := range s.Outs {
-		js.Outs = append(js.Outs, jsonRef{Loc: toJSONLoc(r.Loc), Val: r.Val})
-	}
-	return js
-}
-
-func (s *server) handleRTMInsert(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Summary jsonSummary `json:"summary"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	sum, err := req.Summary.summary()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if sum.Len <= 0 {
-		http.Error(w, "summary len must be positive", http.StatusBadRequest)
-		return
-	}
-	seen := s.hist.Observe(&sum)
-	s.shared.Insert(sum)
-	writeJSON(w, map[string]any{"seenBefore": seen, "stored": s.shared.Stored()})
-}
-
-// mapState adapts caller-supplied location values to the reuse test.
-type mapState map[trace.Loc]uint64
-
-func (m mapState) ReadLoc(l trace.Loc) uint64 { return m[l] }
-
-func (s *server) handleRTMLookup(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		PC    uint64    `json:"pc"`
-		State []jsonRef `json:"state"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	st := make(mapState, len(req.State))
-	for _, ref := range req.State {
-		l, err := ref.Loc.loc()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		st[l] = ref.Val
-	}
-	sum, ok := s.shared.Lookup(req.PC, st)
-	resp := map[string]any{"hit": ok}
-	if ok {
-		resp["summary"] = toJSONSummary(sum)
-	}
-	writeJSON(w, resp)
-}
-
 // --- misc ---
 
 // mountPprof exposes the standard profiling endpoints on the server's
@@ -959,10 +801,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"maxInflight":  st.MaxInflight,
 			"shed":         st.Shed,
 		},
-		"rtm":            s.shared.Stats(),
-		"rtmStored":      s.shared.Stored(),
-		"rtmShards":      s.shared.Shards(),
-		"distinctTraces": s.hist.Vectors(),
 		// The runtime section reads the same collector behind the go_*
 		// gauges /metrics exports, so the two views cannot disagree.
 		"runtime": s.runtimeC.Read(),

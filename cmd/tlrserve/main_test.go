@@ -15,14 +15,12 @@ import (
 	"testing"
 
 	"github.com/tracereuse/tlr"
-	"github.com/tracereuse/tlr/internal/rtm"
 	"github.com/tracereuse/tlr/internal/tracefile"
 )
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := newServer(tlr.BatchOptions{Workers: 2},
-		rtm.Geometry{Sets: 64, PCWays: 4, TracesPerPC: 4}, 0)
+	srv := newServer(tlr.BatchOptions{Workers: 2})
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(func() {
 		ts.Close()
@@ -408,8 +406,7 @@ func TestTraceDownloadRoundTrip(t *testing.T) {
 // TestPprofFlagMounts checks that the profiling endpoints answer when
 // mounted (the -pprof flag) and are absent by default.
 func TestPprofFlagMounts(t *testing.T) {
-	srv := newServer(tlr.BatchOptions{Workers: 1},
-		rtm.Geometry{Sets: 64, PCWays: 4, TracesPerPC: 4}, 0)
+	srv := newServer(tlr.BatchOptions{Workers: 1})
 	defer srv.batcher.Close()
 	mux := srv.mux()
 	mountPprof(mux)
@@ -442,8 +439,7 @@ func TestPprofFlagMounts(t *testing.T) {
 // live execution.  The listing and stats report per-tier occupancy.
 func TestChunkedUploadToDiskTier(t *testing.T) {
 	dir := t.TempDir()
-	srv := newServer(tlr.BatchOptions{Workers: 2, TraceStoreBytes: 4096, TraceDir: dir},
-		rtm.Geometry{Sets: 64, PCWays: 4, TracesPerPC: 4}, 0)
+	srv := newServer(tlr.BatchOptions{Workers: 2, TraceStoreBytes: 4096, TraceDir: dir})
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(func() {
 		ts.Close()

@@ -9,15 +9,13 @@ import (
 
 	"github.com/tracereuse/tlr"
 	"github.com/tracereuse/tlr/internal/metrics"
-	"github.com/tracereuse/tlr/internal/rtm"
 )
 
 // instrumentedServer is testServer with the HTTP middleware wrapped
 // around the mux, as main() wires it.
 func instrumentedServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := newServer(tlr.BatchOptions{Workers: 2},
-		rtm.Geometry{Sets: 64, PCWays: 4, TracesPerPC: 4}, 0)
+	srv := newServer(tlr.BatchOptions{Workers: 2})
 	ts := httptest.NewServer(srv.instrument(srv.mux()))
 	t.Cleanup(func() {
 		ts.Close()

@@ -190,7 +190,7 @@ func TestChaosDropsConvergeViaRepair(t *testing.T) {
 // a Retry-After — bounded load, fast refusal — and admitted again once
 // capacity frees up.  A batch charges its full job count.
 func TestOverloadShedsWith429(t *testing.T) {
-	srv := newServer(tlr.BatchOptions{Workers: 2, MaxInflight: 2}, testGeom, 0)
+	srv := newServer(tlr.BatchOptions{Workers: 2, MaxInflight: 2})
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(func() {
 		ts.Close()

@@ -76,8 +76,8 @@ func TestSuiteStateIndependence(t *testing.T) {
 	}
 }
 
-// TestFacadeMatchesInternalPipeline checks that the public MeasureReuse
-// and the experiment harness agree on the same program and budget.  The
+// TestFacadeMatchesInternalPipeline checks that the package-level Run
+// and a dedicated Batcher agree on the same program and budget.  The
 // second measurement runs on a fresh Batcher so it cannot be a cache
 // hit of the first — the comparison is between two real simulations.
 func TestFacadeMatchesInternalPipeline(t *testing.T) {
@@ -86,10 +86,11 @@ func TestFacadeMatchesInternalPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(prog, StudyConfig{Budget: 30_000, Skip: 1_000, Window: 256})
+	r1, err := Run(context.Background(), Request{Prog: prog, Study: &StudyConfig{Budget: 30_000, Skip: 1_000, Window: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := *r1.Study
 	cold := NewBatcher(BatchOptions{Workers: 1})
 	defer cold.Close()
 	r2, err := cold.Run(context.Background(), Request{
@@ -104,7 +105,7 @@ func TestFacadeMatchesInternalPipeline(t *testing.T) {
 	}
 	res2 := *r2.Study
 	if res.ILR.Reusable != res2.ILR.Reusable || res.TLR.BaseCycles != res2.TLR.BaseCycles {
-		t.Error("MeasureReuse is not deterministic")
+		t.Error("the Study kind is not deterministic")
 	}
 	if res.ILR.BaseCycles != res.TLR.BaseCycles {
 		t.Error("both engines must model the same base machine")
@@ -121,14 +122,14 @@ func TestWindowSweepMonotonicOnRealWorkload(t *testing.T) {
 	}
 	prev := -1.0
 	for _, win := range []int{16, 64, 256, 1024, 0} {
-		res, err := MeasureReuse(prog, StudyConfig{Budget: 20_000, Window: win})
+		res, err := Run(context.Background(), Request{Prog: prog, Study: &StudyConfig{Budget: 20_000, Window: win}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prev >= 0 && res.ILR.BaseCycles > prev+1e-6 {
+		if prev >= 0 && res.Study.ILR.BaseCycles > prev+1e-6 {
 			t.Fatalf("base cycles grew when window widened to %d", win)
 		}
-		prev = res.ILR.BaseCycles
+		prev = res.Study.ILR.BaseCycles
 	}
 }
 
@@ -140,14 +141,15 @@ func TestReuseLatencySweepOnRealWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(prog, StudyConfig{
+	out, err := Run(context.Background(), Request{Prog: prog, Study: &StudyConfig{
 		Budget:       30_000,
 		Skip:         2_000,
 		ILRLatencies: []float64{1, 2, 4, 8},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Study
 	for i := 1; i < len(res.ILR.Speedups); i++ {
 		if res.ILR.Speedups[i] > res.ILR.Speedups[i-1]+1e-9 {
 			t.Fatalf("speedups not monotone in latency: %v", res.ILR.Speedups)
@@ -158,18 +160,18 @@ func TestReuseLatencySweepOnRealWorkload(t *testing.T) {
 	}
 }
 
-// TestHaltingProgramEndsStudiesCleanly: MeasureReuse over a program that
+// TestHaltingProgramEndsStudiesCleanly: a Study over a program that
 // halts mid-budget must not hang or error.
 func TestHaltingProgramEndsStudiesCleanly(t *testing.T) {
 	prog, err := Assemble("main: ldi r1, 5\n addi r1, r1, 1\n halt\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(prog, StudyConfig{Budget: 1000})
+	res, err := Run(context.Background(), Request{Prog: prog, Study: &StudyConfig{Budget: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ILR.Instructions != 3 {
-		t.Errorf("measured %d instructions, want 3", res.ILR.Instructions)
+	if res.Study.ILR.Instructions != 3 {
+		t.Errorf("measured %d instructions, want 3", res.Study.ILR.Instructions)
 	}
 }

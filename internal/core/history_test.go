@@ -162,3 +162,33 @@ func TestHistoryMatchesExactSignatureSet(t *testing.T) {
 			h.Vectors(), h.StaticInstructions(), len(seen), len(pcs))
 	}
 }
+
+// TestSigTableGrowth pushes one table through several growth cycles and
+// checks membership stays exact.
+func TestSigTableGrowth(t *testing.T) {
+	var tab sigTable
+	sig := make([]byte, 8)
+	put := func(pc, v uint64) bool {
+		for i := 0; i < 8; i++ {
+			sig[i] = byte(v >> (8 * i))
+		}
+		return tab.seen(pc, sig)
+	}
+	const n = 10000
+	for i := uint64(0); i < n; i++ {
+		if put(i%64, i) {
+			t.Fatalf("first insert of (%d,%d) reported seen", i%64, i)
+		}
+	}
+	if tab.len() != n {
+		t.Fatalf("len = %d, want %d", tab.len(), n)
+	}
+	for i := uint64(0); i < n; i++ {
+		if !put(i%64, i) {
+			t.Fatalf("(%d,%d) lost after growth", i%64, i)
+		}
+	}
+	if tab.len() != n {
+		t.Fatalf("len after re-probe = %d, want %d", tab.len(), n)
+	}
+}

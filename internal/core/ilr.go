@@ -109,9 +109,6 @@ func (s *ILRStudy) Result() ILRResult {
 	return r
 }
 
-// History exposes the underlying reuse table (for table-size reporting).
-func (s *ILRStudy) History() *History { return s.hist }
-
 // sameWindows returns k copies of window, the lane windows of a study
 // whose machines differ only in reuse policy.
 func sameWindows(k, window int) []int {

@@ -23,7 +23,7 @@ const (
 )
 
 // hash64 mixes a 64-bit value (SplitMix64 finalizer); used to spread PCs
-// across table slots and shards.
+// across table slots.
 func hash64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

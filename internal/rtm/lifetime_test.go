@@ -57,21 +57,21 @@ func TestLookupEntrySurvivesEviction(t *testing.T) {
 	}
 }
 
-// TestRecyclingBoundedWithoutLookups: a Sharded RTM never hands out an
-// *Entry, so its callers may Insert and NotifyWrite without ever calling
-// Lookup.  Evicted and invalidated entries must still be recycled at
-// once, so that the entries in use stay bounded by the geometry and
-// full-RTM inserts allocate nothing.
+// TestRecyclingBoundedWithoutLookups: an RTM's caller may Insert and
+// NotifyWrite for a long stretch without calling Lookup.  Evicted and
+// invalidated entries must still be recycled at once, so that the
+// entries in use stay bounded by the geometry and full-RTM inserts
+// allocate nothing.
 func TestRecyclingBoundedWithoutLookups(t *testing.T) {
 	geom := Geometry{Sets: 2, PCWays: 1, TracesPerPC: 2}
 	for _, inval := range []bool{false, true} {
-		s := NewSharded(geom, 1, 2)
+		m := New(geom, 1)
 		if inval {
-			s.EnableInvalidation()
+			m.EnableInvalidation()
 		}
-		// One hit first, so a shard holds an entry for its caller.
-		s.Insert(sum(0, 2, []trace.Ref{{Loc: trace.IntReg(1), Val: 1}}, []trace.Ref{{Loc: trace.IntReg(2), Val: 2}}))
-		if _, ok := s.Lookup(0, fakeState{trace.IntReg(1): 1}); !ok {
+		// One hit first, so the RTM holds an entry for its caller.
+		m.Insert(sum(0, 2, []trace.Ref{{Loc: trace.IntReg(1), Val: 1}}, []trace.Ref{{Loc: trace.IntReg(2), Val: 2}}))
+		if m.Lookup(0, fakeState{trace.IntReg(1): 1}) == nil {
 			t.Fatal("stored trace not reused")
 		}
 		sums := make([]trace.Summary, 64)
@@ -85,15 +85,15 @@ func TestRecyclingBoundedWithoutLookups(t *testing.T) {
 		insert := func() {
 			i++
 			sm := sums[i%len(sums)]
-			s.Insert(sm)
+			m.Insert(sm)
 			if inval && i%5 == 0 {
-				s.NotifyWrite(sm.Ins[0].Loc)
+				m.NotifyWrite(sm.Ins[0].Loc)
 			}
 		}
 		for range 10_000 {
 			insert()
 		}
-		st := s.Stats()
+		st := m.Stats()
 		if st.TraceEvicts == 0 || inval && st.Invalidations == 0 {
 			t.Fatalf("inval=%v: %+v: the test does not recycle", inval, st)
 		}
@@ -104,13 +104,10 @@ func TestRecyclingBoundedWithoutLookups(t *testing.T) {
 		}
 		// A Lookup recycles whatever waited for one: the entries in
 		// existence must still fit the geometry, plus the one held.
-		for k := range s.shards {
-			s.Lookup(uint64(100+k), fakeState{})
-			m := s.shards[k].m
-			if n := m.Stored() + len(m.free); n > m.geom.Entries()+1 {
-				t.Errorf("inval=%v shard %d: %d entries stored or free, the geometry holds %d",
-					inval, k, n, m.geom.Entries())
-			}
+		m.Lookup(100, fakeState{})
+		if n := m.Stored() + len(m.free); n > geom.Entries()+1 {
+			t.Errorf("inval=%v: %d entries stored or free, the geometry holds %d",
+				inval, n, geom.Entries())
 		}
 	}
 }

@@ -99,14 +99,6 @@ type RTM struct {
 	stats  Stats
 	inval  *invalIndex // non-nil: the §3.3 valid-bit reuse test is active
 
-	// Set addressing: the global set index is pc & pcMask; this instance
-	// holds it at sets[(pc&pcMask)>>pcShift].  A standalone RTM owns every
-	// set (pcMask = Sets-1, pcShift = 0); a Sharded stripe owns the global
-	// sets whose low pcShift index bits equal its shard id, so striping
-	// reproduces the unsharded set mapping exactly.
-	pcMask  uint64
-	pcShift uint
-
 	// Entry recycling.  An evicted or invalidated entry goes straight
 	// back to free, except held, the entry the last Lookup returned: the
 	// Inserts that follow a hit may evict it, and it must stay intact
@@ -129,33 +121,10 @@ func New(geom Geometry, minLen int) *RTM {
 		minLen = 1
 	}
 	return &RTM{
-		geom:    geom,
-		minLen:  minLen,
-		sets:    make([][]*pcSlot, geom.Sets),
-		pcMask:  uint64(geom.Sets - 1),
-		pcShift: 0,
+		geom:   geom,
+		minLen: minLen,
+		sets:   make([][]*pcSlot, geom.Sets),
 	}
-}
-
-// newShard builds the stripe of a Sharded RTM owning 1/nshards of geom's
-// sets (those whose set index is ≡ shard mod nshards).
-func newShard(geom Geometry, minLen, nshards int) *RTM {
-	local := geom
-	local.Sets = geom.Sets / nshards
-	m := New(local, minLen)
-	m.pcMask = uint64(geom.Sets - 1)
-	m.pcShift = uint(log2(nshards))
-	return m
-}
-
-// log2 of a power of two.
-func log2(n int) int {
-	b := 0
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
 }
 
 // Geometry returns the RTM's shape.
@@ -175,7 +144,7 @@ func (m *RTM) Stored() int {
 	return n
 }
 
-func (m *RTM) setOf(pc uint64) int { return int((pc & m.pcMask) >> m.pcShift) }
+func (m *RTM) setOf(pc uint64) int { return int(pc & uint64(m.geom.Sets-1)) }
 
 func (m *RTM) slotOf(pc uint64) *pcSlot {
 	for _, slot := range m.sets[m.setOf(pc)] {

@@ -40,41 +40,6 @@ func HarmonicMean(xs []float64) float64 {
 	return float64(n) / sum
 }
 
-// Welford accumulates a running mean/min/max without storing samples.
-type Welford struct {
-	n        int64
-	mean     float64
-	min, max float64
-}
-
-// Add records one sample.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.mean, w.min, w.max = x, x, x
-		return
-	}
-	w.mean += (x - w.mean) / float64(w.n)
-	if x < w.min {
-		w.min = x
-	}
-	if x > w.max {
-		w.max = x
-	}
-}
-
-// N returns the sample count.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean (0 with no samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest sample (0 with no samples).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample (0 with no samples).
-func (w *Welford) Max() float64 { return w.max }
-
 // Table is a printable result table: one paper figure or table.
 type Table struct {
 	Title string

@@ -48,23 +48,6 @@ func TestHarmonicLeqArithmetic(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{4, 2, 6} {
-		w.Add(x)
-	}
-	if w.N() != 3 || math.Abs(w.Mean()-4) > 1e-12 || w.Min() != 2 || w.Max() != 6 {
-		t.Errorf("welford: n=%d mean=%v min=%v max=%v", w.N(), w.Mean(), w.Min(), w.Max())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Min() != 0 || w.Max() != 0 || w.N() != 0 {
-		t.Error("zero value should report zeros")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tb := Table{Title: "Fig X", Cols: []string{"bench", "speedup"}}
 	tb.AddRow("compress", "2.50")

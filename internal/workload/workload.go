@@ -93,17 +93,6 @@ func All() []*Workload {
 	return out
 }
 
-// ByCategory returns the workloads of one category, alphabetical.
-func ByCategory(c Category) []*Workload {
-	var out []*Workload
-	for _, w := range All() {
-		if w.Category == c {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // ByName finds a workload.
 func ByName(name string) (*Workload, bool) {
 	for _, w := range registry {

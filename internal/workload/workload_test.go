@@ -50,10 +50,14 @@ func TestByName(t *testing.T) {
 }
 
 func TestByCategory(t *testing.T) {
-	if n := len(ByCategory(Integer)); n != 7 {
+	count := map[Category]int{}
+	for _, w := range All() {
+		count[w.Category]++
+	}
+	if n := count[Integer]; n != 7 {
 		t.Errorf("Integer count %d", n)
 	}
-	if n := len(ByCategory(Float)); n != 7 {
+	if n := count[Float]; n != 7 {
 		t.Errorf("Float count %d", n)
 	}
 }

@@ -13,8 +13,7 @@ import (
 // This file is the unified public API: one context-aware Request/Run
 // model covering all four simulation kinds (limit Study, realistic RTM,
 // execution-driven Pipeline, value-prediction limit).  Run, RunBatch and
-// StreamBatch are the only entry points; every other facade function is
-// a thin deprecated wrapper over them.  All three route through the
+// StreamBatch are the only entry points.  All three route through the
 // batch service, so identical requests — within a batch, across batches,
 // or across callers — are simulated once and answered from cache.
 
@@ -292,9 +291,8 @@ func resultFromService(r service.Result, kind Kind) Result {
 
 // serviceJob is the canonical validation path: it checks one Request and
 // builds its service job.  Every entry point — Run, RunBatch,
-// StreamBatch, the deprecated wrappers, and cmd/tlrserve's HTTP API —
-// funnels through it, so a request is judged by one rule set no matter
-// how it arrives.
+// StreamBatch and cmd/tlrserve's HTTP API — funnels through it, so a
+// request is judged by one rule set no matter how it arrives.
 func (b *Batcher) serviceJob(index int, r Request) (service.Job, Kind, error) {
 	id := r.ID
 	if id == "" {

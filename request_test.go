@@ -54,42 +54,6 @@ func TestRunBatchAllFourKinds(t *testing.T) {
 	}
 }
 
-// TestRunMatchesDeprecatedWrappers: the unified entry point and the
-// deprecated facade functions agree exactly (they share one compute
-// path).
-func TestRunMatchesDeprecatedWrappers(t *testing.T) {
-	w, _ := WorkloadByName("compress")
-	prog, err := w.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	old, err := MeasureReuse(prog, StudyConfig{Budget: 8_000, Window: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(ctx, Request{Prog: prog, Study: &StudyConfig{Budget: 8_000, Window: 256}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.TLR.Speedups[0] != res.Study.TLR.Speedups[0] {
-		t.Errorf("study: wrapper %v != Run %v", old.TLR.Speedups[0], res.Study.TLR.Speedups[0])
-	}
-
-	oldVP, err := MeasureValuePrediction(prog, StudyConfig{Budget: 8_000, Window: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resVP, err := Run(ctx, Request{Prog: prog, VP: &VPConfig{Window: 256}, Budget: 8_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldVP.Speedup != resVP.VP.Speedup {
-		t.Errorf("vp: wrapper %v != Run %v", oldVP.Speedup, resVP.VP.Speedup)
-	}
-}
-
 // TestPipelineAndVPCacheAndCoalesce: the two kinds new to the batch
 // service hit the result cache across batches and coalesce identical
 // in-flight requests within one.
@@ -181,6 +145,7 @@ func TestRequestValidation(t *testing.T) {
 		{Workload: "compress", RTM: &RTMConfig{Geometry: Geometry512}},                                               // no budget
 		{Workload: "compress", Study: &StudyConfig{Budget: 100}, Budget: 50},                                         // both budgets
 		{Workload: "compress", Study: &StudyConfig{Skip: 500}, Budget: 50},                                           // Study.Skip would be silently lost
+		{Workload: "nope", VP: &VPConfig{}, Budget: 100},                                                             // unknown workload
 	}
 	for i, req := range bad {
 		if _, err := b.RunBatch(context.Background(), []Request{req}); err == nil {

@@ -13,9 +13,7 @@
 //   - instruction-level and trace-level reuse limit engines with
 //     infinite history tables (paper §4.2–4.5);
 //   - the realistic set-associative RTM with the paper's three dynamic
-//     trace-collection heuristics (paper §3, §4.6), including sharded
-//     variants of the RTM and history tables safe to drive from many
-//     goroutines;
+//     trace-collection heuristics (paper §3, §4.6);
 //   - the 14-benchmark workload suite named after the paper's SPEC95
 //     subset;
 //   - a batch simulation service behind one request model.
@@ -74,14 +72,9 @@
 // The same service layer runs behind cmd/tlrserve, an HTTP/JSON server
 // that accepts single requests (POST /v1/run), request batches (POST
 // /v1/batch, streaming NDJSON results), trace uploads (POST /v1/traces,
-// then digest-referenced runs) and hosts a shared concurrent RTM for
-// trace-reuse-as-a-service experiments.  Request and Result marshal to
-// the server's versioned JSON wire format, so a Go client can drive it
-// with encoding/json alone.
-//
-// The pre-Request facade (MeasureReuse, SimulateRTM, SimulatePipeline,
-// MeasureValuePrediction, MeasureBatch) remains as thin deprecated
-// wrappers over Run.
+// then digest-referenced runs), foreign-trace ingests and reuse-distance
+// analyses.  Request and Result marshal to the server's versioned JSON
+// wire format, so a Go client can drive it with encoding/json alone.
 //
 // See examples/ for complete programs (examples/batchsweep drives the
 // batch API) and cmd/tlrexp for the harness that regenerates every
@@ -89,8 +82,6 @@
 package tlr
 
 import (
-	"context"
-
 	"github.com/tracereuse/tlr/internal/asm"
 	"github.com/tracereuse/tlr/internal/core"
 	"github.com/tracereuse/tlr/internal/dda"
@@ -182,20 +173,6 @@ type StudyResult struct {
 	DDA []DDAPoint `json:",omitempty"`
 }
 
-// MeasureReuse runs the paper's limit studies over prog's dynamic stream.
-//
-// Deprecated: use Run with a Study request, which adds caching,
-// coalescing and cancellation:
-//
-//	tlr.Run(ctx, tlr.Request{Prog: prog, Study: &cfg})
-func MeasureReuse(prog *Program, cfg StudyConfig) (StudyResult, error) {
-	res, err := Run(context.Background(), Request{Prog: prog, Study: &cfg})
-	if err != nil {
-		return StudyResult{}, err
-	}
-	return *res.Study, nil
-}
-
 // RTM geometry and simulation types (paper §4.6).
 type (
 	// Geometry is the RTM shape: sets x PC-ways x traces/PC.
@@ -223,21 +200,6 @@ const (
 	IEXP   = rtm.IEXP
 )
 
-// SimulateRTM runs prog under a finite Reuse Trace Memory for up to
-// budget retired (executed + skipped) instructions, after skipping `skip`
-// instructions of warm-up.
-//
-// Deprecated: use Run with an RTM request:
-//
-//	tlr.Run(ctx, tlr.Request{Prog: prog, RTM: &cfg, Skip: skip, Budget: budget})
-func SimulateRTM(prog *Program, cfg RTMConfig, skip, budget uint64) (RTMResult, error) {
-	res, err := Run(context.Background(), Request{Prog: prog, RTM: &cfg, Skip: skip, Budget: budget})
-	if err != nil {
-		return RTMResult{}, err
-	}
-	return *res.RTM, nil
-}
-
 // PipelineConfig parameterises the execution-driven processor model
 // (KindPipeline): a superscalar front end with finite fetch bandwidth
 // and window, with the RTM consulted at every fetch (the paper's
@@ -248,42 +210,8 @@ type PipelineConfig = pipeline.Config
 // fetch width because reused instructions retire without being fetched.
 type PipelineResult = pipeline.Result
 
-// SimulatePipeline runs prog on the execution-driven pipeline model for
-// up to budget retired instructions after `skip` instructions of warm-up.
-// Set cfg.RTM to enable trace reuse; nil models the base machine.
-//
-// Deprecated: use Run with a Pipeline request:
-//
-//	tlr.Run(ctx, tlr.Request{Prog: prog, Pipeline: &cfg, Skip: skip, Budget: budget})
-func SimulatePipeline(prog *Program, cfg PipelineConfig, skip, budget uint64) (PipelineResult, error) {
-	res, err := Run(context.Background(), Request{Prog: prog, Pipeline: &cfg, Skip: skip, Budget: budget})
-	if err != nil {
-		return PipelineResult{}, err
-	}
-	return *res.Pipeline, nil
-}
-
 // VPResult reports a value-prediction limit study (KindVP): predicted
 // outputs are available at window entry, validation still executes,
 // mispredictions are free (an optimistic bound).  It makes the paper's
 // §1 speculation-vs-reuse framing executable.
 type VPResult = core.VPResult
-
-// MeasureValuePrediction runs the last-value-prediction limit study;
-// only cfg's Skip, Budget and Window are used.
-//
-// Deprecated: use Run with a VP request:
-//
-//	tlr.Run(ctx, tlr.Request{Prog: prog, VP: &tlr.VPConfig{Window: w}, Skip: skip, Budget: budget})
-func MeasureValuePrediction(prog *Program, cfg StudyConfig) (VPResult, error) {
-	res, err := Run(context.Background(), Request{
-		Prog:   prog,
-		VP:     &VPConfig{Window: cfg.Window},
-		Skip:   cfg.Skip,
-		Budget: cfg.Budget,
-	})
-	if err != nil {
-		return VPResult{}, err
-	}
-	return *res.VP, nil
-}

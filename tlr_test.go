@@ -1,6 +1,7 @@
 package tlr
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -40,23 +41,23 @@ func TestMeasureReuseOnLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(p, StudyConfig{Budget: 1000, Window: 256})
+	res, err := Run(context.Background(), Request{Prog: p, Study: &StudyConfig{Budget: 1000, Window: 256}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ILR.Instructions != 1000 || res.TLR.Instructions != 1000 {
-		t.Fatalf("instruction counts: %d / %d", res.ILR.Instructions, res.TLR.Instructions)
+	if res.Study.ILR.Instructions != 1000 || res.Study.TLR.Instructions != 1000 {
+		t.Fatalf("instruction counts: %d / %d", res.Study.ILR.Instructions, res.Study.TLR.Instructions)
 	}
 	// The loop repeats identical iterations: most instructions reusable.
-	if res.ILR.Reusability() < 0.5 {
-		t.Errorf("reusability %.2f too low for a repetitive loop", res.ILR.Reusability())
+	if res.Study.ILR.Reusability() < 0.5 {
+		t.Errorf("reusability %.2f too low for a repetitive loop", res.Study.ILR.Reusability())
 	}
 	// Theorem 1: TLR reuses exactly the ILR-reusable set.
-	if res.TLR.ReusedInstructions != res.ILR.Reusable {
-		t.Errorf("TLR reused %d != ILR reusable %d", res.TLR.ReusedInstructions, res.ILR.Reusable)
+	if res.Study.TLR.ReusedInstructions != res.Study.ILR.Reusable {
+		t.Errorf("TLR reused %d != ILR reusable %d", res.Study.TLR.ReusedInstructions, res.Study.ILR.Reusable)
 	}
-	if res.TLR.Speedups[0] < 1 {
-		t.Errorf("TLR speedup %.2f < 1", res.TLR.Speedups[0])
+	if res.Study.TLR.Speedups[0] < 1 {
+		t.Errorf("TLR speedup %.2f < 1", res.Study.TLR.Speedups[0])
 	}
 }
 
@@ -65,18 +66,18 @@ func TestMeasureReuseDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(p, StudyConfig{Budget: 500})
+	res, err := Run(context.Background(), Request{Prog: p, Study: &StudyConfig{Budget: 500}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.ILR.Speedups) != 1 || len(res.TLR.Speedups) != 1 {
+	if len(res.Study.ILR.Speedups) != 1 || len(res.Study.TLR.Speedups) != 1 {
 		t.Error("defaults should evaluate exactly one latency per engine")
 	}
 }
 
 func TestMeasureReuseRequiresBudget(t *testing.T) {
 	p, _ := Assemble(testLoop)
-	if _, err := MeasureReuse(p, StudyConfig{}); err == nil {
+	if _, err := Run(context.Background(), Request{Prog: p, Study: &StudyConfig{}}); err == nil {
 		t.Error("zero budget should error")
 	}
 }
@@ -108,16 +109,16 @@ x:      .space 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := MeasureReuse(p, StudyConfig{Budget: 200})
+	cold, err := Run(context.Background(), Request{Prog: p, Study: &StudyConfig{Budget: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := MeasureReuse(p, StudyConfig{Budget: 200, Skip: 300})
+	warm, err := Run(context.Background(), Request{Prog: p, Study: &StudyConfig{Budget: 200, Skip: 300}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.ILR.Reusability() <= cold.ILR.Reusability() {
-		t.Errorf("post-init reusability %.3f <= cold %.3f", warm.ILR.Reusability(), cold.ILR.Reusability())
+	if warm.Study.ILR.Reusability() <= cold.Study.ILR.Reusability() {
+		t.Errorf("post-init reusability %.3f <= cold %.3f", warm.Study.ILR.Reusability(), cold.Study.ILR.Reusability())
 	}
 }
 
@@ -134,11 +135,11 @@ func TestWorkloadsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureReuse(prog, StudyConfig{Budget: 5_000, Skip: 1_000})
+	res, err := Run(context.Background(), Request{Prog: prog, Study: &StudyConfig{Budget: 5_000, Skip: 1_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ILR.Reusability() == 0 {
+	if res.Study.ILR.Reusability() == 0 {
 		t.Error("compress should show reuse")
 	}
 }
@@ -149,10 +150,11 @@ func TestSimulateRTMFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SimulateRTM(prog, RTMConfig{Geometry: Geometry4K, Heuristic: IEXP, N: 4}, 0, 30_000)
+	out, err := Run(context.Background(), Request{Prog: prog, RTM: &RTMConfig{Geometry: Geometry4K, Heuristic: IEXP, N: 4}, Budget: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.RTM
 	if res.Total() < 30_000 {
 		t.Errorf("Total = %d", res.Total())
 	}
@@ -181,15 +183,15 @@ func TestStrictStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := MeasureReuse(p, StudyConfig{Budget: 1000})
+	ub, err := Run(context.Background(), Request{Prog: p, Study: &StudyConfig{Budget: 1000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := MeasureReuse(p, StudyConfig{Budget: 1000, Strict: true, MaxRunLen: 8})
+	st, err := Run(context.Background(), Request{Prog: p, Study: &StudyConfig{Budget: 1000, Strict: true, MaxRunLen: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TLR.ReusedInstructions > ub.TLR.ReusedInstructions {
+	if st.Study.TLR.ReusedInstructions > ub.Study.TLR.ReusedInstructions {
 		t.Error("strict mode must not reuse more than the upper bound")
 	}
 }
@@ -200,18 +202,20 @@ func TestSimulatePipelineFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := SimulatePipeline(prog, PipelineConfig{}, 1_000, 30_000)
+	out, err := Run(context.Background(), Request{Prog: prog, Pipeline: &PipelineConfig{}, Skip: 1_000, Budget: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := out.Pipeline
 	if base.IPC() <= 0 || base.IPC() > 4+1e-9 {
 		t.Fatalf("base IPC %.2f outside (0, 4]", base.IPC())
 	}
 	rcfg := RTMConfig{Geometry: Geometry256K, Heuristic: ILRNE}
-	reuse, err := SimulatePipeline(prog, PipelineConfig{RTM: &rcfg, WaitForOperands: true}, 1_000, 30_000)
+	out, err = Run(context.Background(), Request{Prog: prog, Pipeline: &PipelineConfig{RTM: &rcfg, WaitForOperands: true}, Skip: 1_000, Budget: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reuse := out.Pipeline
 	if reuse.Skipped == 0 {
 		t.Error("expected trace reuse on su2cor")
 	}
@@ -225,10 +229,11 @@ func TestMeasureValuePrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MeasureValuePrediction(p, StudyConfig{Budget: 1000, Window: 256})
+	out, err := Run(context.Background(), Request{Prog: p, VP: &VPConfig{Window: 256}, Budget: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.VP
 	if res.Instructions != 1000 {
 		t.Fatalf("Instructions = %d", res.Instructions)
 	}
@@ -240,7 +245,7 @@ func TestMeasureValuePrediction(t *testing.T) {
 	if res.Speedup < 1 {
 		t.Errorf("speedup %.2f < 1", res.Speedup)
 	}
-	if _, err := MeasureValuePrediction(p, StudyConfig{}); err == nil {
+	if _, err := Run(context.Background(), Request{Prog: p, VP: &VPConfig{}}); err == nil {
 		t.Error("zero budget should error")
 	}
 }
