@@ -88,3 +88,27 @@ loop:   ldi  r1, 7
 		t.Error("identical jobs returned different results")
 	}
 }
+
+// TestMeasureBatchValidation: one malformed request fails its whole
+// RunBatch before any simulation starts, even beside a valid request.
+func TestMeasureBatchValidation(t *testing.T) {
+	b := NewBatcher(BatchOptions{Workers: 1})
+	defer b.Close()
+	good := Request{Workload: "compress", RTM: &RTMConfig{Geometry: Geometry512}, Budget: 100}
+	bad := []Request{
+		{RTM: &RTMConfig{Geometry: Geometry512}, Budget: 100},                   // no program
+		{Workload: "compress"},                                                  // no config
+		{Workload: "nope", RTM: &RTMConfig{Geometry: Geometry512}, Budget: 100}, // unknown workload
+		{Workload: "compress", RTM: &RTMConfig{Geometry: Geometry512}},          // no budget
+		{Workload: "compress", Source: "x",
+			RTM: &RTMConfig{Geometry: Geometry512}, Budget: 100}, // two programs
+	}
+	for i, req := range bad {
+		if _, err := b.RunBatch(context.Background(), []Request{good, req}); err == nil {
+			t.Errorf("case %d: expected validation error", i)
+		}
+	}
+	if st := b.Stats(); st.Ran != 0 {
+		t.Errorf("validation failures must not simulate: %+v", st)
+	}
+}
