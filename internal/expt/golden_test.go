@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -156,4 +157,72 @@ func compact(v any) string {
 		return fmt.Sprint(v)
 	}
 	return strings.TrimSpace(buf.String())
+}
+
+const ilpGoldenFile = "ilp.golden.jsonl"
+
+// ilpGoldenLines renders the ILP-limits rows at goldenCfg as JSON lines,
+// one per workload, then one strict, capped study carrying three ILP
+// windows over gcc's live stream.
+func ilpGoldenLines(t *testing.T) []string {
+	svc := service.New(service.Options{})
+	defer svc.Close()
+	rows, err := MeasureILPWith(svc, goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := workload.ByName("gcc")
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict, err := svc.Submit(context.Background(), []service.Job{service.StudyJob("strict16",
+		service.ProgSource("workload:gcc", prog), service.StudyParams{
+			Budget: goldenCfg.Budget, Skip: goldenCfg.Skip, Window: goldenCfg.Window,
+			Strict: true, MaxRunLen: 16, ILPWindows: []int{16, 256, 0},
+		})}, 0).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, v := range []any{rows, strict[0].Value} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(b))
+	}
+	return lines
+}
+
+// TestILPGolden pins the ILP-limits rows and a strict, capped study with
+// ILP windows byte for byte, as TestFigureGolden pins the figures.
+// Regenerate (only for an intended change of results) with
+//
+//	go test ./internal/expt -run TestILPGolden -update
+func TestILPGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the ILP window sweep")
+	}
+	got := ilpGoldenLines(t)
+	path := filepath.Join("testdata", ilpGoldenFile)
+	if *update {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d golden lines, engines produced %d", len(want), len(got))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("golden line %d differs: %s", i+1, firstDiff(got[i], want[i]))
+		}
+	}
 }
