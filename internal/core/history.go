@@ -20,7 +20,6 @@ import (
 // study, and the flat table replaces the seed's two-level map.
 type History struct {
 	tab sigTable
-	pcs u64Set
 	buf []byte
 }
 
@@ -35,19 +34,8 @@ func (h *History) Observe(e *trace.Exec) bool {
 		return false
 	}
 	h.buf = trace.AppendInputSignature(h.buf[:0], e)
-	if h.tab.seen(e.PC, h.buf) {
-		return true
-	}
-	h.pcs.add(e.PC)
-	return false
+	return h.tab.seen(e.PC, h.buf)
 }
-
-// StaticInstructions returns how many distinct PCs have been observed.
-func (h *History) StaticInstructions() int { return h.pcs.size() }
-
-// Vectors returns how many distinct input vectors are stored (table
-// footprint of the limit study).
-func (h *History) Vectors() int64 { return int64(h.tab.len()) }
 
 // TraceHistory is the trace-level analogue of History: it stores, per
 // starting PC, the live-in reference sequences of previously executed
@@ -72,6 +60,3 @@ func (t *TraceHistory) Observe(s *trace.Summary) bool {
 	t.buf = trace.AppendRefSignature(t.buf[:0], s.Ins)
 	return t.tab.seen(s.StartPC, t.buf)
 }
-
-// Vectors returns how many distinct trace input vectors are stored.
-func (t *TraceHistory) Vectors() int64 { return int64(t.tab.len()) }

@@ -46,8 +46,8 @@ func TestHistoryDistinguishesValues(t *testing.T) {
 	if !h.Observe(&b) {
 		t.Error("b seen once now; must be reusable")
 	}
-	if h.Vectors() != 2 {
-		t.Errorf("Vectors = %d, want 2", h.Vectors())
+	if h.tab.len() != 2 {
+		t.Errorf("Vectors = %d, want 2", h.tab.len())
 	}
 }
 
@@ -59,8 +59,8 @@ func TestHistoryPerPC(t *testing.T) {
 	if h.Observe(&b) {
 		t.Error("same inputs at a different PC must not be reusable")
 	}
-	if h.StaticInstructions() != 2 {
-		t.Errorf("StaticInstructions = %d", h.StaticInstructions())
+	if h.tab.len() != 2 {
+		t.Errorf("%d input vectors stored, want one per PC", h.tab.len())
 	}
 }
 
@@ -72,7 +72,7 @@ func TestHistorySideEffectNeverReusable(t *testing.T) {
 	if h.Observe(&e) || h.Observe(&e) {
 		t.Error("side-effecting instruction must never be reusable")
 	}
-	if h.Vectors() != 0 {
+	if h.tab.len() != 0 {
 		t.Error("side-effecting instructions must not be recorded")
 	}
 }
@@ -120,8 +120,8 @@ func TestTraceHistoryStrict(t *testing.T) {
 	if th.Observe(&s3) {
 		t.Error("different start PC must not be reusable")
 	}
-	if th.Vectors() != 3 {
-		t.Errorf("Vectors = %d, want 3", th.Vectors())
+	if th.tab.len() != 3 {
+		t.Errorf("Vectors = %d, want 3", th.tab.len())
 	}
 }
 
@@ -133,7 +133,6 @@ func TestHistoryMatchesExactSignatureSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	h := NewHistory()
 	seen := map[string]bool{}
-	pcs := map[uint64]bool{}
 	var buf []byte
 	for i := 0; i < 200000; i++ {
 		var e trace.Exec
@@ -154,12 +153,10 @@ func TestHistoryMatchesExactSignatureSet(t *testing.T) {
 		}
 		if !e.SideEffect {
 			seen[key] = true
-			pcs[e.PC] = true
 		}
 	}
-	if h.Vectors() != int64(len(seen)) || h.StaticInstructions() != len(pcs) {
-		t.Fatalf("History holds %d vectors of %d PCs, exact set %d of %d",
-			h.Vectors(), h.StaticInstructions(), len(seen), len(pcs))
+	if h.tab.len() != len(seen) {
+		t.Fatalf("History holds %d vectors, exact set %d", h.tab.len(), len(seen))
 	}
 }
 

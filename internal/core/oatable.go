@@ -120,66 +120,6 @@ func (t *sigTable) grow() {
 	}
 }
 
-// u64Set is an open-addressed set of uint64 keys (distinct-PC counting).
-// The zero key is stored out of band.
-type u64Set struct {
-	slots   []uint64 // 0 = empty
-	n       int
-	hasZero bool
-}
-
-// add inserts k, reporting whether it was new.
-func (s *u64Set) add(k uint64) bool {
-	if k == 0 {
-		if s.hasZero {
-			return false
-		}
-		s.hasZero = true
-		return true
-	}
-	if s.slots == nil {
-		s.slots = make([]uint64, 256)
-	} else if s.n*8 >= len(s.slots)*sigTableMaxLoad {
-		old := s.slots
-		s.slots = make([]uint64, 2*len(old))
-		for _, k := range old {
-			if k != 0 {
-				s.place(k)
-			}
-		}
-	}
-	mask := uint64(len(s.slots) - 1)
-	for i := hash64(k) & mask; ; i = (i + 1) & mask {
-		if s.slots[i] == k {
-			return false
-		}
-		if s.slots[i] == 0 {
-			s.slots[i] = k
-			s.n++
-			return true
-		}
-	}
-}
-
-// place inserts a key known to be absent (rehash path).
-func (s *u64Set) place(k uint64) {
-	mask := uint64(len(s.slots) - 1)
-	for i := hash64(k) & mask; ; i = (i + 1) & mask {
-		if s.slots[i] == 0 {
-			s.slots[i] = k
-			return
-		}
-	}
-}
-
-// size returns the number of distinct keys.
-func (s *u64Set) size() int {
-	if s.hasZero {
-		return s.n + 1
-	}
-	return s.n
-}
-
 // lastOutputs is an open-addressed (linear probing, power-of-two
 // capacity) table from a static instruction's PC to the outputs of its
 // latest execution, held inline: VPStudy's last-value table.  Recording

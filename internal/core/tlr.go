@@ -1,10 +1,6 @@
 package core
 
-import (
-	"github.com/tracereuse/tlr/internal/dda"
-	"github.com/tracereuse/tlr/internal/isa"
-	"github.com/tracereuse/tlr/internal/trace"
-)
+import "github.com/tracereuse/tlr/internal/trace"
 
 // Latency describes the cost of one trace reuse operation (§4.5).
 // Exactly one of the two models is active: if K > 0 the latency is
@@ -143,11 +139,12 @@ func (r *TLRResult) ReusedFraction() float64 {
 	return float64(r.ReusedInstructions) / float64(r.Instructions)
 }
 
-// TLRStudy consumes a dynamic instruction stream and evaluates trace-level
-// reuse (§4.4–4.5).  Traces are the maximal dynamic runs of
-// instruction-level-reusable instructions; by Theorem 1 their instruction
-// count upper-bounds any trace partitioning, and grouping them maximally
-// minimises reuse operations.
+// TLRStudy evaluates trace-level reuse (§4.4–4.5).  Traces are the
+// maximal dynamic runs of instruction-level-reusable instructions; by
+// Theorem 1 their instruction count upper-bounds any trace partitioning,
+// and grouping them maximally minimises reuse operations.  It is a lane
+// group of a StudySet: one lane per latency variant beside the set's
+// base machine of its window.
 //
 // Timing: every instruction of a reusable trace completes at
 // max(ready of the trace's live-ins) + reuseLatency, with a per-instruction
@@ -156,138 +153,46 @@ func (r *TLRResult) ReusedFraction() float64 {
 // fetched — which is why trace reuse gains speed-up in the finite-window
 // machine (Fig. 6b vs 6a).
 type TLRStudy struct {
-	cfg    TLRConfig
-	hist   *History
-	strict *TraceHistory
-	clk    *dda.Clock // lane 0: the base machine; lane 1+i: Variants[i]
-	done   []float64  // per-lane scratch: input-ready, then completion time
-	tTrace []float64  // per-lane completion of the reused trace being retired
-	occ    []bool     // every lane occupies a window slot
-	reuse  []bool     // only the base lane does: reused instructions are not fetched
+	set   *StudySet
+	cfg   TLRConfig
+	rule  *runRule // how the study cuts runs into traces
+	base  int      // lane of the base machine
+	first int      // lane of Variants[0]
 
-	run []trace.Exec     // buffered current run of reusable instructions
-	sum trace.Summarizer // summarises run at flush; reset for every run
+	reusing bool      // the trace being timed is reused
+	tTrace  []float64 // per variant: completion of the reused trace being timed
 
-	n      int64
 	reused int64
 	stats  TraceStats
 }
 
-// NewTLRStudy builds a study for the given configuration.
-func NewTLRStudy(cfg TLRConfig) *TLRStudy {
-	k := 1 + len(cfg.Variants)
-	s := &TLRStudy{
-		cfg:    cfg,
-		hist:   NewHistory(),
-		clk:    dda.New(sameWindows(k, cfg.Window)),
-		done:   make([]float64, k),
-		tTrace: make([]float64, k),
-		occ:    occupying(k),
-		reuse:  make([]bool, k),
-	}
-	s.reuse[0] = true
-	if cfg.Strict {
-		s.strict = NewTraceHistory()
-	}
-	return s
-}
+// NewTLRStudy builds a study for the given configuration, alone in a
+// set of its own.
+func NewTLRStudy(cfg TLRConfig) *TLRStudy { return NewStudySet().TLR(cfg) }
 
-// Consume processes one dynamic instruction, classifying it against the
-// study's own history table.
-func (s *TLRStudy) Consume(e *trace.Exec) {
-	s.ConsumeClassified(e, s.hist.Observe(e))
-}
+// Consume processes one dynamic instruction on the study's whole set,
+// classifying it against the set's own history table.
+func (s *TLRStudy) Consume(e *trace.Exec) { s.set.Consume(e) }
 
-// ConsumeClassified processes one dynamic instruction whose reusability
-// was already decided by a shared History (see ILRStudy.ConsumeClassified).
+// ConsumeClassified processes one dynamic instruction on the study's
+// whole set, its reusability already decided by a shared History.
 func (s *TLRStudy) ConsumeClassified(e *trace.Exec, reusable bool) {
-	s.n++
-	if reusable {
-		s.run = append(s.run, *e)
-		if s.cfg.MaxRunLen > 0 && len(s.run) >= s.cfg.MaxRunLen {
-			s.flush()
-		} else if s.cfg.BlockBounded && isa.InfoOf(e.Op).Branch {
-			s.flush()
-		}
-		return
-	}
-	s.flush()
-	s.retireNormal(e)
+	s.set.ConsumeClassified(e, reusable)
 }
 
-// Finish flushes the trailing run; call once after the stream ends.
-func (s *TLRStudy) Finish() { s.flush() }
-
-// retireNormal processes a non-reused instruction on every lane.
-func (s *TLRStudy) retireNormal(e *trace.Exec) {
-	s.clk.InReady(e, s.done)
-	for j, in := range s.done {
-		s.done[j] = max(in, s.clk.WindowBound(j)) + float64(e.Lat)
-	}
-	s.clk.Retire(e, s.done, s.done, s.occ)
-}
-
-// flush closes the current reusable run and applies trace-reuse timing.
-func (s *TLRStudy) flush() {
-	if len(s.run) == 0 {
-		return
-	}
-	s.sum.Reset()
-	for i := range s.run {
-		s.sum.Add(&s.run[i])
-	}
-	sum := s.sum.Current()
-
-	reusable := true
-	if s.strict != nil {
-		// Strict mode: the whole trace must have been seen before.
-		reusable = s.strict.Observe(sum)
-	}
-
-	if !reusable {
-		for i := range s.run {
-			s.retireNormal(&s.run[i])
-		}
-		s.run = s.run[:0]
-		return
-	}
-
-	s.stats.Add(sum)
-	s.reused += int64(sum.Len)
-
-	// All trace outputs become available one reuse latency after the
-	// trace's live-ins are ready (§4.5).
-	s.clk.ReadyMax(sum.Ins, s.tTrace)
-	for j := 1; j < len(s.tTrace); j++ {
-		s.tTrace[j] += s.cfg.Variants[j-1].Of(len(sum.Ins), len(sum.Outs))
-	}
-	for i := range s.run {
-		e := &s.run[i]
-		s.clk.InReady(e, s.done)
-		lat := float64(e.Lat)
-		// The base machine executes the run normally.
-		s.done[0] = max(s.done[0], s.clk.WindowBound(0)) + lat
-		for j := 1; j < len(s.done); j++ {
-			// Oracle: never worse than normal dataflow execution.
-			t := s.tTrace[j]
-			if normal := s.done[j] + lat; normal < t {
-				t = normal
-			}
-			s.done[j] = t
-		}
-		s.clk.Retire(e, s.done, s.done, s.reuse) // reused: no fetch, no window slot
-	}
-	s.run = s.run[:0]
-}
+// Finish times the trailing run of the study's set; call once after the
+// stream ends.
+func (s *TLRStudy) Finish() { s.set.Finish() }
 
 // Result returns the study's metrics.
 func (s *TLRStudy) Result() TLRResult {
-	r := TLRResult{
-		Instructions:       s.n,
+	cycles, speedups := s.set.speedups(s.base, s.first, len(s.cfg.Variants))
+	return TLRResult{
+		Instructions:       s.set.n,
 		ReusedInstructions: s.reused,
-		BaseCycles:         s.clk.Cycles(0),
+		BaseCycles:         s.set.clk.Cycles(s.base),
+		Cycles:             cycles,
+		Speedups:           speedups,
 		Stats:              s.stats,
 	}
-	r.Cycles, r.Speedups = laneSpeedups(s.clk)
-	return r
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/tracereuse/tlr/internal/dda"
-	"github.com/tracereuse/tlr/internal/trace"
-)
+import "github.com/tracereuse/tlr/internal/trace"
 
 // Data value speculation is the other technique the paper's introduction
 // names for breaking true dependences ("Two techniques have been proposed
@@ -53,80 +50,34 @@ func (r *VPResult) PredictedFraction() float64 {
 	return float64(r.Predicted) / float64(r.Instructions)
 }
 
-// VPStudy consumes a dynamic instruction stream and evaluates the
-// last-value-prediction limit.
+// VPStudy evaluates the last-value-prediction limit.  It is a lane
+// group of a StudySet: one predictor lane beside the set's base machine
+// of its window.
 type VPStudy struct {
-	cfg   VPConfig
-	clk   *dda.Clock // lane 0: the base machine; lane 1: the predictor
-	done  []float64  // per-lane scratch: input-ready, then completion time
-	value []float64  // per-lane time the outputs become visible
-	occ   []bool     // both lanes occupy a window slot
-
-	last lastOutputs // PC -> outputs of the previous execution
-
-	n, predicted int64
+	set  *StudySet
+	cfg  VPConfig
+	base int // lane of the base machine
+	lane int // lane of the predictor
 }
 
-// NewVPStudy builds a study for the given configuration.
-func NewVPStudy(cfg VPConfig) *VPStudy {
-	if cfg.PredLat == 0 {
-		cfg.PredLat = 1
-	}
-	return &VPStudy{
-		cfg:   cfg,
-		clk:   dda.New([]int{cfg.Window, cfg.Window}),
-		done:  make([]float64, 2),
-		value: make([]float64, 2),
-		occ:   occupying(2),
-	}
-}
+// NewVPStudy builds a study for the given configuration, alone in a set
+// of its own.
+func NewVPStudy(cfg VPConfig) *VPStudy { return NewStudySet().VP(cfg) }
 
-// Consume processes one dynamic instruction.
-func (s *VPStudy) Consume(e *trace.Exec) {
-	s.n++
-	predicted := s.checkAndUpdate(e)
-	if predicted {
-		s.predicted++
-	}
+// Consume processes one dynamic instruction on the study's whole set.
+func (s *VPStudy) Consume(e *trace.Exec) { s.set.Consume(e) }
 
-	s.clk.InReady(e, s.done)
-	lat := float64(e.Lat)
-	s.done[0] = max(s.done[0], s.clk.WindowBound(0)) + lat
-	wb := s.clk.WindowBound(1)
-	s.done[1] = max(s.done[1], wb) + lat
-	s.value[0], s.value[1] = s.done[0], s.done[1]
-	if predicted {
-		// Consumers see the predicted outputs as soon as the prediction
-		// is made; validation still completes at done[1].
-		if v := wb + s.cfg.PredLat; v < s.done[1] {
-			s.value[1] = v
-		}
-	}
-	s.clk.Retire(e, s.done, s.value, s.occ)
-}
-
-// checkAndUpdate reports whether e's outputs equal the previous execution
-// of the same static instruction, then records them.  Side-effecting
-// instructions are never predicted.
-func (s *VPStudy) checkAndUpdate(e *trace.Exec) bool {
-	if e.SideEffect || e.NOut == 0 {
-		// Nothing to value-predict; control flow is the branch
-		// predictor's job, not the value predictor's.
-		return false
-	}
-	return s.last.swap(e.PC, e.Outputs())
-}
-
-// Finish completes the study (no-op; Consumer symmetry).
-func (s *VPStudy) Finish() {}
+// Finish completes the study's set; call once after the stream ends.
+func (s *VPStudy) Finish() { s.set.Finish() }
 
 // Result returns the study's metrics.
 func (s *VPStudy) Result() VPResult {
+	s.set.seal()
 	r := VPResult{
-		Instructions: s.n,
-		Predicted:    s.predicted,
-		BaseCycles:   s.clk.Cycles(0),
-		Cycles:       s.clk.Cycles(1),
+		Instructions: s.set.n,
+		Predicted:    s.set.predicted,
+		BaseCycles:   s.set.clk.Cycles(s.base),
+		Cycles:       s.set.clk.Cycles(s.lane),
 	}
 	if r.Cycles > 0 {
 		r.Speedup = r.BaseCycles / r.Cycles

@@ -98,11 +98,12 @@ func (c *Clock) ReadyOf(loc trace.Loc, lane int) float64 {
 
 // InReady sets t[j] to the earliest cycle at which all of e's inputs are
 // available in lane j: the max completion time over its producers.
-func (c *Clock) InReady(e *trace.Exec, t []float64) { c.ReadyMax(e.Inputs(), t) }
+// len(t) must be Lanes().
+func (c *Clock) InReady(e *trace.Exec, t []float64) { c.ReadyMax(e.Inputs(), 0, t) }
 
-// ReadyMax sets t[j] to the latest ready time in lane j over the
-// locations of refs (zero for none).  len(t) must be Lanes().
-func (c *Clock) ReadyMax(refs []trace.Ref, t []float64) {
+// ReadyMax sets t[j] to the latest ready time in lane first+j over the
+// locations of refs (zero for none), for the len(t) lanes from first on.
+func (c *Clock) ReadyMax(refs []trace.Ref, first int, t []float64) {
 	clear(t)
 	k := len(c.lanes)
 	for _, r := range refs {
@@ -110,7 +111,8 @@ func (c *Clock) ReadyMax(refs []trace.Ref, t []float64) {
 		if row == 0 {
 			row = int(c.rows.Get(r.Loc))
 		}
-		for j, rt := range c.ready[row*k : row*k+k] {
+		at := row*k + first
+		for j, rt := range c.ready[at : at+len(t)] {
 			if rt > t[j] {
 				t[j] = rt
 			}
@@ -192,4 +194,17 @@ func (c *Clock) IPC(lane int) float64 {
 		return float64(c.n) / m
 	}
 	return 0
+}
+
+// Point is one base machine's outcome: the stream timed with no reuse
+// at one window size.
+type Point struct {
+	// Window is the instruction window size (0 = infinite).
+	Window int
+	// Cycles is the analytical machine's total execution time.
+	Cycles float64
+	// IPC is Instructions / Cycles.
+	IPC float64
+	// Instructions is the number of retired instructions.
+	Instructions int64
 }

@@ -40,13 +40,16 @@ func independent(n int, lat uint8) []trace.Exec {
 	return out
 }
 
-// runBase runs the base machine of one window size over stream.
+// runBase runs the base machine of one window size over stream: every
+// instruction executes normally and occupies a window slot.
 func runBase(window int, stream []trace.Exec) Point {
-	s := NewStudy([]int{window})
+	c := newSingle(window)
 	for i := range stream {
-		s.Consume(&stream[i])
+		e := &stream[i]
+		done := max(c.inReady(e), c.WindowBound(0)) + float64(e.Lat)
+		c.retire(e, done, done, true)
 	}
-	return s.Result()[0]
+	return Point{Window: c.Window(0), Cycles: c.Cycles(0), IPC: c.IPC(0), Instructions: c.Instructions()}
 }
 
 // single drives a one-lane Clock through scalar helpers.
@@ -457,7 +460,7 @@ func TestMultiLaneClockMatchesSingleMachines(t *testing.T) {
 		for i := range stream {
 			e := &stream[i]
 			if rng.Intn(3) == 0 {
-				clk.ReadyMax(e.Inputs(), in)
+				clk.ReadyMax(e.Inputs(), 0, in)
 			} else {
 				clk.InReady(e, in)
 			}

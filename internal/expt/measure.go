@@ -14,7 +14,6 @@ import (
 	"github.com/tracereuse/tlr/internal/cpu"
 	"github.com/tracereuse/tlr/internal/rtm"
 	"github.com/tracereuse/tlr/internal/service"
-	"github.com/tracereuse/tlr/internal/trace"
 	"github.com/tracereuse/tlr/internal/workload"
 )
 
@@ -147,42 +146,27 @@ func measureOne(ctx context.Context, cfg Config, w *workload.Workload) (*Measure
 		}
 	}
 
+	// Every study is a lane group of one set: one classification, one
+	// clock and one run buffer for the eight of them.
 	one := []core.Latency{core.ConstLatency(1)}
-	hist := core.NewHistory()
-	ilrInf := core.NewILRStudy(core.ILRConfig{Window: 0, Latencies: ilrLatencies})
-	ilrWin := core.NewILRStudy(core.ILRConfig{Window: cfg.Window, Latencies: ilrLatencies})
-	tlrInf := core.NewTLRStudy(core.TLRConfig{Window: 0, Variants: one})
-	tlrWin := core.NewTLRStudy(core.TLRConfig{Window: cfg.Window, Variants: tlrWinVariants()})
-	tlrBlk := core.NewTLRStudy(core.TLRConfig{Window: cfg.Window, Variants: one, BlockBounded: true})
-	tlrCap := core.NewTLRStudy(core.TLRConfig{Window: cfg.Window, Variants: one, MaxRunLen: 16})
-	tlrStr := core.NewTLRStudy(core.TLRConfig{Window: cfg.Window, Variants: one, MaxRunLen: 16, Strict: true})
-	vpWin := core.NewVPStudy(core.VPConfig{Window: cfg.Window})
+	set := core.NewStudySet()
+	ilrInf := set.ILR(core.ILRConfig{Window: 0, Latencies: ilrLatencies})
+	ilrWin := set.ILR(core.ILRConfig{Window: cfg.Window, Latencies: ilrLatencies})
+	tlrInf := set.TLR(core.TLRConfig{Window: 0, Variants: one})
+	tlrWin := set.TLR(core.TLRConfig{Window: cfg.Window, Variants: tlrWinVariants()})
+	tlrBlk := set.TLR(core.TLRConfig{Window: cfg.Window, Variants: one, BlockBounded: true})
+	tlrCap := set.TLR(core.TLRConfig{Window: cfg.Window, Variants: one, MaxRunLen: 16})
+	tlrStr := set.TLR(core.TLRConfig{Window: cfg.Window, Variants: one, MaxRunLen: 16, Strict: true})
+	vpWin := set.VP(core.VPConfig{Window: cfg.Window})
 
-	n, err := c.RunContext(ctx, cfg.Budget, func(e *trace.Exec) {
-		reusable := hist.Observe(e)
-		ilrInf.ConsumeClassified(e, reusable)
-		ilrWin.ConsumeClassified(e, reusable)
-		tlrInf.ConsumeClassified(e, reusable)
-		tlrWin.ConsumeClassified(e, reusable)
-		tlrBlk.ConsumeClassified(e, reusable)
-		tlrCap.ConsumeClassified(e, reusable)
-		tlrStr.ConsumeClassified(e, reusable)
-		vpWin.Consume(e)
-	})
+	n, err := c.RunContext(ctx, cfg.Budget, set.Consume)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
 	if n < cfg.Budget {
 		return nil, fmt.Errorf("%s: halted after %d of %d instructions", w.Name, n, cfg.Budget)
 	}
-	ilrInf.Finish()
-	ilrWin.Finish()
-	tlrInf.Finish()
-	tlrWin.Finish()
-	tlrBlk.Finish()
-	tlrCap.Finish()
-	tlrStr.Finish()
-	vpWin.Finish()
+	set.Finish()
 
 	return &Measurement{
 		Name:        w.Name,

@@ -302,16 +302,11 @@ func (f *family) labelString(key string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", k, escapeLabel(values[i]))
+		// %q escapes \, " and newline the way the exposition format wants.
+		fmt.Fprintf(&b, "%s=%q", k, values[i])
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func escapeLabel(v string) string {
-	// %q already escapes \ and "; Prometheus additionally wants \n as
-	// the two-character escape, which %q produces too.
-	return v
 }
 
 // Registry is a set of metric families.  Registration methods are

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/tracereuse/tlr/internal/cpu"
 	"github.com/tracereuse/tlr/internal/trace"
 )
 
@@ -38,6 +37,10 @@ type ReplayStream = trace.Stream
 // Replay couples a recorded stream with an RTM, mirroring Sim: at every
 // record boundary it runs the reuse test, skips reused traces in the
 // stream, and feeds observed records to the trace-collection heuristic.
+//
+// Records reach it a batch at a time through Feed, whoever decodes them:
+// RunContext pulls them from the Replay's own stream, and a shared stream
+// pass hands the batches it decodes once to several Replays.
 type Replay struct {
 	cfg   Config
 	src   ReplayStream
@@ -45,8 +48,8 @@ type Replay struct {
 	col   collector
 	state replayState
 
-	batch []trace.Exec
-	bi    int
+	rest []trace.Exec // RunContext: records of the stream's batch not yet fed
+	hop  uint64       // records of a reused trace still to skip at the next Feed
 
 	executed uint64
 	skipped  uint64
@@ -55,13 +58,25 @@ type Replay struct {
 
 // NewReplay builds a replay simulation over a recorded stream.  The
 // stream must be positioned at the point measurement should start (skip
-// any warm-up records before constructing the Replay).
+// any warm-up records before constructing the Replay).  A Replay fed
+// only through Feed needs no stream: pass nil.
 func NewReplay(cfg Config, src ReplayStream) *Replay {
 	m := New(cfg.Geometry, cfg.MinLen)
 	if cfg.InvalidateOnWrite {
 		m.EnableInvalidation()
 	}
 	return &Replay{cfg: cfg, src: src, rtm: m, col: newCollector(cfg, m)}
+}
+
+// CheckReplay reports why cfg cannot run from a recorded trace, if it
+// cannot: Verify re-executes reused traces on a cloned CPU, and there is
+// no CPU here.  Replay's equivalence oracle is the replay-vs-execute test
+// suite instead.
+func (c Config) CheckReplay() error {
+	if c.Verify {
+		return fmt.Errorf("rtm: Config.Verify needs live execution and cannot run from a recorded trace")
+	}
+	return nil
 }
 
 // RTM returns the trace memory.
@@ -74,56 +89,54 @@ func (p *Replay) Run(budget uint64) (Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation, mirroring
-// Sim.RunContext record for record.
+// Sim.RunContext record for record: it feeds the stream's batches to
+// Feed, polling ctx before each.  A later call resumes where this one
+// stopped.
 func (p *Replay) RunContext(ctx context.Context, budget uint64) (Result, error) {
-	if p.cfg.Verify {
-		// Verify re-executes reused traces on a cloned CPU; there is no
-		// CPU here.  Replay's equivalence oracle is the replay-vs-execute
-		// test suite instead.
-		return Result{}, fmt.Errorf("rtm: Config.Verify needs live execution and cannot run from a recorded trace")
+	if err := p.cfg.CheckReplay(); err != nil {
+		return Result{}, err
 	}
-	var iter uint64
 	for p.executed+p.skipped < budget {
-		if iter%cpu.CancelCheckInterval == 0 {
+		if len(p.rest) == 0 {
 			if err := ctx.Err(); err != nil {
 				return p.result(), err
 			}
-		}
-		iter++
-		if p.bi >= len(p.batch) {
-			switch batch, err := p.src.NextBatch(); err {
-			case nil:
-				p.batch, p.bi = batch, 0
-			case io.EOF:
+			batch, err := p.src.NextBatch()
+			if err == io.EOF {
 				// End of the recorded stream: the live machine would have
 				// halted here (or the recording ends; there is nothing
 				// left to analyse either way).
-				p.col.finish()
-				return p.result(), nil
-			default:
+				break
+			}
+			if err != nil {
 				return p.result(), err
 			}
+			p.rest = batch
 		}
-		if entry := p.rtm.Lookup(p.batch[p.bi].PC, &p.state); entry != nil {
-			// Reuse: consume the trace's records from the stream — the
-			// record under the cursor plus Len-1 more — without executing
-			// them, exactly as the live simulator skips them.  Records
-			// still in the decoded batch are skipped by advancing the
-			// batch index; only a trace spilling past the batch touches
-			// the stream.  A short skip means the stream ended inside the
-			// reused trace; the reuse itself is unaffected (its effects
-			// come from the entry, not the stream), and the next
-			// iteration observes the end.
-			p.bi++
-			if k := uint64(entry.Sum.Len - 1); k > 0 {
-				if avail := uint64(len(p.batch) - p.bi); k <= avail {
-					p.bi += int(k)
-				} else {
-					p.bi = len(p.batch)
-					if _, err := p.src.Skip(k - avail); err != nil {
-						return p.result(), err
-					}
-				}
+		p.rest = p.rest[p.Feed(p.rest, budget):]
+	}
+	return p.Finish(), nil
+}
+
+// Feed consumes the next records of the stream, in order, until budget
+// instructions have retired (executed or skipped).  A reused trace whose
+// records reach past the end of batch skips the rest of them at the
+// start of the next batches: the reuse itself does not depend on them
+// (its effects come from the entry, not the stream), exactly as the live
+// simulator skips executing them.  It returns how many records of batch
+// it consumed: all of them unless the budget ran out first.
+func (p *Replay) Feed(batch []trace.Exec, budget uint64) int {
+	k := min(p.hop, uint64(len(batch)))
+	p.hop -= k
+	i := int(k)
+	for i < len(batch) && p.executed+p.skipped < budget {
+		if entry := p.rtm.Lookup(batch[i].PC, &p.state); entry != nil {
+			// Reuse: consume the trace's records — the one under the
+			// cursor plus Len-1 more — without executing them.
+			i += entry.Sum.Len
+			if i > len(batch) {
+				p.hop = uint64(i - len(batch))
+				i = len(batch)
 			}
 			for _, r := range entry.Sum.Outs {
 				p.state.write(r.Loc, r.Val)
@@ -139,8 +152,8 @@ func (p *Replay) RunContext(ctx context.Context, budget uint64) (Result, error) 
 			}
 			continue
 		}
-		e := &p.batch[p.bi]
-		p.bi++
+		e := &batch[i]
+		i++
 		p.executed++
 		p.col.observe(e)
 		p.state.observe(e)
@@ -148,8 +161,14 @@ func (p *Replay) RunContext(ctx context.Context, budget uint64) (Result, error) 
 			p.rtm.NotifyWrite(r.Loc)
 		}
 	}
+	return i
+}
+
+// Finish ends the replay, storing any trace the collector still holds,
+// and returns its result.
+func (p *Replay) Finish() Result {
 	p.col.finish()
-	return p.result(), nil
+	return p.result()
 }
 
 func (p *Replay) result() Result {

@@ -113,30 +113,18 @@ func (s Source) openStream(skip uint64) (trace.Stream, error) {
 	return st, nil
 }
 
-// run skips `skip` records of the stream, then delivers up to max
-// records to fn, polling ctx throughout.  For a program-backed source
-// the skip executes (the machine must pass through the state); for a
-// trace-backed source the stream skips — O(1) for an indexed in-memory
-// recording, decode-and-discard for a container streamed from disk.
-func (s Source) run(ctx context.Context, skip, max uint64, fn func(*trace.Exec)) (uint64, error) {
-	if err := s.validate(); err != nil {
-		return 0, err
-	}
-	if s.prog != nil {
-		c := cpu.New(s.prog)
-		if skip > 0 {
-			if _, err := c.RunContext(ctx, skip, nil); err != nil {
-				return 0, err
-			}
+// execute runs a program-backed source: it executes `skip` instructions,
+// then delivers up to max records to fn, polling ctx throughout (the
+// machine must pass through the skipped state).  Trace-backed sources
+// run as stream passes instead (see runPass).
+func (s Source) execute(ctx context.Context, skip, max uint64, fn func(*trace.Exec)) (uint64, error) {
+	c := cpu.New(s.prog)
+	if skip > 0 {
+		if _, err := c.RunContext(ctx, skip, nil); err != nil {
+			return 0, err
 		}
-		return c.RunContext(ctx, max, fn)
 	}
-	st, err := s.openStream(skip)
-	if err != nil {
-		return 0, err
-	}
-	defer st.Close()
-	return trace.RunStream(ctx, st, max, fn)
+	return c.RunContext(ctx, max, fn)
 }
 
 // Program assembles source through the service's LRU: repeated batches
@@ -224,39 +212,10 @@ func (p StudyParams) normalize() StudyParams {
 // (the job body behind StudyJob), polling ctx between instruction
 // blocks.
 func RunStudy(ctx context.Context, src Source, p StudyParams) (StudyOutput, error) {
-	if p.Budget == 0 {
-		return StudyOutput{}, fmt.Errorf("service: study Budget must be positive")
-	}
 	p = p.normalize()
-	hist := core.NewHistory()
-	ilr := core.NewILRStudy(core.ILRConfig{Window: p.Window, Latencies: p.ILRLatencies})
-	tlrS := core.NewTLRStudy(core.TLRConfig{
-		Window:    p.Window,
-		Variants:  p.TLRVariants,
-		Strict:    p.Strict,
-		MaxRunLen: p.MaxRunLen,
-	})
-	var ilp *dda.Study
-	if len(p.ILPWindows) > 0 {
-		ilp = dda.NewStudy(p.ILPWindows)
-	}
-	if _, err := src.run(ctx, p.Skip, p.Budget, func(e *trace.Exec) {
-		reusable := hist.Observe(e)
-		ilr.ConsumeClassified(e, reusable)
-		tlrS.ConsumeClassified(e, reusable)
-		if ilp != nil {
-			ilp.Consume(e)
-		}
-	}); err != nil {
-		return StudyOutput{}, err
-	}
-	ilr.Finish()
-	tlrS.Finish()
-	out := StudyOutput{ILR: ilr.Result(), TLR: tlrS.Result()}
-	if ilp != nil {
-		out.DDA = ilp.Result()
-	}
-	return out, nil
+	v, err := (&laneSpec{src: src, skip: p.Skip, budget: p.Budget, study: &p}).run(ctx)
+	out, _ := v.(StudyOutput)
+	return out, err
 }
 
 // StudyJob builds a cacheable limit-study job over src.
@@ -267,7 +226,7 @@ func StudyJob(id string, src Source, p StudyParams) Job {
 		key = fmt.Sprintf("study|%s|%d|%d|%d|%v|%v|%v|%d|%v",
 			src.Key, p.Budget, p.Skip, p.Window, p.ILRLatencies, p.TLRVariants, p.Strict, p.MaxRunLen, p.ILPWindows)
 	}
-	return Job{ID: id, Key: key, Kind: "study", Run: func(ctx context.Context) (any, error) { return RunStudy(ctx, src, p) }}
+	return laneJob(id, key, "study", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, study: &p})
 }
 
 // RTMParams configures a realistic-RTM simulation job.
@@ -297,27 +256,9 @@ func ValidGeometry(g rtm.Geometry) error {
 // the coupled CPU/RTM simulator; a trace-backed source replays the
 // recorded stream through the equivalent rtm.Replay engine.
 func RunRTM(ctx context.Context, src Source, p RTMParams) (rtm.Result, error) {
-	if err := ValidGeometry(p.Config.Geometry); err != nil {
-		return rtm.Result{}, err
-	}
-	if err := src.validate(); err != nil {
-		return rtm.Result{}, err
-	}
-	if src.prog != nil {
-		c := cpu.New(src.prog)
-		if p.Skip > 0 {
-			if _, err := c.RunContext(ctx, p.Skip, nil); err != nil {
-				return rtm.Result{}, err
-			}
-		}
-		return rtm.NewSim(p.Config, c).RunContext(ctx, p.Budget)
-	}
-	st, err := src.openStream(p.Skip)
-	if err != nil {
-		return rtm.Result{}, err
-	}
-	defer st.Close()
-	return rtm.NewReplay(p.Config, st).RunContext(ctx, p.Budget)
+	v, err := (&laneSpec{src: src, skip: p.Skip, budget: p.Budget, rtm: &p.Config}).run(ctx)
+	out, _ := v.(rtm.Result)
+	return out, err
 }
 
 // RTMJob builds a cacheable realistic-RTM job over src.
@@ -326,7 +267,7 @@ func RTMJob(id string, src Source, p RTMParams) Job {
 	if src.Key != "" {
 		key = fmt.Sprintf("rtm|%s|%+v|%d|%d", src.Key, p.Config, p.Skip, p.Budget)
 	}
-	return Job{ID: id, Key: key, Kind: "rtm", Run: func(ctx context.Context) (any, error) { return RunRTM(ctx, src, p) }}
+	return laneJob(id, key, "rtm", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, rtm: &p.Config})
 }
 
 // PipelineParams configures an execution-driven pipeline job.
@@ -389,15 +330,9 @@ type VPParams struct {
 // RunVP runs the last-value-prediction limit study (the job body behind
 // VPJob), polling ctx between instruction blocks.
 func RunVP(ctx context.Context, src Source, p VPParams) (core.VPResult, error) {
-	if p.Budget == 0 {
-		return core.VPResult{}, fmt.Errorf("service: VP Budget must be positive")
-	}
-	s := core.NewVPStudy(core.VPConfig{Window: p.Window, PredLat: p.PredLat})
-	if _, err := src.run(ctx, p.Skip, p.Budget, func(e *trace.Exec) { s.Consume(e) }); err != nil {
-		return core.VPResult{}, err
-	}
-	s.Finish()
-	return s.Result(), nil
+	v, err := (&laneSpec{src: src, skip: p.Skip, budget: p.Budget, vp: &p}).run(ctx)
+	out, _ := v.(core.VPResult)
+	return out, err
 }
 
 // VPJob builds a cacheable value-prediction job over src.
@@ -406,7 +341,7 @@ func VPJob(id string, src Source, p VPParams) Job {
 	if src.Key != "" {
 		key = fmt.Sprintf("vp|%s|%d|%g|%d|%d", src.Key, p.Window, p.PredLat, p.Skip, p.Budget)
 	}
-	return Job{ID: id, Key: key, Kind: "vp", Run: func(ctx context.Context) (any, error) { return RunVP(ctx, src, p) }}
+	return laneJob(id, key, "vp", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, vp: &p})
 }
 
 // AnalyzeParams configures a reuse-distance analysis job.
@@ -420,14 +355,9 @@ type AnalyzeParams struct {
 // instruction blocks.  It runs on any source — a recorded trace
 // (including a foreign, ingested one) or a live program execution.
 func RunAnalyze(ctx context.Context, src Source, p AnalyzeParams) (analytics.Result, error) {
-	if p.Budget == 0 {
-		return analytics.Result{}, fmt.Errorf("service: analyze Budget must be positive")
-	}
-	a := analytics.New()
-	if _, err := src.run(ctx, p.Skip, p.Budget, func(e *trace.Exec) { a.Consume(e) }); err != nil {
-		return analytics.Result{}, err
-	}
-	return a.Result(), nil
+	v, err := (&laneSpec{src: src, skip: p.Skip, budget: p.Budget, analyze: true}).run(ctx)
+	out, _ := v.(analytics.Result)
+	return out, err
 }
 
 // AnalyzeJob builds a cacheable reuse-distance analysis job over src.
@@ -436,8 +366,7 @@ func AnalyzeJob(id string, src Source, p AnalyzeParams) Job {
 	if src.Key != "" {
 		key = fmt.Sprintf("analyze|%s|%d|%d", src.Key, p.Skip, p.Budget)
 	}
-	return Job{
-		ID: id, Key: key, Kind: "analyze", analyze: true,
-		Run: func(ctx context.Context) (any, error) { return RunAnalyze(ctx, src, p) },
-	}
+	j := laneJob(id, key, "analyze", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, analyze: true})
+	j.analyze = true
+	return j
 }

@@ -152,6 +152,9 @@ type Job struct {
 	// analyze marks reuse-distance analysis jobs so the service can
 	// account for them separately in Stats.
 	analyze bool
+	// lane describes a trace-backed job of the trace-driven kinds, which
+	// Submit may run as one lane of a shared stream pass (see pass.go).
+	lane *laneSpec
 }
 
 // Result is one finished job.
@@ -168,7 +171,7 @@ type Result struct {
 // Service is the batch simulation engine.
 type Service struct {
 	workers int
-	jobs    chan task
+	jobs    chan *task
 	done    chan struct{}
 	wg      sync.WaitGroup
 
@@ -190,10 +193,24 @@ type Service struct {
 	closeOnce sync.Once
 }
 
+// task is one unit of dispatch: a lone job, or the jobs of one stream
+// pass.  It holds one of its batch's parallelism slots until the last of
+// its members is delivered.
 type task struct {
+	batch   *Batch
+	members []*member
+	pass    bool
+	left    atomic.Int32 // members not yet delivered
+}
+
+// member is one job of a task, at its index in the batch.
+type member struct {
 	job   Job
 	index int
-	batch *Batch
+	task  *task
+
+	flight *flight         // the flight this member owns while it runs (nil: unkeyed)
+	ctx    context.Context // what the run polls: the flight's, or the batch's when unkeyed
 }
 
 // errFlightDone releases a completed flight's context; it is never
@@ -206,7 +223,7 @@ var errFlightDone = errors.New("service: flight complete")
 // abandoning a request never aborts another client's identical
 // in-flight request.
 type flight struct {
-	waiters []task // guarded by Service.mu
+	waiters []*member // guarded by Service.mu
 
 	ctx    context.Context
 	cancel context.CancelCauseFunc
@@ -271,7 +288,7 @@ func New(opt Options) *Service {
 	}
 	s := &Service{
 		workers:     opt.Workers,
-		jobs:        make(chan task),
+		jobs:        make(chan *task),
 		done:        make(chan struct{}),
 		peerFetch:   opt.PeerFetch,
 		maxInflight: int64(opt.MaxInflight),
@@ -878,39 +895,63 @@ func (s *Service) Submit(ctx context.Context, jobs []Job, maxParallel int) *Batc
 		b.sem = make(chan struct{}, maxParallel)
 	}
 	s.met.submitted.Add(uint64(len(jobs)))
-	abort := func(i int, j Job, err error) {
-		s.met.errors.Inc()
-		b.deliver(Result{Index: i, ID: j.ID, Err: err})
+	tasks := b.tasks(jobs)
+	abort := func(t *task, err error, slot bool) {
+		for _, m := range t.members {
+			s.met.errors.Inc()
+			b.deliver(Result{Index: m.index, ID: m.job.ID, Err: err})
+		}
+		if slot {
+			<-b.sem
+		}
 	}
 	go func() {
-		for i, j := range jobs {
+		for _, t := range tasks {
 			if b.sem != nil {
 				select {
 				case b.sem <- struct{}{}:
 				case <-s.done:
-					abort(i, j, ErrClosed)
+					abort(t, ErrClosed, false)
 					continue
 				case <-bctx.Done():
-					abort(i, j, b.cause())
+					abort(t, b.cause(), false)
 					continue
 				}
 			}
 			select {
-			case s.jobs <- task{job: j, index: i, batch: b}:
+			case s.jobs <- t:
 			case <-s.done:
-				abort(i, j, ErrClosed)
-				if b.sem != nil {
-					<-b.sem
-				}
+				abort(t, ErrClosed, b.sem != nil)
 			case <-bctx.Done():
-				abort(i, j, b.cause())
-				if b.sem != nil {
-					<-b.sem
-				}
+				abort(t, b.cause(), b.sem != nil)
 			}
 		}
 	}()
 	return b
+}
+
+// tasks groups a batch's jobs into tasks, in order of each task's first
+// job: the trace-backed jobs sharing a pass key into one stream pass,
+// every other job alone.
+func (b *Batch) tasks(jobs []Job) []*task {
+	var tasks []*task
+	passes := make(map[string]*task)
+	for i, j := range jobs {
+		key := j.passKey()
+		t := passes[key]
+		if t == nil {
+			t = &task{batch: b, pass: key != ""}
+			tasks = append(tasks, t)
+			if key != "" {
+				passes[key] = t
+			}
+		}
+		t.members = append(t.members, &member{job: j, index: i, task: t})
+	}
+	for _, t := range tasks {
+		t.left.Store(int32(len(t.members)))
+	}
+	return tasks
 }
 
 // Results streams each job's result as it completes (completion order).
@@ -936,44 +977,69 @@ func (b *Batch) Wait() ([]Result, error) {
 	return out, nil
 }
 
-func (s *Service) runTask(t task) {
-	if t.batch.canceled() {
-		s.finish(t, nil, t.batch.cause(), false, 0)
+func (s *Service) runTask(t *task) {
+	var run []*member
+	for _, m := range t.members {
+		if t.batch.canceled() {
+			s.finish(m, nil, t.batch.cause(), false, 0)
+			continue
+		}
+		if s.claim(m) {
+			run = append(run, m)
+		}
+	}
+	if len(run) == 0 {
 		return
 	}
-	key := t.job.Key
-	if key == "" {
-		start := time.Now()
-		v, err := t.job.Run(t.batch.ctx)
-		s.finish(t, v, err, false, time.Since(start))
+	start := time.Now()
+	if !t.pass {
+		m := run[0]
+		v, err := m.job.Run(m.ctx)
+		s.complete(m, v, err, time.Since(start))
 		return
+	}
+	lanes := make([]*lane, len(run))
+	for i, m := range run {
+		lanes[i] = &lane{spec: m.job.lane, ctx: m.ctx}
+	}
+	runPass(lanes, func(i int, v any, err error) { s.complete(run[i], v, err, time.Since(start)) })
+}
+
+// claim answers m from the result cache, the persistent tier or an
+// identical in-flight run when it can, reporting false; otherwise it
+// makes m the owner of a new flight (keyed jobs only) and reports true:
+// m must then be computed and handed to complete.
+func (s *Service) claim(m *member) bool {
+	key := m.job.Key
+	if key == "" {
+		m.ctx = m.task.batch.ctx
+		return true
 	}
 	s.mu.Lock()
 	for {
 		if v, ok := s.results.get(key); ok {
 			s.met.cacheHits.Inc()
-			if t.job.analyze {
+			if m.job.analyze {
 				s.met.analyzeHits.Inc()
 			}
 			s.mu.Unlock()
-			s.finish(t, v, nil, true, 0)
-			return
+			s.finish(m, v, nil, true, 0)
+			return false
 		}
 		if f, ok := s.inflight[key]; ok {
 			// Interest must be registered in the same critical section that
 			// joins the flight: attached outside it, the previous holder's
 			// cancellation could drop the count to zero and abort the run
 			// before this live batch is counted.
-			f.waiters = append(f.waiters, t)
+			f.waiters = append(f.waiters, m)
 			s.met.coalesced.Inc()
-			if t.job.analyze {
+			if m.job.analyze {
 				s.met.analyzeHits.Inc()
 			}
-			f.attach(t.batch)
+			f.attach(m.task.batch)
 			s.mu.Unlock()
-			// The waiter's batch slot is released by whoever completes the
-			// flight; nothing more to do here.
-			return
+			// The waiter is delivered by whoever completes the flight.
+			return false
 		}
 		if s.resultDisk == nil || !s.resultDisk.has(key) {
 			break
@@ -989,28 +1055,37 @@ func (s *Service) runTask(t task) {
 			s.results.add(key, v)
 			s.met.cacheHits.Inc()
 			s.met.resultDiskHits.Inc()
-			if t.job.analyze {
+			if m.job.analyze {
 				s.met.analyzeHits.Inc()
 			}
 			s.mu.Unlock()
-			s.finish(t, v, nil, true, 0)
-			return
+			s.finish(m, v, nil, true, 0)
+			return false
 		}
 		log.Printf("service: result cache: dropping %s: %v", key, err)
 		s.resultDisk.drop(key)
 	}
 	f := newFlight()
-	f.attach(t.batch)
+	f.attach(m.task.batch)
 	s.inflight[key] = f
 	s.mu.Unlock()
-
 	// Keyed results are shared across batches, so the run computes under
 	// the flight's context, not this batch's: it only stops once every
 	// interested batch has been cancelled.
-	start := time.Now()
-	v, err := t.job.Run(f.ctx)
-	dur := time.Since(start)
+	m.flight, m.ctx = f, f.ctx
+	return true
+}
 
+// complete records the result of a member claim let run: it caches a
+// keyed success (writing it through to the persistent tier) and
+// delivers it to the member and every waiter of its flight.
+func (s *Service) complete(m *member, v any, err error, dur time.Duration) {
+	f := m.flight
+	if f == nil {
+		s.finish(m, v, err, false, dur)
+		return
+	}
+	key := m.job.Key
 	s.mu.Lock()
 	delete(s.inflight, key)
 	persist := false
@@ -1037,7 +1112,7 @@ func (s *Service) runTask(t task) {
 		}
 	}
 
-	s.finish(t, v, err, false, dur)
+	s.finish(m, v, err, false, dur)
 	for _, w := range waiters {
 		s.finish(w, v, err, true, 0)
 	}
@@ -1054,7 +1129,7 @@ func isCancellation(err error) bool {
 // parallelism slot.  dur is the wall-clock run time for jobs that were
 // actually simulated (cached and skipped deliveries pass 0 and are
 // never observed in the latency histograms).
-func (s *Service) finish(t task, v any, err error, cached bool, dur time.Duration) {
+func (s *Service) finish(m *member, v any, err error, cached bool, dur time.Duration) {
 	switch {
 	case cached:
 		// CacheHits/Coalesced already counted at lookup time.
@@ -1062,16 +1137,17 @@ func (s *Service) finish(t task, v any, err error, cached bool, dur time.Duratio
 		// Skipped (or stopped mid-run), not simulated to completion.
 	default:
 		s.met.ran.Inc()
-		s.met.jobDur.With(jobKind(t.job)).Observe(dur.Seconds())
-		if t.job.analyze && err == nil {
+		s.met.jobDur.With(jobKind(m.job)).Observe(dur.Seconds())
+		if m.job.analyze && err == nil {
 			s.met.analyzeRuns.Inc()
 		}
 	}
 	if err != nil {
 		s.met.errors.Inc()
 	}
-	t.batch.deliver(Result{Index: t.index, ID: t.job.ID, Value: v, Err: err, Cached: cached})
-	if t.batch.sem != nil {
-		<-t.batch.sem
+	b := m.task.batch
+	b.deliver(Result{Index: m.index, ID: m.job.ID, Value: v, Err: err, Cached: cached})
+	if m.task.left.Add(-1) == 0 && b.sem != nil {
+		<-b.sem
 	}
 }
