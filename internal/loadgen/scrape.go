@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -30,7 +32,7 @@ func (s *scraper) start(ctx context.Context) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.scrapeOnce(ctx) // one sample before traffic ramps
+		s.count(s.scrapeOnce(ctx)) // one sample before traffic ramps
 		tick := time.NewTicker(s.cfg.ScrapeInterval)
 		defer tick.Stop()
 		for {
@@ -38,35 +40,42 @@ func (s *scraper) start(ctx context.Context) {
 			case <-ctx.Done():
 				// Final sample with the run's deadline gone, so the
 				// last heap reading reflects the loaded steady state.
-				s.scrapeOnce(context.Background())
+				s.count(s.scrapeOnce(context.Background()))
 				return
 			case <-tick.C:
-				s.scrapeOnce(ctx)
+				err := s.scrapeOnce(ctx)
+				if err != nil && ctx.Err() != nil && !errors.Is(err, errStatus) {
+					// Cut short because the run itself ended, not a
+					// scrape error: the final sample above follows.
+					continue
+				}
+				s.count(err)
 			}
 		}
 	}()
 }
 
-func (s *scraper) scrapeOnce(ctx context.Context) {
+// errStatus reports a scrape the server answered with a status other
+// than 200.
+var errStatus = errors.New("loadgen: /metrics status")
+
+// scrapeOnce samples /metrics once, folding the sample into the report.
+func (s *scraper) scrapeOnce(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.cfg.Server+"/metrics", nil)
 	if err != nil {
-		s.fail()
-		return
+		return err
 	}
 	resp, err := s.cfg.Client.Do(req)
 	if err != nil {
-		s.fail()
-		return
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		s.fail()
-		return
+		return fmt.Errorf("%w %d", errStatus, resp.StatusCode)
 	}
 	samples, err := metrics.ParseText(resp.Body)
 	if err != nil {
-		s.fail()
-		return
+		return err
 	}
 	value := func(name string) (float64, bool) {
 		found := metrics.Find(samples, name)
@@ -98,9 +107,14 @@ func (s *scraper) scrapeOnce(ctx context.Context) {
 	if fiveXX > s.rep.HTTP5xx {
 		s.rep.HTTP5xx = fiveXX
 	}
+	return nil
 }
 
-func (s *scraper) fail() {
+// count records a failed scrape as a scrape error.
+func (s *scraper) count(err error) {
+	if err == nil {
+		return
+	}
 	s.mu.Lock()
 	s.rep.ScrapeErrors++
 	s.mu.Unlock()
