@@ -47,6 +47,7 @@ type Clock struct {
 	nrows int32
 
 	lanes []lane
+	bound []float64 // per lane: WindowBound, kept current by Retire
 	n     int64
 }
 
@@ -67,6 +68,7 @@ type lane struct {
 func New(windows []int) *Clock {
 	c := &Clock{
 		lanes: make([]lane, len(windows)),
+		bound: make([]float64, len(windows)),
 		ready: make([]float64, (1+trace.RegLocs)*len(windows)),
 		nrows: 1 + trace.RegLocs,
 	}
@@ -125,13 +127,7 @@ func (c *Clock) ReadyMax(refs []trace.Ref, first int, t []float64) {
 // the current instruction can enter that lane's instruction window.  It is
 // zero for the infinite-window machine or while the window is not yet
 // full.
-func (c *Clock) WindowBound(lane int) float64 {
-	l := &c.lanes[lane]
-	if l.window == 0 || l.count < l.window {
-		return 0
-	}
-	return l.ring[l.head] // oldest entry
-}
+func (c *Clock) WindowBound(lane int) float64 { return c.bound[lane] }
 
 // Retire commits e in every lane j: it completes — and graduates — at
 // completion[j], its outputs become available to consumers at
@@ -175,6 +171,9 @@ func (c *Clock) Retire(e *trace.Exec, completion, valueReady []float64, occupies
 				l.head = 0
 			}
 			l.count++
+			if l.count >= l.window {
+				c.bound[j] = l.ring[l.head] // the oldest entry
+			}
 		}
 	}
 	c.n++
