@@ -59,8 +59,10 @@ type lane struct {
 	head  int       // ring insert position
 	count int       // occupying instructions retired so far
 
-	prefixMax float64 // graduation time of the latest retired instruction
-	maxC      float64
+	// prefixMax is the graduation time of the latest retired
+	// instruction: the running maximum of completion times, which is
+	// also the machine's total execution time so far.
+	prefixMax float64
 }
 
 // New returns a Clock with one lane per window size (0 or negative =
@@ -158,12 +160,7 @@ func (c *Clock) Retire(e *trace.Exec, completion, valueReady []float64, occupies
 	for j := range c.lanes {
 		l := &c.lanes[j]
 		done := completion[j]
-		if done > l.prefixMax {
-			l.prefixMax = done
-		}
-		if done > l.maxC {
-			l.maxC = done
-		}
+		l.prefixMax = max(l.prefixMax, done)
 		if occupies[j] && l.window > 0 {
 			l.ring[l.head] = l.prefixMax
 			l.head++
@@ -181,7 +178,7 @@ func (c *Clock) Retire(e *trace.Exec, completion, valueReady []float64, occupies
 
 // Cycles returns lane's maximum completion time so far (total execution
 // cycles of that analytical machine).
-func (c *Clock) Cycles(lane int) float64 { return c.lanes[lane].maxC }
+func (c *Clock) Cycles(lane int) float64 { return c.lanes[lane].prefixMax }
 
 // Instructions returns the number of retired instructions (the same in
 // every lane).
@@ -189,7 +186,7 @@ func (c *Clock) Instructions() int64 { return c.n }
 
 // IPC returns lane's instructions per cycle (0 for an empty stream).
 func (c *Clock) IPC(lane int) float64 {
-	if m := c.lanes[lane].maxC; m != 0 {
+	if m := c.lanes[lane].prefixMax; m != 0 {
 		return float64(c.n) / m
 	}
 	return 0
