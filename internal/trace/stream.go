@@ -1,10 +1,5 @@
 package trace
 
-import (
-	"context"
-	"io"
-)
-
 // Stream is a positioned, skippable stream of execution records
 // delivered a decoded batch at a time: the unit every replay consumer
 // pulls from, whatever produced it (an in-memory tracefile.Cursor, a
@@ -29,38 +24,4 @@ type Stream interface {
 	// handles).  The stream and any batch it returned must not be used
 	// afterwards.
 	Close()
-}
-
-// RunStream delivers up to max records of s to fn, polling ctx for
-// cancellation once per batch (the stream-level twin of cpu.RunContext
-// and tracefile.Cursor.Run).  Records passed to fn live in the stream's
-// decode arena and are overwritten by later batches.  It returns the
-// number of records delivered, stopping early without error at the end
-// of the stream.  Records of a batch beyond max are dropped, not pushed
-// back: a Stream is opened per replay, so nothing reads past the stop.
-func RunStream(ctx context.Context, s Stream, max uint64, fn func(*Exec)) (uint64, error) {
-	var n uint64
-	for n < max {
-		if err := ctx.Err(); err != nil {
-			return n, err
-		}
-		batch, err := s.NextBatch()
-		switch err {
-		case nil:
-		case io.EOF:
-			return n, nil
-		default:
-			return n, err
-		}
-		if want := max - n; uint64(len(batch)) > want {
-			batch = batch[:want]
-		}
-		n += uint64(len(batch))
-		if fn != nil {
-			for i := range batch {
-				fn(&batch[i])
-			}
-		}
-	}
-	return n, nil
 }
