@@ -58,7 +58,7 @@ func (s *ILRStudy) Consume(e *trace.Exec) { s.set.Consume(e) }
 // ConsumeClassified processes one dynamic instruction on the study's
 // whole set, its reusability already decided by a shared History.
 func (s *ILRStudy) ConsumeClassified(e *trace.Exec, reusable bool) {
-	s.set.ConsumeClassified(e, reusable)
+	s.set.consumeClassified(e, reusable)
 }
 
 // Finish completes the study's set; call once after the stream ends.

@@ -46,7 +46,6 @@ type StudySet struct {
 	done  []float64 // per-lane completion times
 	value []float64 // per-lane value-ready times (VP lanes differ)
 	occ   []bool    // per-lane window occupancy
-	ready []float64 // scratch for a trace's live-in ready times
 
 	n, reusable, predicted int64
 }
@@ -147,11 +146,6 @@ func (s *StudySet) seal() {
 	s.done = make([]float64, k)
 	s.value = make([]float64, k)
 	s.occ = occupying(k)
-	width := 0
-	for _, g := range s.tlr {
-		width = max(width, len(g.tTrace))
-	}
-	s.ready = make([]float64, width)
 }
 
 // Consume processes one dynamic instruction on every study of the set,
@@ -164,12 +158,12 @@ func (s *StudySet) Consume(e *trace.Exec) {
 		}
 		reusable = s.hist.Observe(e)
 	}
-	s.ConsumeClassified(e, reusable)
+	s.consumeClassified(e, reusable)
 }
 
-// ConsumeClassified processes one dynamic instruction whose reusability
-// was already decided by a History shared beyond the set.
-func (s *StudySet) ConsumeClassified(e *trace.Exec, reusable bool) {
+// consumeClassified processes one dynamic instruction whose reusability
+// is already decided.
+func (s *StudySet) consumeClassified(e *trace.Exec, reusable bool) {
 	s.seal()
 	s.n++
 	if reusable {

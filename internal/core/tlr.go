@@ -177,7 +177,7 @@ func (s *TLRStudy) Consume(e *trace.Exec) { s.set.Consume(e) }
 // ConsumeClassified processes one dynamic instruction on the study's
 // whole set, its reusability already decided by a shared History.
 func (s *TLRStudy) ConsumeClassified(e *trace.Exec, reusable bool) {
-	s.set.ConsumeClassified(e, reusable)
+	s.set.consumeClassified(e, reusable)
 }
 
 // Finish times the trailing run of the study's set; call once after the

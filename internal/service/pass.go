@@ -23,8 +23,9 @@ import (
 // of one, so every trace-backed job runs through runPass.
 //
 // Program-backed jobs stay one per task: a live stream would have to be
-// recorded to be shared, and recording each window once and replaying
-// its configurations costs as much as executing them (see ROADMAP).
+// recorded to be shared, and on the Figure-9 grid recording each window
+// once and replaying its 40 RTM configurations took longer than the 40
+// live simulations it would replace.
 
 // laneSpec is one trace-driven job: its stream and what it computes
 // over it (exactly one of study, vp, rtm, analyze).
