@@ -460,7 +460,10 @@ func TestMultiLaneClockMatchesSingleMachines(t *testing.T) {
 		for i := range stream {
 			e := &stream[i]
 			if rng.Intn(3) == 0 {
-				clk.ReadyMax(e.Inputs(), 0, in)
+				// Two lane ranges, split at a random lane.
+				m := rng.Intn(k + 1)
+				clk.ReadyMax(e.Inputs(), 0, in[:m])
+				clk.ReadyMax(e.Inputs(), m, in[m:])
 			} else {
 				clk.InReady(e, in)
 			}

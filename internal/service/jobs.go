@@ -113,18 +113,18 @@ func (s Source) openStream(skip uint64) (trace.Stream, error) {
 	return st, nil
 }
 
-// execute runs a program-backed source: it executes `skip` instructions,
-// then delivers up to max records to fn, polling ctx throughout (the
-// machine must pass through the skipped state).  Trace-backed sources
-// run as stream passes instead (see runPass).
-func (s Source) execute(ctx context.Context, skip, max uint64, fn func(*trace.Exec)) (uint64, error) {
+// machine returns a machine running a program-backed source's program,
+// past its first skip instructions: the machine must pass through the
+// skipped state.  Trace-backed sources run as stream passes instead (see
+// runPass).
+func (s Source) machine(ctx context.Context, skip uint64) (*cpu.CPU, error) {
 	c := cpu.New(s.prog)
 	if skip > 0 {
 		if _, err := c.RunContext(ctx, skip, nil); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
-	return c.RunContext(ctx, max, fn)
+	return c, nil
 }
 
 // Program assembles source through the service's LRU: repeated batches
@@ -290,11 +290,9 @@ func RunPipeline(ctx context.Context, src Source, p PipelineParams) (pipeline.Re
 			return pipeline.Result{}, err
 		}
 	}
-	c := cpu.New(src.prog)
-	if p.Skip > 0 {
-		if _, err := c.RunContext(ctx, p.Skip, nil); err != nil {
-			return pipeline.Result{}, err
-		}
+	c, err := src.machine(ctx, p.Skip)
+	if err != nil {
+		return pipeline.Result{}, err
 	}
 	return pipeline.New(p.Config, c).RunContext(ctx, p.Budget)
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/tracereuse/tlr/internal/analytics"
 	"github.com/tracereuse/tlr/internal/core"
-	"github.com/tracereuse/tlr/internal/cpu"
 	"github.com/tracereuse/tlr/internal/rtm"
 )
 
@@ -74,11 +73,9 @@ func (spec *laneSpec) run(ctx context.Context) (any, error) {
 		if err := ValidGeometry(spec.rtm.Geometry); err != nil {
 			return nil, err
 		}
-		c := cpu.New(spec.src.prog)
-		if spec.skip > 0 {
-			if _, err := c.RunContext(ctx, spec.skip, nil); err != nil {
-				return nil, err
-			}
+		c, err := spec.src.machine(ctx, spec.skip)
+		if err != nil {
+			return nil, err
 		}
 		return rtm.NewSim(*spec.rtm, c).RunContext(ctx, spec.budget)
 	}
@@ -91,7 +88,11 @@ func (spec *laneSpec) run(ctx context.Context) (any, error) {
 	if l.an != nil {
 		consume = l.an.Consume
 	}
-	if _, err := spec.src.execute(ctx, spec.skip, spec.budget, consume); err != nil {
+	c, err := spec.src.machine(ctx, spec.skip)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.RunContext(ctx, spec.budget, consume); err != nil {
 		return nil, err
 	}
 	set.Finish()

@@ -199,7 +199,6 @@ type Service struct {
 type task struct {
 	batch   *Batch
 	members []*member
-	pass    bool
 	left    atomic.Int32 // members not yet delivered
 }
 
@@ -940,7 +939,7 @@ func (b *Batch) tasks(jobs []Job) []*task {
 		key := j.passKey()
 		t := passes[key]
 		if t == nil {
-			t = &task{batch: b, pass: key != ""}
+			t = &task{batch: b}
 			tasks = append(tasks, t)
 			if key != "" {
 				passes[key] = t
@@ -992,7 +991,7 @@ func (s *Service) runTask(t *task) {
 		return
 	}
 	start := time.Now()
-	if !t.pass {
+	if run[0].job.lane == nil {
 		m := run[0]
 		v, err := m.job.Run(m.ctx)
 		s.complete(m, v, err, time.Since(start))
@@ -1076,7 +1075,7 @@ func (s *Service) claim(m *member) bool {
 	return true
 }
 
-// complete records the result of a member claim let run: it caches a
+// complete records the result of a member that claim let run: it caches a
 // keyed success (writing it through to the persistent tier) and
 // delivers it to the member and every waiter of its flight.
 func (s *Service) complete(m *member, v any, err error, dur time.Duration) {
@@ -1125,10 +1124,10 @@ func isCancellation(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// finish counts and delivers one result, releasing the batch's
-// parallelism slot.  dur is the wall-clock run time for jobs that were
-// actually simulated (cached and skipped deliveries pass 0 and are
-// never observed in the latency histograms).
+// finish counts and delivers one result; the last of a task's members
+// releases the task's parallelism slot.  dur is the wall-clock run time
+// for jobs that were actually simulated (cached and skipped deliveries
+// pass 0 and are never observed in the latency histograms).
 func (s *Service) finish(m *member, v any, err error, cached bool, dur time.Duration) {
 	switch {
 	case cached:
