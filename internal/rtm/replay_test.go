@@ -3,10 +3,13 @@ package rtm
 import (
 	"context"
 	"fmt"
+	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"github.com/tracereuse/tlr/internal/cpu"
+	"github.com/tracereuse/tlr/internal/trace"
 	"github.com/tracereuse/tlr/internal/tracefile"
 	"github.com/tracereuse/tlr/internal/workload"
 )
@@ -116,6 +119,45 @@ func TestReplayBudgetBoundary(t *testing.T) {
 	}
 	if live.Total() < budget {
 		t.Fatalf("live run retired %d < budget %d (test needs a full run)", live.Total(), budget)
+	}
+}
+
+// TestReplayFeedAnyBatching: Feed must give the result RunContext gives
+// however the records are cut into batches, down to batches shorter
+// than the reused traces whose hops cross them.
+func TestReplayFeedAnyBatching(t *testing.T) {
+	const budget = 20_000
+	tr := recordStream(t, "li", 0, budget+1_000)
+	rng := rand.New(rand.NewSource(3))
+	for _, cfg := range []Config{
+		{Geometry: Geometry4K, Heuristic: ILREXP},
+		{Geometry: Geometry512, Heuristic: IEXP, N: 8},
+	} {
+		want, err := NewReplay(cfg, tr.Cursor()).Run(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewReplay(cfg, nil)
+		cur := tr.Cursor()
+		var pending []trace.Exec
+		for {
+			if len(pending) == 0 {
+				b, err := cur.NextBatch()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				pending = b
+			}
+			k := min(1+rng.Intn(9), len(pending))
+			p.Feed(pending[:k], budget)
+			pending = pending[k:]
+		}
+		if got := p.Finish(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: fed in short batches:\n got %+v\nwant %+v", cfg.Heuristic, got, want)
+		}
 	}
 }
 
