@@ -51,7 +51,7 @@ func laneJob(id, key, kind string, spec *laneSpec) Job {
 // passKey names the pass a job can share: jobs with equal keys read
 // the same records.  It is empty for jobs that run alone.
 func (j *Job) passKey() string {
-	if j.lane == nil || j.Key == "" || j.lane.src.Key == "" {
+	if j.lane == nil || j.Key == "" { // unkeyed: the stream has no identity to share
 		return ""
 	}
 	return fmt.Sprintf("%s|%d|%d", j.lane.src.Key, j.lane.skip, j.lane.budget)
