@@ -81,30 +81,7 @@ func TestFigureGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole reduced evaluation")
 	}
-	got := goldenLines(t)
-	path := filepath.Join("testdata", goldenFile)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("%d golden lines, engines produced %d", len(want), len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("golden line %d differs: %s", i+1, firstDiff(got[i], want[i]))
-		}
-	}
+	checkGolden(t, goldenFile, goldenLines(t))
 }
 
 // firstDiff names the first field, in sorted key order, where two JSON
@@ -204,9 +181,19 @@ func TestILPGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the ILP window sweep")
 	}
-	got := ilpGoldenLines(t)
-	path := filepath.Join("testdata", ilpGoldenFile)
+	checkGolden(t, ilpGoldenFile, ilpGoldenLines(t))
+}
+
+// checkGolden compares got, line by line, with testdata/name, naming the
+// first field of the first line that differs; with -update it rewrites
+// the file instead.
+func checkGolden(t *testing.T, name string, got []string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +209,52 @@ func TestILPGolden(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("golden line %d differs: %s", i+1, firstDiff(got[i], want[i]))
+			t.Fatalf("%s line %d differs: %s", name, i+1, firstDiff(got[i], want[i]))
 		}
 	}
+}
+
+const ablationGoldenFile = "ablation.golden.jsonl"
+
+// ablationGoldenLines renders, at goldenCfg, the two ablations that run
+// simulations of their own — the valid-bit reuse test (MeasureInvalidation)
+// and the execution-driven pipeline (MeasurePipeline) — one JSON line per
+// workload each.  The other ablation tables derive from the Measurements
+// TestFigureGolden pins.
+func ablationGoldenLines(t *testing.T) []string {
+	inv, err := MeasureInvalidation(goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := MeasurePipeline(goldenCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	add := func(v any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(b))
+	}
+	for _, c := range inv {
+		add(c)
+	}
+	for _, r := range pipe {
+		add(r)
+	}
+	return lines
+}
+
+// TestAblationGolden pins the valid-bit and pipeline ablations byte for
+// byte, as TestFigureGolden pins the figures.  Regenerate (only for an
+// intended change of results) with
+//
+//	go test ./internal/expt -run TestAblationGolden -update
+func TestAblationGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the valid-bit and pipeline ablations")
+	}
+	checkGolden(t, ablationGoldenFile, ablationGoldenLines(t))
 }
