@@ -15,8 +15,9 @@ type IRB struct {
 	sets [][]*irbSlot
 	tick uint64
 
-	tests uint64
-	hits  uint64
+	tests      uint64
+	hits       uint64
+	slotEvicts uint64 // PC slots evicted (see run.ResultAs)
 }
 
 type irbSlot struct {
@@ -131,5 +132,6 @@ func (b *IRB) evictLRUSlot(set int) *irbSlot {
 	}
 	slot := b.sets[set][vi]
 	b.sets[set] = append(b.sets[set][:vi], b.sets[set][vi+1:]...)
+	b.slotEvicts++
 	return slot
 }

@@ -42,18 +42,13 @@ type ReplayStream = trace.Stream
 // RunContext pulls them from the Replay's own stream, and a shared stream
 // pass hands the batches it decodes once to several Replays.
 type Replay struct {
+	run
 	cfg   Config
 	src   ReplayStream
-	rtm   *RTM
-	col   collector
 	state replayState
 
 	rest []trace.Exec // RunContext: records of the stream's batch not yet fed
 	hop  uint64       // records of a reused trace still to skip at the next Feed
-
-	executed uint64
-	skipped  uint64
-	hits     uint64
 }
 
 // NewReplay builds a replay simulation over a recorded stream.  The
@@ -65,7 +60,7 @@ func NewReplay(cfg Config, src ReplayStream) *Replay {
 	if cfg.InvalidateOnWrite {
 		m.EnableInvalidation()
 	}
-	return &Replay{cfg: cfg, src: src, rtm: m, col: newCollector(cfg, m)}
+	return &Replay{run: run{rtm: m, col: newCollector(cfg, m)}, cfg: cfg, src: src}
 }
 
 // CheckReplay reports why cfg cannot run from a recorded trace, if it
@@ -169,18 +164,6 @@ func (p *Replay) Feed(batch []trace.Exec, budget uint64) int {
 func (p *Replay) Finish() Result {
 	p.col.finish()
 	return p.result()
-}
-
-func (p *Replay) result() Result {
-	return Result{
-		Executed: p.executed,
-		Skipped:  p.skipped,
-		Hits:     p.hits,
-		RTM:      p.rtm.Stats(),
-		Stored:   p.rtm.Stored(),
-		IRBRate:  p.col.irbRate(),
-		Top:      p.rtm.TopTraces(10),
-	}
 }
 
 // replayState is the shadow architectural state, one value per

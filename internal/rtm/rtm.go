@@ -390,7 +390,17 @@ type TraceProfile struct {
 
 // TopTraces returns the k currently stored traces with the most reuses,
 // in descending hit order — the profiler's view of where reuse lives.
-func (m *RTM) TopTraces(k int) []TraceProfile {
+func (m *RTM) TopTraces(k int) []TraceProfile { return m.topTraces(k, m.geom.Sets) }
+
+// topTraces is TopTraces as an RTM of sets sets, a multiple of m's,
+// would list them after the same run (see ResultAs).  The ranking sorts
+// by hits and then start PC, but sort.Slice is not stable, so the order
+// of equal-ranked traces depends on the order they are gathered in: set
+// by set, slot by slot.  A finer RTM's set f holds exactly the slots of
+// m's set f mod m.Sets whose PC falls in f, in the same insertion
+// order; so a stable regrouping of m's traces by f gathers them as that
+// RTM would.
+func (m *RTM) topTraces(k, sets int) []TraceProfile {
 	var all []TraceProfile
 	for _, set := range m.sets {
 		for _, slot := range set {
@@ -407,6 +417,10 @@ func (m *RTM) TopTraces(k int) []TraceProfile {
 				})
 			}
 		}
+	}
+	if sets != m.geom.Sets {
+		mask := uint64(sets - 1)
+		sort.SliceStable(all, func(i, j int) bool { return all[i].StartPC&mask < all[j].StartPC&mask })
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Hits != all[j].Hits {

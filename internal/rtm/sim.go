@@ -101,8 +101,14 @@ func (r Result) AvgReusedLen() float64 {
 // skipping reused traces, and feeds executed instructions to the
 // trace-collection heuristic.
 type Sim struct {
+	run
 	cfg Config
 	cpu *cpu.CPU
+}
+
+// run is the bookkeeping Sim and Replay share: the trace memory, the
+// collection heuristic feeding it, and the run's counts.
+type run struct {
 	rtm *RTM
 	col collector
 
@@ -117,7 +123,7 @@ func NewSim(cfg Config, c *cpu.CPU) *Sim {
 	if cfg.InvalidateOnWrite {
 		m.EnableInvalidation()
 	}
-	return &Sim{cfg: cfg, cpu: c, rtm: m, col: newCollector(cfg, m)}
+	return &Sim{run: run{rtm: m, col: newCollector(cfg, m)}, cfg: cfg, cpu: c}
 }
 
 // newCollector builds the configured trace-collection heuristic over m;
@@ -194,16 +200,53 @@ func (s *Sim) RunContext(ctx context.Context, budget uint64) (Result, error) {
 	return s.result(), nil
 }
 
-func (s *Sim) result() Result {
+// result is the run's Result so far.
+func (r *run) result() Result { return r.resultAs(r.rtm.geom.Sets) }
+
+// resultAs is the run's Result with Top listed as an RTM of sets sets
+// would list it.
+func (r *run) resultAs(sets int) Result {
 	return Result{
-		Executed: s.executed,
-		Skipped:  s.skipped,
-		Hits:     s.hits,
-		RTM:      s.rtm.Stats(),
-		Stored:   s.rtm.Stored(),
-		IRBRate:  s.col.irbRate(),
-		Top:      s.rtm.TopTraces(10),
+		Executed: r.executed,
+		Skipped:  r.skipped,
+		Hits:     r.hits,
+		RTM:      r.rtm.Stats(),
+		Stored:   r.rtm.Stored(),
+		IRBRate:  r.col.irbRate(),
+		Top:      r.rtm.topTraces(10, sets),
 	}
+}
+
+// ResultAs returns the Result that the same run, under geometry g in
+// place of its own, would have produced — when the run proves it: ok
+// holds only when g differs from the run's geometry in Sets alone, g.Sets
+// is a multiple of it, and the run never evicted a PC slot from the RTM
+// (Stats.PCEvicts) or from the ILR heuristics' IRB.  Call it once the
+// run has ended (after Run, or Replay's Finish).
+//
+// Why that suffices: the geometry enters a run only where a PC is
+// mapped to a set, in the RTM and in the IRB (which shares it).  Every
+// other piece of state — a slot's traces or input vectors and their
+// LRU order, the LRU ticks, the collectors' summarizers, the counters —
+// is kept per PC or globally, and trace evictions happen within one
+// PC's slot.  With g.Sets a multiple of the run's, each of g's sets
+// takes the PCs of one of the run's sets, or fewer: a set that never
+// overflowed under the run's geometry never overflows under g, so no
+// PC is ever evicted under g either.  Without evictions, finding a PC's
+// slot gives the same answer under both geometries at every step, and
+// by induction over the run's steps the two runs make every lookup,
+// insert, reuse and collection alike.  This is the inclusion argument
+// of Mattson et al.'s one-pass stack simulation (IBM Sys. J. 9(2),
+// 1970).  Only the set layout differs, and the one result it shows in
+// is the tie order of Top, which topTraces reproduces for g.
+func (r *run) ResultAs(g Geometry) (Result, bool) {
+	own := r.rtm.geom
+	if g.PCWays != own.PCWays || g.TracesPerPC != own.TracesPerPC ||
+		g.Sets < own.Sets || g.Sets%own.Sets != 0 ||
+		r.rtm.stats.PCEvicts != 0 || r.col.irbSlotEvicts() != 0 {
+		return Result{}, false
+	}
+	return r.resultAs(g.Sets), true
 }
 
 // applyEntry performs the processor-state update of §3.3: write every
@@ -262,6 +305,7 @@ type collector interface {
 	reuseHit(entry *Entry)
 	finish()
 	irbRate() float64
+	irbSlotEvicts() uint64 // PC slots the IRB evicted (0 without an IRB)
 }
 
 // Both collectors own one Summarizer per role for their whole run and
@@ -324,6 +368,8 @@ func (c *ilrCollector) finish() {
 }
 
 func (c *ilrCollector) irbRate() float64 { return c.irb.HitRate() }
+
+func (c *ilrCollector) irbSlotEvicts() uint64 { return c.irb.slotEvicts }
 
 func (c *ilrCollector) finalizeCur() {
 	if !c.cur.Empty() {
@@ -407,6 +453,8 @@ func (c *fixedCollector) finish() {
 }
 
 func (c *fixedCollector) irbRate() float64 { return 0 }
+
+func (c *fixedCollector) irbSlotEvicts() uint64 { return 0 }
 
 func (c *fixedCollector) finalizeCur() {
 	if !c.cur.Empty() {
