@@ -14,6 +14,7 @@ import (
 type serviceMetrics struct {
 	submitted *metrics.Counter
 	ran       *metrics.Counter
+	derived   *metrics.CounterVec   // per-kind results derived from another job's run
 	jobDur    *metrics.HistogramVec // per-kind simulated-job latency
 	cacheHits *metrics.Counter
 	coalesced *metrics.Counter
@@ -44,6 +45,9 @@ func (s *Service) registerMetrics(reg *metrics.Registry) {
 		"Jobs accepted into batches.")
 	m.ran = reg.Counter("tlr_jobs_ran_total",
 		"Jobs actually simulated (not cached, coalesced, or canceled).")
+	m.derived = reg.CounterVec("tlr_jobs_derived_total",
+		"Jobs answered exactly from another job's simulation of their geometry family, by job kind (not counted as ran).",
+		"kind")
 	m.jobDur = reg.HistogramVec("tlr_job_duration_seconds",
 		"Wall-clock latency of simulated jobs, by job kind.",
 		nil, "kind")

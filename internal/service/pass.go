@@ -38,23 +38,28 @@ type laneSpec struct {
 	analyze bool
 }
 
-// laneJob builds the Job running spec.  Trace-backed jobs carry the spec
-// so Submit can group them into passes.
+// laneJob builds the Job running spec.  The job carries the spec so
+// Submit can group it into a pass or a geometry family.
 func laneJob(id, key, kind string, spec *laneSpec) Job {
-	j := Job{ID: id, Key: key, Kind: kind, Run: spec.run}
-	if spec.src.open != nil {
-		j.lane = spec
-	}
-	return j
+	return Job{ID: id, Key: key, Kind: kind, Run: spec.run, lane: spec}
 }
 
-// passKey names the pass a job can share: jobs with equal keys read
-// the same records.  It is empty for jobs that run alone.
-func (j *Job) passKey() string {
-	if j.lane == nil || j.Key == "" { // unkeyed: the stream has no identity to share
+// groupKey names the task a job can share with others of its batch: a
+// stream pass for a trace-backed job (jobs with equal keys read the same
+// records), a geometry family for a program-backed RTM job (see
+// family.go).  It is empty for jobs that run alone.
+func (j *Job) groupKey() string {
+	spec := j.lane
+	if spec == nil || j.Key == "" { // unkeyed: the stream has no identity to share
 		return ""
 	}
-	return fmt.Sprintf("%s|%d|%d", j.lane.src.Key, j.lane.skip, j.lane.budget)
+	if spec.src.prog == nil {
+		return fmt.Sprintf("pass|%s|%d|%d", spec.src.Key, spec.skip, spec.budget)
+	}
+	if spec.rtm == nil || spec.rtm.Verify {
+		return ""
+	}
+	return fmt.Sprintf("family|%s|%d|%d|%+v", spec.src.Key, spec.skip, spec.budget, familyOf(*spec.rtm))
 }
 
 // run computes spec on its own: over a live execution for a
@@ -70,14 +75,8 @@ func (spec *laneSpec) run(ctx context.Context) (any, error) {
 		return v, err
 	}
 	if spec.rtm != nil {
-		if err := ValidGeometry(spec.rtm.Geometry); err != nil {
-			return nil, err
-		}
-		c, err := spec.src.machine(ctx, spec.skip)
-		if err != nil {
-			return nil, err
-		}
-		return rtm.NewSim(*spec.rtm, c).RunContext(ctx, spec.budget)
+		_, v, err := spec.sim(ctx)
+		return v, err
 	}
 	set := core.NewStudySet()
 	l := &lane{spec: spec}
@@ -99,6 +98,22 @@ func (spec *laneSpec) run(ctx context.Context) (any, error) {
 	return l.result(), nil
 }
 
+// sim runs a program-backed RTM spec live and returns the finished
+// simulation too, so that a geometry family can derive its other
+// members from it.
+func (spec *laneSpec) sim(ctx context.Context) (*rtm.Sim, any, error) {
+	if err := ValidGeometry(spec.rtm.Geometry); err != nil {
+		return nil, nil, err
+	}
+	c, err := spec.src.machine(ctx, spec.skip)
+	if err != nil {
+		return nil, nil, err
+	}
+	sim := rtm.NewSim(*spec.rtm, c)
+	r, err := sim.RunContext(ctx, spec.budget)
+	return sim, r, err
+}
+
 // lane is one job's engine in a pass.
 type lane struct {
 	spec *laneSpec
@@ -108,6 +123,10 @@ type lane struct {
 	inSet  bool       // a lane group of the pass's StudySet
 	rp     *rtm.Replay
 	an     *analytics.Analyzer
+
+	leader  *lane // an RTM lane of this lane's geometry family the pass feeds instead (nil: fed itself)
+	done    bool  // the lane's result was taken at the end of the stream
+	derived bool  // the lane's result was derived from its leader's
 }
 
 // build sets up the lane's engine: a lane group of set for a limit
@@ -167,6 +186,11 @@ func (l *lane) build(set *core.StudySet) error {
 // record batch, with its context's error — while the others run on;
 // only a stream that fails to open or decode ends every lane still
 // running.
+//
+// Of each geometry family among the RTM lanes only the leader is fed;
+// the others take their results from it when the stream ends
+// (rtm.Replay.ResultAs).  Those it cannot answer, and those whose leader
+// was cancelled, run straight after as a pass of their own.
 func runPass(lanes []*lane, end func(i int, v any, err error)) {
 	set := core.NewStudySet()
 	var live []int
@@ -184,8 +208,9 @@ func runPass(lanes []*lane, end func(i int, v any, err error)) {
 	if len(live) == 0 {
 		return
 	}
+	live, followers := lead(lanes, live)
 	fail := func(err error) {
-		for _, i := range live {
+		for _, i := range append(live, followers...) {
 			end(i, nil, err)
 		}
 	}
@@ -197,21 +222,29 @@ func runPass(lanes []*lane, end func(i int, v any, err error)) {
 	}
 	defer st.Close()
 
-	budget := spec.budget
-	for n := uint64(0); n < budget; {
-		k, inSet := 0, false
-		for _, i := range live {
+	// running ends the lanes of ids whose context is cancelled and
+	// returns the others.
+	running := func(ids []int) []int {
+		k := 0
+		for _, i := range ids {
 			if err := lanes[i].ctx.Err(); err != nil {
 				end(i, nil, err)
 				continue
 			}
-			live[k] = i
+			ids[k] = i
 			k++
-			inSet = inSet || lanes[i].inSet
 		}
-		live = live[:k]
-		if k == 0 {
-			return
+		return ids[:k]
+	}
+	budget := spec.budget
+	for n := uint64(0); n < budget; {
+		live, followers = running(live), running(followers)
+		if len(live) == 0 {
+			break
+		}
+		inSet := false
+		for _, i := range live {
+			inSet = inSet || lanes[i].inSet
 		}
 		batch, err := st.NextBatch()
 		if err == io.EOF {
@@ -242,8 +275,38 @@ func runPass(lanes []*lane, end func(i int, v any, err error)) {
 			}
 		}
 	}
-	set.Finish()
-	for _, i := range live {
-		end(i, lanes[i].result(), nil)
+	if len(live) > 0 {
+		set.Finish()
+		for _, i := range live {
+			l := lanes[i]
+			v := l.result()
+			l.done = true
+			end(i, v, nil)
+		}
+	}
+
+	var alone []*lane
+	var at []int
+	for _, i := range followers {
+		l := lanes[i]
+		if err := l.ctx.Err(); err != nil {
+			end(i, nil, err)
+			continue
+		}
+		if l.leader.done {
+			if r, ok := l.leader.rp.ResultAs(l.spec.rtm.Geometry); ok {
+				l.derived = true
+				end(i, r, nil)
+				continue
+			}
+		}
+		alone = append(alone, &lane{spec: l.spec, ctx: l.ctx})
+		at = append(at, i)
+	}
+	if len(alone) > 0 {
+		runPass(alone, func(j int, v any, err error) {
+			lanes[at[j]].derived = alone[j].derived
+			end(at[j], v, err)
+		})
 	}
 }

@@ -193,8 +193,8 @@ type Service struct {
 	closeOnce sync.Once
 }
 
-// task is one unit of dispatch: a lone job, or the jobs of one stream
-// pass.  It holds one of its batch's parallelism slots until the last of
+// task is one unit of dispatch: a lone job, the jobs of one stream pass,
+// or the jobs of one geometry family.  It holds one of its batch's parallelism slots until the last of
 // its members is delivered.
 type task struct {
 	batch   *Batch
@@ -208,8 +208,9 @@ type member struct {
 	index int
 	task  *task
 
-	flight *flight         // the flight this member owns while it runs (nil: unkeyed)
-	ctx    context.Context // what the run polls: the flight's, or the batch's when unkeyed
+	flight  *flight         // the flight this member owns while it runs (nil: unkeyed)
+	ctx     context.Context // what the run polls: the flight's, or the batch's when unkeyed
+	derived bool            // its result was derived from another member's run (see family.go)
 }
 
 // errFlightDone releases a completed flight's context; it is never
@@ -931,18 +932,19 @@ func (s *Service) Submit(ctx context.Context, jobs []Job, maxParallel int) *Batc
 
 // tasks groups a batch's jobs into tasks, in order of each task's first
 // job: the trace-backed jobs sharing a pass key into one stream pass,
+// the program-backed RTM jobs of one geometry family into one family,
 // every other job alone.
 func (b *Batch) tasks(jobs []Job) []*task {
 	var tasks []*task
-	passes := make(map[string]*task)
+	groups := make(map[string]*task)
 	for i, j := range jobs {
-		key := j.passKey()
-		t := passes[key]
+		key := j.groupKey()
+		t := groups[key]
 		if t == nil {
 			t = &task{batch: b}
 			tasks = append(tasks, t)
 			if key != "" {
-				passes[key] = t
+				groups[key] = t
 			}
 		}
 		t.members = append(t.members, &member{job: j, index: i, task: t})
@@ -990,18 +992,19 @@ func (s *Service) runTask(t *task) {
 	if len(run) == 0 {
 		return
 	}
-	start := time.Now()
-	if run[0].job.lane == nil {
-		m := run[0]
-		v, err := m.job.Run(m.ctx)
-		s.complete(m, v, err, time.Since(start))
+	if l := run[0].job.lane; l == nil || l.src.prog != nil {
+		s.runFamily(run)
 		return
 	}
+	start := time.Now()
 	lanes := make([]*lane, len(run))
 	for i, m := range run {
 		lanes[i] = &lane{spec: m.job.lane, ctx: m.ctx}
 	}
-	runPass(lanes, func(i int, v any, err error) { s.complete(run[i], v, err, time.Since(start)) })
+	runPass(lanes, func(i int, v any, err error) {
+		run[i].derived = lanes[i].derived
+		s.complete(run[i], v, err, time.Since(start))
+	})
 }
 
 // claim answers m from the result cache, the persistent tier or an
@@ -1126,14 +1129,16 @@ func isCancellation(err error) bool {
 
 // finish counts and delivers one result; the last of a task's members
 // releases the task's parallelism slot.  dur is the wall-clock run time
-// for jobs that were actually simulated (cached and skipped deliveries
-// pass 0 and are never observed in the latency histograms).
+// for jobs that were actually simulated (cached, derived and skipped
+// deliveries pass 0 and are never observed in the latency histograms).
 func (s *Service) finish(m *member, v any, err error, cached bool, dur time.Duration) {
 	switch {
 	case cached:
 		// CacheHits/Coalesced already counted at lookup time.
 	case isCancellation(err):
 		// Skipped (or stopped mid-run), not simulated to completion.
+	case m.derived:
+		s.met.derived.With(jobKind(m.job)).Inc()
 	default:
 		s.met.ran.Inc()
 		s.met.jobDur.With(jobKind(m.job)).Observe(dur.Seconds())
