@@ -9,7 +9,10 @@
 // — each worker issues its next request as soon as the previous one
 // completes — and open-loop when Rate is set, with a global pacer
 // feeding workers so a slow server builds visible queueing delay
-// instead of silently throttling offered load.
+// instead of silently throttling offered load.  In open loop every
+// request is timed from the moment the schedule said it was due, not
+// from when a worker got to send it, so a server stall shows in the
+// tail of every request it delayed (no coordinated omission).
 package loadgen
 
 import (
@@ -22,6 +25,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/tracereuse/tlr"
@@ -166,26 +170,34 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 
-	// Open-loop pacer: a buffered channel of permission tokens filled
-	// at cfg.Rate.  The deep buffer keeps the offered schedule intact
-	// through short server stalls — queueing delay shows up in client
-	// latency instead of vanishing into a skipped tick.
-	var pace chan struct{}
+	// Open-loop pacer: a buffered channel of tokens, one per request the
+	// schedule offers at cfg.Rate, each carrying the time it fell due.
+	// The deep buffer keeps the offered schedule intact through short
+	// server stalls, and timing each request from its due time puts the
+	// queueing delay into client latency.  A tick that finds the buffer
+	// full is a request the schedule offered and the run could not even
+	// queue: it is counted and reported, not issued.
+	var pace chan time.Time
+	var dropped atomic.Uint64
 	if cfg.Rate > 0 {
-		pace = make(chan struct{}, 4*cfg.Workers+int(cfg.Rate))
+		pace = make(chan time.Time, 4*cfg.Workers+int(cfg.Rate))
 		interval := time.Duration(float64(time.Second) / cfg.Rate)
 		go func() {
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
+			due := time.Now()
+			timer := time.NewTimer(0)
+			defer timer.Stop()
 			for {
+				due = due.Add(interval)
+				timer.Reset(time.Until(due))
 				select {
 				case <-runCtx.Done():
 					return
-				case <-tick.C:
-					select {
-					case pace <- struct{}{}:
-					default: // backlog full: the schedule is hopeless anyway
-					}
+				case <-timer.C:
+				}
+				select {
+				case pace <- due:
+				default:
+					dropped.Add(1)
 				}
 			}
 		}()
@@ -204,12 +216,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
 			var out []sample
 			for {
+				t0 := time.Now()
 				if pace != nil {
 					select {
 					case <-runCtx.Done():
 						perWorker[w] = out
 						return
-					case <-pace:
+					case t0 = <-pace:
 					}
 				} else if runCtx.Err() != nil {
 					perWorker[w] = out
@@ -217,7 +230,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				}
 				kind := cfg.Mix.pick(rng)
 				variant := rng.Intn(cfg.Distinct)
-				t0 := time.Now()
 				err := issue(runCtx, cfg, kind, variant, traces, digests)
 				dur := time.Since(t0)
 				if runCtx.Err() != nil && err != nil {
@@ -242,6 +254,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		all = append(all, s...)
 	}
 	rep := buildReport(cfg, elapsed, all)
+	rep.TicksDropped = dropped.Load()
+	if rep.TicksDropped > 0 {
+		cfg.Logf("loadgen: %d scheduled requests dropped: the backlog of due requests was full", rep.TicksDropped)
+	}
 	rep.Scrape = scr.report()
 	return rep, nil
 }

@@ -10,16 +10,20 @@ import (
 // (throughput, per-kind latency percentiles) plus the server-side view
 // sampled from /metrics during the run.
 type Report struct {
-	Server        string                `json:"server"`
-	Mode          string                `json:"mode"` // "closed" or "open"
-	Workload      string                `json:"workload"`
-	Workers       int                   `json:"workers"`
-	Seconds       float64               `json:"seconds"`
-	Requests      uint64                `json:"requests"`
-	Errors        uint64                `json:"errors"`
-	ThroughputRPS float64               `json:"throughputRPS"`
-	Kinds         map[string]KindReport `json:"kinds"`
-	Scrape        *ScrapeReport         `json:"scrape,omitempty"`
+	Server        string  `json:"server"`
+	Mode          string  `json:"mode"` // "closed" or "open"
+	Workload      string  `json:"workload"`
+	Workers       int     `json:"workers"`
+	Seconds       float64 `json:"seconds"`
+	Requests      uint64  `json:"requests"`
+	Errors        uint64  `json:"errors"`
+	ThroughputRPS float64 `json:"throughputRPS"`
+	// TicksDropped counts open-loop requests the schedule offered while
+	// the backlog of due, unsent requests was full: never issued, so in
+	// no latency figure.  Zero in closed loop.
+	TicksDropped uint64                `json:"ticksDropped"`
+	Kinds        map[string]KindReport `json:"kinds"`
+	Scrape       *ScrapeReport         `json:"scrape,omitempty"`
 }
 
 // KindReport summarises one request kind's client-side samples.
