@@ -1,6 +1,7 @@
 package tlr
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -8,10 +9,10 @@ import (
 	"testing"
 )
 
-// TestRequestWireRoundTrip marshals one request of every kind and
-// decodes it back, checking the semantic payload survives.
-func TestRequestWireRoundTrip(t *testing.T) {
-	reqs := []Request{
+// wireRequests is one request of every configuration kind, as the wire
+// tests and the wire fuzz seeds use them.
+func wireRequests() []Request {
+	return []Request{
 		{ID: "s", Workload: "gcc", Study: &StudyConfig{
 			Budget: 1000, Skip: 10, Window: 256,
 			ILRLatencies: []float64{1, 2},
@@ -27,7 +28,12 @@ func TestRequestWireRoundTrip(t *testing.T) {
 		}, Budget: 2000},
 		{ID: "v", Workload: "li", VP: &VPConfig{Window: 64, PredLat: 2}, Budget: 2000},
 	}
-	for _, req := range reqs {
+}
+
+// TestRequestWireRoundTrip marshals one request of every kind and
+// decodes it back, checking the semantic payload survives.
+func TestRequestWireRoundTrip(t *testing.T) {
+	for _, req := range wireRequests() {
 		t.Run(string(req.Kind()), func(t *testing.T) {
 			data, err := json.Marshal(req)
 			if err != nil {
@@ -82,10 +88,8 @@ func TestRequestWireProgBecomesSource(t *testing.T) {
 // TestRequestWireCompat: the pre-versioned server spelling — explicit
 // kind, tlrConst/tlrProp latency lists, no "v" — still decodes.
 func TestRequestWireCompat(t *testing.T) {
-	const legacy = `{"id": "cell1", "workload": "gcc", "kind": "study",
-		"study": {"budget": 1000, "window": 256, "tlrConst": [1, 2], "tlrProp": [0.5]}}`
 	var req Request
-	if err := json.Unmarshal([]byte(legacy), &req); err != nil {
+	if err := json.Unmarshal([]byte(legacyRequest), &req); err != nil {
 		t.Fatal(err)
 	}
 	if req.Kind() != KindStudy || req.Study.Budget != 1000 {
@@ -97,15 +101,22 @@ func TestRequestWireCompat(t *testing.T) {
 	}
 }
 
+// legacyRequest is the pre-versioned server spelling of a study request.
+const legacyRequest = `{"id": "cell1", "workload": "gcc", "kind": "study",
+	"study": {"budget": 1000, "window": 256, "tlrConst": [1, 2], "tlrProp": [0.5]}}`
+
+// badRequests must each fail to decode.
+var badRequests = []string{
+	`{"v": 2, "workload": "li", "vp": {}, "budget": 1}`,
+	`{"kind": "rtm", "workload": "li", "vp": {}, "budget": 1}`,
+	`{"kind": "nonsense", "workload": "li", "vp": {}, "budget": 1}`,
+	`{"workload": "li", "rtm": {"heuristic": "bogus"}, "budget": 1}`,
+}
+
 // TestRequestWireRejects: future versions and kind/config mismatches
 // are decode errors, not silent misreads.
 func TestRequestWireRejects(t *testing.T) {
-	for _, bad := range []string{
-		`{"v": 2, "workload": "li", "vp": {}, "budget": 1}`,
-		`{"kind": "rtm", "workload": "li", "vp": {}, "budget": 1}`,
-		`{"kind": "nonsense", "workload": "li", "vp": {}, "budget": 1}`,
-		`{"workload": "li", "rtm": {"heuristic": "bogus"}, "budget": 1}`,
-	} {
+	for _, bad := range badRequests {
 		var req Request
 		if err := json.Unmarshal([]byte(bad), &req); err == nil {
 			t.Errorf("%s: expected decode error", bad)
@@ -165,5 +176,70 @@ func TestHeuristicNames(t *testing.T) {
 	}
 	if _, err := ParseHeuristic("bogus"); err == nil {
 		t.Error("bogus heuristic should fail to parse")
+	}
+}
+
+// FuzzRequestJSON feeds arbitrary bytes to the request and result
+// decoders, which the server runs on every request body and peer
+// response: decoding must never panic, and whatever decodes must
+// re-encode to a form that decodes and re-encodes to the same bytes.
+// Seeds: the wire tests' requests, the legacy spelling, the rejected
+// forms, an inline-trace request and a result with an error.
+//
+//	go test -run='^$' -fuzz=FuzzRequestJSON -fuzztime=10s .
+func FuzzRequestJSON(f *testing.F) {
+	for _, req := range wireRequests() {
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	tr, err := Record(context.Background(), RecordSpec{Workload: "li", Budget: 64})
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := json.Marshal(Request{Trace: tr, VP: &VPConfig{Window: 64}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add([]byte(legacyRequest))
+	for _, bad := range badRequests {
+		f.Add([]byte(bad))
+	}
+	b, err = json.Marshal(Result{Index: 1, ID: "y", Kind: KindRTM, Err: errors.New("boom")})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		stable(t, data, new(Request))
+		stable(t, data, new(Result))
+	})
+}
+
+// stable decodes data into v and, if that succeeds and v re-encodes,
+// requires the encoding to decode into a fresh value that re-encodes to
+// the same bytes.
+func stable[T any](t *testing.T, data []byte, v *T) {
+	if json.Unmarshal(data, v) != nil {
+		return
+	}
+	first, err := json.Marshal(v)
+	if err != nil {
+		return // decodable but not encodable, e.g. a request naming two sources
+	}
+	var again T
+	if err := json.Unmarshal(first, &again); err != nil {
+		t.Fatalf("%T re-encoding %s does not decode: %v", v, first, err)
+	}
+	second, err := json.Marshal(&again)
+	if err != nil {
+		t.Fatalf("%T re-encoding %s does not encode after a decode: %v", v, first, err)
+	}
+	if string(first) != string(second) {
+		t.Fatalf("%T encoding is not stable:\n first %s\nsecond %s", v, first, second)
 	}
 }
