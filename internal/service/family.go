@@ -64,20 +64,12 @@ func lead(lanes []*lane, live []int) (fed, followers []int) {
 	return fed, followers
 }
 
-// runFamily runs the members of a program-backed task that claim let
-// run.  A lone member runs as itself.  A family runs fewest sets first:
-// each live simulation answers every later member it provably equals,
-// and a member it cannot answer — or every member, when the simulation
-// fails or is cancelled — runs its own simulation in turn, which may
-// answer the members after it.
+// runFamily runs the members of a program-backed family that claim let
+// run, fewest sets first: each live simulation answers every later
+// member it provably equals, and a member it cannot answer — or every
+// member, when the simulation fails or is cancelled — runs its own
+// simulation in turn, which may answer the members after it.
 func (s *Service) runFamily(run []*member) {
-	if len(run) == 1 {
-		m := run[0]
-		start := time.Now()
-		v, err := m.job.Run(m.ctx)
-		s.complete(m, v, err, time.Since(start))
-		return
-	}
 	sort.SliceStable(run, func(i, j int) bool { return sets(run[i].job.lane) < sets(run[j].job.lane) })
 	for len(run) > 0 {
 		m := run[0]

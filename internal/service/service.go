@@ -194,8 +194,8 @@ type Service struct {
 }
 
 // task is one unit of dispatch: a lone job, the jobs of one stream pass,
-// or the jobs of one geometry family.  It holds one of its batch's parallelism slots until the last of
-// its members is delivered.
+// or the jobs of one geometry family.  It holds one of its batch's
+// parallelism slots until the last of its members is delivered.
 type task struct {
 	batch   *Batch
 	members []*member
@@ -992,11 +992,17 @@ func (s *Service) runTask(t *task) {
 	if len(run) == 0 {
 		return
 	}
+	start := time.Now()
 	if l := run[0].job.lane; l == nil || l.src.prog != nil {
-		s.runFamily(run)
+		if len(run) > 1 {
+			s.runFamily(run)
+			return
+		}
+		m := run[0]
+		v, err := m.job.Run(m.ctx)
+		s.complete(m, v, err, time.Since(start))
 		return
 	}
-	start := time.Now()
 	lanes := make([]*lane, len(run))
 	for i, m := range run {
 		lanes[i] = &lane{spec: m.job.lane, ctx: m.ctx}
