@@ -261,6 +261,14 @@ func leaderCancelled(t *testing.T, leader, follower Job, want map[string]string,
 	b := s.Submit(context.Background(), []Job{follower}, 0)
 	waitFor(t, func() bool { return s.Stats().Coalesced == 1 })
 	cancelA()
+	// The flight drops A's interest asynchronously: release the leader
+	// only once its run has seen the cancellation.
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		f := s.inflight[leader.Key]
+		return f == nil || f.ctx.Err() != nil
+	})
 	release()
 	resA, _ := a.Wait()
 	if !errors.Is(resA[0].Err, context.Canceled) {

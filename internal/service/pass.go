@@ -18,13 +18,19 @@ import (
 // decodes the stream once and hands every record batch to every lane
 // still running: the limit studies (study, vp) as lane groups of one
 // core.StudySet, each RTM as an rtm.Replay fed batch by batch, each
-// analysis as an analytics.Analyzer.  A lone trace-backed job is a pass
-// of one, so every trace-backed job runs through runPass.
+// analysis as an analytics.Analyzer.  The RTM lanes of one geometry
+// family (family.go) share more than the stream: the pass feeds only
+// the family's leader and derives the others from it at the end.  A
+// lone trace-backed job is a pass of one, so every trace-backed job runs
+// through runPass.
 //
-// Program-backed jobs stay one per task: a live stream would have to be
-// recorded to be shared, and on the Figure-9 grid recording each window
-// once and replaying its 40 RTM configurations took longer than the 40
-// live simulations it would replace.
+// Program-backed jobs do not share a stream: a live stream would have to
+// be recorded to be shared, and on the Figure-9 grid recording each
+// window once and replaying its 40 RTM configurations took longer than
+// the 40 live simulations it would replace.  They share simulations
+// instead: a program-backed geometry family is one task that runs one
+// live simulation per member it cannot derive (runFamily), and every
+// other program-backed job is a task of its own.
 
 // laneSpec is one trace-driven job: its stream and what it computes
 // over it (exactly one of study, vp, rtm, analyze).
