@@ -5,9 +5,7 @@ import (
 	"io"
 	"testing"
 
-	"github.com/tracereuse/tlr/internal/cpu"
 	"github.com/tracereuse/tlr/internal/trace"
-	"github.com/tracereuse/tlr/internal/workload"
 )
 
 // FuzzTraceReader hardens the trace decoder against untrusted input:
@@ -17,41 +15,30 @@ import (
 // invariants, and Load must round-trip to an identical, identically
 // digested trace.
 func FuzzTraceReader(f *testing.F) {
-	// Seeds: a real recorded stream in all four container versions,
-	// plus truncations and header corruptions of each.
-	w, _ := workload.ByName("compress")
-	prog, err := w.Program()
-	if err != nil {
-		f.Fatal(err)
-	}
-	rec := NewRecorder()
-	if _, err := cpu.New(prog).Run(500, rec.Write); err != nil {
-		f.Fatal(err)
-	}
-	tr := rec.Trace()
-
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			f.Fatal(err)
+	// Seeds: the frozen fixtures in all four container versions, plus
+	// truncations and header corruptions of each.
+	for _, name := range []string{"example", "li4200"} {
+		for _, version := range allVersions {
+			seed := readFixture(f, name, version)
+			f.Add(seed)
+			f.Add(seed[:len(seed)/2])
+			f.Add(seed[:13])
+			mut := append([]byte(nil), seed...)
+			mut[9] ^= 0xff
+			f.Add(mut)
+			// One flip inside the record region (for v3/v4: the compressed
+			// frame), so the fuzzer starts from near-valid damaged payloads.
+			mut2 := append([]byte(nil), seed...)
+			mut2[len(mut2)*3/4] ^= 0x20
+			f.Add(mut2)
+			// And one flip in the prelude's dictionary region (v3/v4), the
+			// only uncompressed varint surface.
+			if version >= Version3 {
+				mut3 := append([]byte(nil), seed...)
+				mut3[12+8+32+8+8+4] ^= 0x81
+				f.Add(mut3)
+			}
 		}
-		seed := buf.Bytes()
-		f.Add(seed)
-		f.Add(seed[:len(seed)/2])
-		f.Add(seed[:13])
-		mut := append([]byte(nil), seed...)
-		mut[9] ^= 0xff
-		f.Add(mut)
-		// One flip inside the record region (for v3/v4: the compressed
-		// frame), so the fuzzer starts from near-valid damaged payloads.
-		mut2 := append([]byte(nil), seed...)
-		mut2[len(mut2)*3/4] ^= 0x20
-		f.Add(mut2)
-		// And one flip in the prelude's dictionary region (v3/v4), the
-		// only uncompressed varint surface.
-		mut3 := append([]byte(nil), seed...)
-		mut3[12+8+32+8+8+4] ^= 0x81
-		f.Add(mut3)
 	}
 	f.Add([]byte("TLRTRACE"))
 	f.Add([]byte{})

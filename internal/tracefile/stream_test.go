@@ -35,7 +35,7 @@ func drainStream(t *testing.T, s trace.Stream) []trace.Exec {
 // yields — the streamed-replay-equivalence contract at the record
 // level.
 func TestFileStreamMatchesCursor(t *testing.T) {
-	tr := recordWorkload(t, "compress", 25_000)
+	tr := loadFixture(t, "li4200", Version4)
 	var want []trace.Exec
 	cur := tr.Cursor()
 	defer cur.Close()
@@ -49,12 +49,9 @@ func TestFileStreamMatchesCursor(t *testing.T) {
 		want = append(want, normalize(e))
 	}
 
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewFileStream(bytes.NewReader(buf.Bytes()))
+	for _, version := range allVersions {
+		data := readFixture(t, "li4200", version)
+		s, err := NewFileStream(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("v%d: %v", version, err)
 		}
@@ -69,12 +66,13 @@ func TestFileStreamMatchesCursor(t *testing.T) {
 			}
 		}
 
-		// Skip mid-stream lands on the same records.
-		s2, err := NewFileStream(bytes.NewReader(buf.Bytes()))
+		// Skip mid-stream, across the first block boundary, lands on the
+		// same records.
+		s2, err := NewFileStream(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		const skip = 9_999
+		const skip = BlockLen + 3
 		if n, err := s2.Skip(skip); err != nil || n != skip {
 			t.Fatalf("v%d: Skip = %d, %v", version, n, err)
 		}
@@ -90,13 +88,13 @@ func TestFileStreamMatchesCursor(t *testing.T) {
 // digest, count and canonical size as a full Load, for every container
 // version, and rejects a tampered header.
 func TestScanMatchesLoad(t *testing.T) {
-	tr := recordWorkload(t, "ijpeg", 20_000)
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			t.Fatal(err)
+	for _, version := range allVersions {
+		data := readFixture(t, "li4200", version)
+		tr, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("v%d: %v", version, err)
 		}
-		info, err := Scan(bytes.NewReader(buf.Bytes()))
+		info, err := Scan(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("v%d: %v", version, err)
 		}
@@ -107,11 +105,7 @@ func TestScanMatchesLoad(t *testing.T) {
 	}
 
 	// A lying digest in an indexed header must be rejected.
-	var buf bytes.Buffer
-	if _, err := tr.WriteToVersion(&buf, Version2); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := readFixture(t, "li4200", Version2)
 	data[12+8] ^= 0xff // first digest byte
 	if _, err := Scan(bytes.NewReader(data)); err == nil {
 		t.Fatal("tampered digest passed Scan")
@@ -123,14 +117,11 @@ func TestScanMatchesLoad(t *testing.T) {
 // digest-named v4 file that loads back identically, and re-uploading
 // is a no-op.
 func TestSpoolToDir(t *testing.T) {
-	tr := recordWorkload(t, "li", 15_000)
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
+	tr := loadFixture(t, "li4200", Version4)
+	for _, version := range allVersions {
 		dir := t.TempDir()
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			t.Fatal(err)
-		}
-		info, err := SpoolToDir(bytes.NewReader(buf.Bytes()), dir)
+		data := readFixture(t, "li4200", version)
+		info, err := SpoolToDir(bytes.NewReader(data), dir)
 		if err != nil {
 			t.Fatalf("v%d: %v", version, err)
 		}
@@ -162,7 +153,7 @@ func TestSpoolToDir(t *testing.T) {
 		f.Close()
 
 		// Idempotent re-upload.
-		again, err := SpoolToDir(bytes.NewReader(buf.Bytes()), dir)
+		again, err := SpoolToDir(bytes.NewReader(data), dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,11 +172,7 @@ func TestSpoolToDir(t *testing.T) {
 
 	// A corrupt upload installs nothing and leaves no temp files.
 	dir := t.TempDir()
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := readFixture(t, "li4200", Version4)
 	data[len(data)-1] ^= 0xff
 	if _, err := SpoolToDir(bytes.NewReader(data), dir); err == nil {
 		t.Fatal("corrupt upload accepted")

@@ -207,46 +207,35 @@ func TestCursorRunBudgetAndCancel(t *testing.T) {
 	}
 }
 
-// TestCrossVersionIdentical: one canonical recording written in all
-// three container versions decodes record-identically and
-// digest-identically in all three.
+// TestCrossVersionIdentical: one stream frozen in all four container
+// versions decodes record-identically and digest-identically in all
+// four, and the version-4 container written today beats the canonical
+// ones at rest.
 func TestCrossVersionIdentical(t *testing.T) {
-	tr := recordWorkload(t, "compress", 8_000)
-
-	loads := make(map[uint32]*Trace)
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			t.Fatalf("writing v%d: %v", version, err)
-		}
-		r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	ref := loadFixture(t, "li4200", Version)
+	for _, version := range allVersions {
+		data := readFixture(t, "li4200", version)
+		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("v%d header: %v", version, err)
 		}
 		if r.Version() != version {
-			t.Fatalf("wrote v%d, reader found v%d", version, r.Version())
+			t.Fatalf("v%d fixture read as v%d", version, r.Version())
 		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("loading v%d: %v", version, err)
+		loaded := loadFixture(t, "li4200", version)
+		if loaded.Digest() != ref.Digest() {
+			t.Errorf("v%d digest %s, v1 %s", version, loaded.Digest(), ref.Digest())
 		}
-		loads[version] = loaded
-	}
-	for version, loaded := range loads {
-		if loaded.Digest() != tr.Digest() {
-			t.Errorf("v%d digest %s, recorded %s", version, loaded.Digest(), tr.Digest())
+		if loaded.Records() != ref.Records() {
+			t.Errorf("v%d holds %d records, v1 %d", version, loaded.Records(), ref.Records())
 		}
-		if loaded.Records() != tr.Records() {
-			t.Errorf("v%d holds %d records, recorded %d", version, loaded.Records(), tr.Records())
+		if loaded.CanonicalBytes() != ref.CanonicalBytes() {
+			t.Errorf("v%d canonical %d bytes, v1 %d", version, loaded.CanonicalBytes(), ref.CanonicalBytes())
 		}
-		if loaded.CanonicalBytes() != tr.CanonicalBytes() {
-			t.Errorf("v%d canonical %d bytes, recorded %d", version, loaded.CanonicalBytes(), tr.CanonicalBytes())
-		}
-		// Record-for-record equality against the original, not just the
-		// digest's word for it.
-		a, b := tr.Cursor(), loaded.Cursor()
+		// Record-for-record equality, not just the digest's word for it.
+		a, b := ref.Cursor(), loaded.Cursor()
 		var ea, eb trace.Exec
-		for i := uint64(0); i < tr.Records(); i++ {
+		for i := uint64(0); i < ref.Records(); i++ {
 			if err := a.Next(&ea); err != nil {
 				t.Fatal(err)
 			}
@@ -254,29 +243,22 @@ func TestCrossVersionIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if normalize(ea) != normalize(eb) {
-				t.Fatalf("v%d record %d differs from the recording", version, i)
+				t.Fatalf("v%d record %d differs from v1", version, i)
 			}
 		}
 		a.Close()
 		b.Close()
 	}
 
-	// Both compressed containers must beat the canonical ones by a wide
-	// margin (v3 vs v4 relative size is workload-dependent: flate likes
-	// v3's interleaved stream on some integer codes, v4's planes on FP
-	// ones — so no ordering is asserted between the two).
-	sizes := make(map[uint32]int)
-	for _, version := range []uint32{Version, Version2, Version3, Version4} {
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			t.Fatal(err)
-		}
-		sizes[version] = buf.Len()
+	// The version-4 container must beat the canonical ones by a wide
+	// margin.
+	var v4 bytes.Buffer
+	if _, err := ref.WriteTo(&v4); err != nil {
+		t.Fatal(err)
 	}
-	for _, compressed := range []uint32{Version3, Version4} {
-		if sizes[compressed] >= sizes[Version2] || sizes[compressed] >= sizes[Version] {
-			t.Errorf("v%d container (%d bytes) not smaller than v1 (%d) / v2 (%d)",
-				compressed, sizes[compressed], sizes[Version], sizes[Version2])
+	for _, version := range []uint32{Version, Version2} {
+		if n := len(readFixture(t, "li4200", version)); 2*v4.Len() >= n {
+			t.Errorf("v4 container (%d bytes) not under half the v%d one (%d)", v4.Len(), version, n)
 		}
 	}
 }
@@ -444,17 +426,10 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 	if err := tr.Cursor().Next(&e); err != io.EOF {
 		t.Fatalf("empty cursor: err = %v, want io.EOF", err)
 	}
-	for _, version := range []uint32{Version, Version2, Version3} {
-		var buf bytes.Buffer
-		if _, err := tr.WriteToVersion(&buf, version); err != nil {
-			t.Fatalf("writing empty v%d: %v", version, err)
-		}
-		loaded, err := Load(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("loading empty v%d: %v", version, err)
-		}
+	for _, version := range allVersions {
+		loaded := loadFixture(t, "empty", version)
 		if loaded.Records() != 0 || loaded.Digest() != tr.Digest() {
-			t.Fatalf("empty v%d round trip: %d records, digest %s", version, loaded.Records(), loaded.Digest())
+			t.Fatalf("empty v%d: %d records, digest %s", version, loaded.Records(), loaded.Digest())
 		}
 	}
 }
@@ -462,18 +437,11 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 // TestReaderErrorsCarryOffset: decode errors must name the record index
 // and its byte offset.
 func TestReaderErrorsCarryOffset(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	var e trace.Exec
-	e.PC, e.Next, e.Op, e.Lat = 5, 6, 1, 1 // a valid op
-	if err := w.Write(&e); err != nil {
-		t.Fatal(err)
-	}
-	_ = w.Flush()
-	good := buf.Len()
-	buf.Write([]byte{flagSeqNext, 250, 1, 5}) // record 1: undefined op at offset `good`
+	data := readFixture(t, "example", Version)
+	good := len(data)
+	data = append(data, flagSeqNext, 250, 1, 5) // record 4: undefined op at offset `good`
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +449,7 @@ func TestReaderErrorsCarryOffset(t *testing.T) {
 	if err == nil {
 		t.Fatal("undefined op not rejected")
 	}
-	want := "record 1 (offset " + strconv.Itoa(good) + ")"
+	want := "record 4 (offset " + strconv.Itoa(good) + ")"
 	if !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not carry %q", err, want)
 	}

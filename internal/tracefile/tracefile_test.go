@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -13,21 +14,13 @@ import (
 
 func roundTrip(t *testing.T, execs []trace.Exec) []trace.Exec {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := NewRecorder()
 	for i := range execs {
-		if err := w.Write(&execs[i]); err != nil {
-			t.Fatal(err)
-		}
+		rec.Write(&execs[i])
 	}
-	if err := w.Flush(); err != nil {
+	var buf bytes.Buffer
+	if _, err := rec.Trace().WriteTo(&buf); err != nil {
 		t.Fatal(err)
-	}
-	if w.Records() != uint64(len(execs)) {
-		t.Fatalf("writer counted %d records", w.Records())
 	}
 
 	r, err := NewReader(&buf)
@@ -93,20 +86,15 @@ func TestRoundTripRealWorkloadStream(t *testing.T) {
 	}
 	c := cpu.New(prog)
 	var recorded []trace.Exec
-	var buf bytes.Buffer
-	tw, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := NewRecorder()
 	if _, err := c.Run(20_000, func(e *trace.Exec) {
 		recorded = append(recorded, *e)
-		if err := tw.Write(e); err != nil {
-			t.Fatal(err)
-		}
+		rec.Write(e)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.Flush(); err != nil {
+	var buf bytes.Buffer
+	if _, err := rec.Trace().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,25 +144,26 @@ func TestBadVersion(t *testing.T) {
 }
 
 func TestTruncatedStream(t *testing.T) {
-	var full bytes.Buffer
-	w, _ := NewWriter(&full)
-	var e trace.Exec
-	e.PC, e.Next, e.Op, e.Lat = 5, 6, isa.ADD, 1
-	e.AddIn(trace.IntReg(1), 1<<40) // multi-byte varint
-	e.AddOut(trace.IntReg(2), 7)
-	_ = w.Write(&e)
-	_ = w.Flush()
+	// The worked example's version-1 file: records of 6, 22, 10 and 9
+	// bytes after the 12-byte prelude, record 1 carrying 9-byte varints.
+	full := readFixture(t, "example", Version)
+	ends := map[int]int{12: 0, 18: 1, 40: 2, 50: 3, 59: 4}
 
-	// Cut the stream mid-record: every prefix after the header must give
-	// ErrUnexpectedEOF, never a silent success.
-	for cut := 13; cut < full.Len(); cut++ {
-		r, err := NewReader(bytes.NewReader(full.Bytes()[:cut]))
+	// Cut the stream everywhere after the prelude: a cut between records
+	// is a shorter valid version-1 stream, and every cut inside a record
+	// must give ErrUnexpectedEOF, never a silent success.
+	for cut := 13; cut < len(full); cut++ {
+		r, err := NewReader(bytes.NewReader(full[:cut]))
 		if err != nil {
 			t.Fatalf("cut %d: header: %v", cut, err)
 		}
-		var out trace.Exec
-		if err := r.Read(&out); err == nil {
-			t.Fatalf("cut %d: truncated record read successfully", cut)
+		err = r.ForEach(func(*trace.Exec) bool { return true })
+		if want, boundary := ends[cut]; boundary {
+			if err != nil || r.Records() != uint64(want) {
+				t.Fatalf("cut %d at a record boundary: %d records, err %v", cut, r.Records(), err)
+			}
+		} else if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut %d: err = %v, want ErrUnexpectedEOF", cut, err)
 		}
 	}
 }
@@ -195,10 +184,7 @@ func TestUndefinedOpRejected(t *testing.T) {
 }
 
 func TestEmptyStream(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	_ = w.Flush()
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(readFixture(t, "empty", Version)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,19 +195,10 @@ func TestEmptyStream(t *testing.T) {
 }
 
 func TestForEachEarlyStop(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	var e trace.Exec
-	e.Op = isa.NOP
-	e.Lat = 1
-	e.Next = 1
-	for i := 0; i < 10; i++ {
-		e.PC = uint64(i)
-		e.Next = uint64(i + 1)
-		_ = w.Write(&e)
+	r, err := NewReader(bytes.NewReader(readFixture(t, "example", Version)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = w.Flush()
-	r, _ := NewReader(&buf)
 	count := 0
 	if err := r.ForEach(func(*trace.Exec) bool {
 		count++
