@@ -152,21 +152,20 @@ type sweepBench struct {
 
 	// Format-level statistics over internal/replaybench's workload mix
 	// (see EncodingStats).  encodeBytesPerRecord is the v4 container at
-	// rest; CI gates it at <= 0.5x of the v2 container, gates
+	// rest; CI gates it at <= 0.5x of canonicalBytesPerRecord, gates
 	// decodeSpeedup (v4 plane-split decode vs the canonical per-record
 	// decode it replaced) at >= 2.0x, and gates decodeNsPerRecord at
 	// <= 2.25x stepNsPerRecord (measured ~1.9x).
 	EncodeBytesPerRecord       float64 `json:"encodeBytesPerRecord"`
 	EncodedMemBytesPerRecord   float64 `json:"encodedMemBytesPerRecord"`
 	CanonicalBytesPerRecord    float64 `json:"canonicalBytesPerRecord"`
-	V2FileBytesPerRecord       float64 `json:"v2FileBytesPerRecord"`
 	DecodeNsPerRecord          float64 `json:"decodeNsPerRecord"`
 	CanonicalDecodeNsPerRecord float64 `json:"canonicalDecodeNsPerRecord"`
 	StepNsPerRecord            float64 `json:"stepNsPerRecord"`
 	DecodeSpeedup              float64 `json:"decodeSpeedup"`
 
 	// Streamed (on-disk) replay memory: heap bytes allocated by one
-	// full incremental replay of a version-3 file at two stream lengths
+	// full incremental replay of a version-4 file at two stream lengths
 	// (see replaybench.MeasureStreamMemory).  The constant-memory gate:
 	// allocation per replayed record must stay a tiny constant —
 	// marginal cost well under a byte per record (compress/flate's
@@ -308,8 +307,8 @@ func runSweepBench(cfg expt.Config, path string) error {
 		b.ReplaySkip, b.ExecuteSecs, b.RecordSecs, b.ReplaySecs, b.ReplaySpeedup)
 	fmt.Printf("  shallow skip %d: execute %.2fs, replay %.2fs (%.2fx)\n",
 		b.ReplayShallowSkip, b.ExecuteShallowSecs, b.ReplayShallowSecs, b.ReplayShallowSpeedup)
-	fmt.Printf("trace encoding (workload mix): canonical %.1f B/rec (v2 file %.1f), v4 %.1f B/rec in memory, %.1f on disk\n",
-		b.CanonicalBytesPerRecord, b.V2FileBytesPerRecord, b.EncodedMemBytesPerRecord, b.EncodeBytesPerRecord)
+	fmt.Printf("trace encoding (workload mix): canonical %.1f B/rec, v4 %.1f B/rec in memory, %.1f on disk\n",
+		b.CanonicalBytesPerRecord, b.EncodedMemBytesPerRecord, b.EncodeBytesPerRecord)
 	fmt.Printf("  decode %.1f ns/rec (canonical decode %.1f, %.2fx; simulator step %.1f)\n",
 		b.DecodeNsPerRecord, b.CanonicalDecodeNsPerRecord, b.DecodeSpeedup, b.StepNsPerRecord)
 	fmt.Printf("streamed replay memory: %d records -> %d B allocated, %d records -> %d B (%.2f B/record)\n",
@@ -452,7 +451,6 @@ func runReplayBench(ctx context.Context, b *sweepBench) error {
 	b.EncodeBytesPerRecord = enc.FileBytesPerRecord
 	b.EncodedMemBytesPerRecord = enc.EncodedBytesPerRecord
 	b.CanonicalBytesPerRecord = enc.CanonicalBytesPerRecord
-	b.V2FileBytesPerRecord = enc.V2FileBytesPerRecord
 	b.DecodeNsPerRecord = enc.DecodeNsPerRecord
 	b.CanonicalDecodeNsPerRecord = enc.CanonicalDecodeNsPerRecord
 	b.StepNsPerRecord = enc.StepNsPerRecord

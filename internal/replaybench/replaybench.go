@@ -28,7 +28,6 @@
 package replaybench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -108,7 +107,6 @@ type EncodingStats struct {
 
 	// Mean bytes per record (total bytes over total records).
 	CanonicalBytesPerRecord float64 // canonical record encoding (v1 body, v2 payload)
-	V2FileBytesPerRecord    float64 // v2 container as written
 	EncodedBytesPerRecord   float64 // in-memory v4 plane-split encoding
 	FileBytesPerRecord      float64 // v4 container as written (flate-framed)
 
@@ -136,7 +134,7 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // simulator on the same streams.
 func MeasureEncoding(n uint64) (EncodingStats, error) {
 	st := EncodingStats{Workloads: EncodingWorkloads, Records: n, DecodeSpeedup: 1}
-	var totRecords, totCanon, totV2, totEnc, totFile uint64
+	var totRecords, totCanon, totEnc, totFile uint64
 	var stepNs, canonNs, decNs float64
 	geo := 1.0
 	for _, name := range EncodingWorkloads {
@@ -160,14 +158,11 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 			return st, err
 		}
 		tr := rec.Trace()
-		var v2w, v4w countWriter
-		if _, err := tr.WriteToVersion(&v2w, tracefile.Version2); err != nil {
+		var v4w countWriter
+		if _, err := tr.WriteTo(&v4w); err != nil {
 			return st, err
 		}
-		if _, err := tr.WriteToVersion(&v4w, tracefile.Version4); err != nil {
-			return st, err
-		}
-		canon, err := canonicalBytes(tr)
+		canon, err := tr.CanonicalEncoding()
 		if err != nil {
 			return st, err
 		}
@@ -183,7 +178,6 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 		}
 		totRecords += got
 		totCanon += uint64(tr.CanonicalBytes())
-		totV2 += uint64(v2w.n)
 		totEnc += uint64(tr.Bytes())
 		totFile += uint64(v4w.n)
 		stepNs += step
@@ -193,7 +187,6 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 	}
 	nw := float64(len(EncodingWorkloads))
 	st.CanonicalBytesPerRecord = float64(totCanon) / float64(totRecords)
-	st.V2FileBytesPerRecord = float64(totV2) / float64(totRecords)
 	st.EncodedBytesPerRecord = float64(totEnc) / float64(totRecords)
 	st.FileBytesPerRecord = float64(totFile) / float64(totRecords)
 	st.StepNsPerRecord = stepNs / nw
@@ -201,16 +194,6 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 	st.DecodeNsPerRecord = decNs / nw
 	st.DecodeSpeedup = math.Pow(geo, 1/nw)
 	return st, nil
-}
-
-// canonicalBytes extracts the canonical record stream by writing the
-// version-1 container and stripping its 12-byte prelude.
-func canonicalBytes(tr *tracefile.Trace) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := tr.WriteToVersion(&buf, tracefile.Version); err != nil {
-		return nil, err
-	}
-	return buf.Bytes()[12:], nil
 }
 
 // batchDecode drives the batched cursor over the whole trace, consuming

@@ -76,7 +76,7 @@ func BenchmarkCursorRun(b *testing.B) {
 // the baseline for the decodeSpeedup number CI gates.
 func BenchmarkCanonicalDecode(b *testing.B) {
 	tr := benchTrace(b, 200_000)
-	canon, _, err := tr.canonicalEncoding()
+	canon, err := tr.CanonicalEncoding()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -499,7 +499,7 @@ func transcodeV4File(dst string, src io.Reader, scan ScanInfo) error {
 	}
 	return writeFileRenamed(dst, func(w io.Writer) error {
 		bw := bufio.NewWriterSize(w, 1<<16)
-		if err := writeCompressedHeader(bw, Version4, scan.Records, scan.sum, uint64(scan.CanonicalBytes), rawLen, scan.dict); err != nil {
+		if err := writeCompressedHeader(bw, scan.Records, scan.sum, uint64(scan.CanonicalBytes), rawLen, scan.dict); err != nil {
 			return err
 		}
 		if _, err := io.Copy(bw, spool); err != nil {
@@ -509,16 +509,26 @@ func transcodeV4File(dst string, src io.Reader, scan ScanInfo) error {
 	})
 }
 
-// writeCompressedHeader emits the magic, version and the shared
-// version-3/4 prelude (record count, digest, canonical size, payload
-// length, dictionary).
-func writeCompressedHeader(w io.Writer, version uint32, records uint64, sum [32]byte, canonical, rawLen uint64, dict []trace.Loc) error {
+// writeCompressedHeader emits the magic, version 4 and the prelude
+// versions 3 and 4 share, which the flate-compressed payload follows:
+//
+//	records:u64 digest:32B canonical:u64 rawLen:u64
+//	dictLen:u32 {rotLoc:uvarint}*dictLen
+//	flate(record payload) … EOF
+//
+// The digest covers the canonical encoding (container-independent
+// identity); rawLen is the uncompressed payload length, bounding what a
+// reader will inflate.  Blocks need no offset table on disk: they are
+// back-to-back runs of exactly BlockLen records, so a streaming reader
+// finds every boundary by counting, and Load rebuilds the in-memory
+// offsets during validation.
+func writeCompressedHeader(w io.Writer, records uint64, sum [32]byte, canonical, rawLen uint64, dict []trace.Loc) error {
 	if _, err := w.Write(Magic[:]); err != nil {
 		return err
 	}
 	var u4 [4]byte
 	var u8 [8]byte
-	binary.LittleEndian.PutUint32(u4[:], version)
+	binary.LittleEndian.PutUint32(u4[:], Version4)
 	if _, err := w.Write(u4[:]); err != nil {
 		return err
 	}

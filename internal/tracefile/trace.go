@@ -3,8 +3,8 @@ package tracefile
 // The in-memory trace: an immutable record stream held in the version-4
 // plane-split encoding (see v4.go) with a content digest and per-block
 // offsets.  This is the unit the service's trace store holds and the
-// replay engines consume — the Reader/Writer pair streams records
-// through io, but a Trace can be digest-addressed (stable cache keys),
+// replay engines consume — the Reader streams records from io, but a
+// Trace can be digest-addressed (stable cache keys),
 // skipped into in O(1) via its block offsets, and replayed many times
 // through a block-batched Cursor without re-parsing headers.
 //
@@ -30,8 +30,8 @@ import (
 )
 
 // IndexInterval is the record granularity of the version-2 container's
-// skip index (kept for compatibility; the in-memory Trace seeks via its
-// v3 block offsets instead, at BlockLen granularity).
+// skip index, which the Reader checks and skips (the in-memory Trace
+// seeks via its block offsets instead, at BlockLen granularity).
 const IndexInterval = 4096
 
 // DigestPrefix names the digest algorithm in a Trace digest string.
@@ -318,7 +318,7 @@ func (c *Cursor) Run(ctx context.Context, max uint64, fn func(*trace.Exec)) (uin
 
 // appendRecord appends the canonical encoding of e to buf.  It is the
 // single definition of the canonical record format (the digest's
-// domain); Writer and Recorder share it.
+// domain); Recorder, Scan and CanonicalEncoding share it.
 func appendRecord(buf []byte, e *trace.Exec) []byte {
 	flags := byte(e.NIn)<<flagNInShift | byte(e.NOut)<<flagNOutShift
 	if e.SideEffect {
@@ -474,11 +474,29 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteTo serialises the trace in the current container version
-// (version 4: header with record count, content digest, canonical
-// size and location dictionary, then the flate-compressed plane-split
-// record bytes).  Use WriteToVersion to write the older containers.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) { return t.WriteToVersion(w, Version4) }
+// WriteTo serialises the trace as a version-4 container: the header
+// (see writeCompressedHeader), then the flate-compressed plane-split
+// record bytes.  Version 4 is the only
+// container the package writes; its readers accept all four.
+func (t *Trace) WriteTo(w io.Writer) (int64, error) {
+	cw := &countWriter{w: w}
+	bw := bufio.NewWriterSize(cw, 1<<16)
+	if err := writeCompressedHeader(bw, t.n, t.sum, uint64(t.canonical), uint64(len(t.enc)), t.dict); err != nil {
+		return cw.n, err
+	}
+	zw, err := flate.NewWriter(bw, flate.DefaultCompression)
+	if err != nil {
+		return cw.n, err
+	}
+	if _, err := zw.Write(t.enc); err != nil {
+		return cw.n, err
+	}
+	if err := zw.Close(); err != nil {
+		return cw.n, err
+	}
+	err = bw.Flush()
+	return cw.n, err
+}
 
 // Save writes the trace to a file (see WriteTo) through a temp file in
 // the target's directory renamed into place, so a failure mid-write
@@ -490,183 +508,12 @@ func (t *Trace) Save(path string) error {
 	})
 }
 
-// WriteToVersion serialises the trace in any container version the
-// package can read.  All four carry the same records and load back to
-// the same digest; they differ in framing: version 1 is the bare
-// canonical stream, version 2 prefixes the count/digest/skip-index to
-// the canonical stream, version 3 frames the delta-encoded record bytes
-// with flate, and version 4 (the default) frames the plane-split block
-// bytes the same way — the smallest and by far the fastest to decode.
-func (t *Trace) WriteToVersion(w io.Writer, version uint32) (int64, error) {
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriterSize(cw, 1<<16)
-	if _, err := bw.Write(Magic[:]); err != nil {
-		return cw.n, err
-	}
-	var u4 [4]byte
-	binary.LittleEndian.PutUint32(u4[:], version)
-	if _, err := bw.Write(u4[:]); err != nil {
-		return cw.n, err
-	}
-	var err error
-	switch version {
-	case Version:
-		err = t.writeV1Body(bw)
-	case Version2:
-		err = t.writeV2Body(bw)
-	case Version3:
-		err = t.writeV3Body(bw)
-	case Version4:
-		err = t.writeV4Body(bw)
-	default:
-		err = fmt.Errorf("%w: %d", ErrBadVersion, version)
-	}
-	if err != nil {
-		return cw.n, err
-	}
-	err = bw.Flush()
-	return cw.n, err
-}
-
-// canonicalEncoding re-derives the canonical record stream (and the
-// version-2 skip index over it) from the v3 form, for writing the older
-// containers.
-func (t *Trace) canonicalEncoding() ([]byte, []int, error) {
+// CanonicalEncoding re-derives the trace's canonical record stream: the
+// bytes its digest covers, and the record bytes a version-1 or -2
+// container carries.  Format-comparison tooling (internal/replaybench,
+// the decodeSpeedup number CI gates) decodes it with CanonicalDecode.
+func (t *Trace) CanonicalEncoding() ([]byte, error) {
 	canon := make([]byte, 0, t.canonical)
-	var index []int
-	cur := t.Cursor()
-	defer cur.Close()
-	var e trace.Exec
-	for i := uint64(0); i < t.n; i++ {
-		if i%IndexInterval == 0 {
-			index = append(index, len(canon))
-		}
-		if err := cur.Next(&e); err != nil {
-			return nil, nil, err
-		}
-		canon = appendRecord(canon, &e)
-	}
-	return canon, index, nil
-}
-
-func (t *Trace) writeV1Body(bw *bufio.Writer) error {
-	canon, _, err := t.canonicalEncoding()
-	if err != nil {
-		return err
-	}
-	_, err = bw.Write(canon)
-	return err
-}
-
-// The version-2 body, after the shared 12-byte magic+version prelude:
-//
-//	records:u64 digest:32B interval:u32 nIndex:u32 {offset:u64}*nIndex
-//	record bytes … EOF
-func (t *Trace) writeV2Body(bw *bufio.Writer) error {
-	canon, index, err := t.canonicalEncoding()
-	if err != nil {
-		return err
-	}
-	var u8 [8]byte
-	var u4 [4]byte
-	binary.LittleEndian.PutUint64(u8[:], t.n)
-	if _, err := bw.Write(u8[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(t.sum[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(u4[:], IndexInterval)
-	if _, err := bw.Write(u4[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(index)))
-	if _, err := bw.Write(u4[:]); err != nil {
-		return err
-	}
-	for _, off := range index {
-		binary.LittleEndian.PutUint64(u8[:], uint64(off))
-		if _, err := bw.Write(u8[:]); err != nil {
-			return err
-		}
-	}
-	_, err = bw.Write(canon)
-	return err
-}
-
-// The version-3 and version-4 bodies share one shape after the 12-byte
-// magic+version prelude:
-//
-//	records:u64 digest:32B canonical:u64 rawLen:u64
-//	dictLen:u32 {rotLoc:uvarint}*dictLen
-//	flate(record payload) … EOF
-//
-// They differ only in what the compressed payload holds: version 3
-// carries the v3 record bytes, version 4 the plane-split block bytes.
-// The digest still covers the canonical encoding (container-independent
-// identity); rawLen is the uncompressed payload length, bounding what a
-// reader will inflate.  Blocks need no offset table on disk: they are
-// back-to-back runs of exactly BlockLen records, so a streaming reader
-// finds every boundary by counting, and Load rebuilds the in-memory
-// offsets during validation.
-func (t *Trace) writeCompressedBody(bw *bufio.Writer, payload []byte) error {
-	var u8 [8]byte
-	var u4 [4]byte
-	binary.LittleEndian.PutUint64(u8[:], t.n)
-	if _, err := bw.Write(u8[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(t.sum[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(u8[:], uint64(t.canonical))
-	if _, err := bw.Write(u8[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(u8[:], uint64(len(payload)))
-	if _, err := bw.Write(u8[:]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(u4[:], uint32(len(t.dict)))
-	if _, err := bw.Write(u4[:]); err != nil {
-		return err
-	}
-	var vbuf [binary.MaxVarintLen64]byte
-	for _, l := range t.dict {
-		n := binary.PutUvarint(vbuf[:], rotLoc(l))
-		if _, err := bw.Write(vbuf[:n]); err != nil {
-			return err
-		}
-	}
-	zw, err := flate.NewWriter(bw, flate.DefaultCompression)
-	if err != nil {
-		return err
-	}
-	if _, err := zw.Write(payload); err != nil {
-		return err
-	}
-	return zw.Close()
-}
-
-// writeV3Body re-derives the version-3 record bytes from the v4 form
-// (same dictionary, same block grouping — only the record framing
-// differs) and writes them as the compressed payload.
-func (t *Trace) writeV3Body(bw *bufio.Writer) error {
-	enc, err := t.v3Encoding()
-	if err != nil {
-		return err
-	}
-	return t.writeCompressedBody(bw, enc)
-}
-
-func (t *Trace) writeV4Body(bw *bufio.Writer) error {
-	return t.writeCompressedBody(bw, t.enc)
-}
-
-// v3Encoding transcodes the trace to the version-3 record bytes, for
-// writing version-3 containers.
-func (t *Trace) v3Encoding() ([]byte, error) {
-	v := newV3Encoder(t.dict, len(t.enc)*3/2)
 	cur := t.Cursor()
 	defer cur.Close()
 	var e trace.Exec
@@ -674,9 +521,9 @@ func (t *Trace) v3Encoding() ([]byte, error) {
 		if err := cur.Next(&e); err != nil {
 			return nil, err
 		}
-		v.write(&e)
+		canon = appendRecord(canon, &e)
 	}
-	return v.enc, nil
+	return canon, nil
 }
 
 // Load reads a complete trace from r in any container version,

@@ -27,14 +27,14 @@
 // and what Recorder-produced containers carry.
 //
 // Four container versions carry the records after the 8-byte magic and
-// 4-byte version: version 1 is a bare canonical stream (records to EOF,
-// writable without knowing the length); version 2 prefixes the record
-// count, a sha256 content digest and a skip index to the canonical
-// stream; versions 3 and 4 prefix count, digest, canonical size and the
-// location dictionary to the flate-compressed record payload (v3 record
-// bytes or v4 plane-split blocks respectively, version 4 being the
-// default).  All four load back to the same digest; docs/FORMAT.md is
-// the normative byte-level spec.
+// 4-byte version: version 1 is a bare canonical stream (records to EOF);
+// version 2 prefixes the record count, a sha256 content digest and a
+// skip index to the canonical stream; versions 3 and 4 prefix count,
+// digest, canonical size and the location dictionary to the
+// flate-compressed record payload (v3 record bytes or v4 plane-split
+// blocks respectively).  The package reads all four, to the same
+// digest, and writes version 4 only; docs/FORMAT.md is the normative
+// byte-level spec.
 package tracefile
 
 import (
@@ -52,7 +52,8 @@ import (
 // Magic identifies a trace file.
 var Magic = [8]byte{'T', 'L', 'R', 'T', 'R', 'A', 'C', 'E'}
 
-// Version is the streaming container version the Writer emits.
+// Version is the bare-stream container version: canonical records to
+// EOF, with no header beyond the magic and version.
 const Version uint32 = 1
 
 // Version2 is the indexed container version: record count, content
@@ -64,9 +65,10 @@ const Version2 uint32 = 2
 // flate-framed v3 record bytes.
 const Version3 uint32 = 3
 
-// Version4 is the plane-split container version Trace.WriteTo emits:
-// the same prelude as version 3 before the flate-framed v4 plane-split
-// block bytes (see v4.go).
+// Version4 is the plane-split container version, the only one the
+// package writes (Trace.WriteTo, SpoolToDir): the same prelude as
+// version 3 before the flate-framed v4 plane-split block bytes (see
+// v4.go).
 const Version4 uint32 = 4
 
 const (
@@ -88,44 +90,6 @@ var ErrBadMagic = errors.New("tracefile: bad magic")
 
 // ErrBadVersion reports an unsupported format version.
 var ErrBadVersion = errors.New("tracefile: unsupported version")
-
-// Writer streams execution records to an io.Writer in the version-1
-// container (no index — use Trace.WriteTo for the indexed, compressed
-// form).
-type Writer struct {
-	w   *bufio.Writer
-	buf [4 * binary.MaxVarintLen64]byte
-	n   uint64
-}
-
-// NewWriter writes the header and returns a Writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(Magic[:]); err != nil {
-		return nil, err
-	}
-	var v [4]byte
-	binary.LittleEndian.PutUint32(v[:], Version)
-	if _, err := bw.Write(v[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Write appends one record.
-func (w *Writer) Write(e *trace.Exec) error {
-	if _, err := w.w.Write(appendRecord(w.buf[:0], e)); err != nil {
-		return err
-	}
-	w.n++
-	return nil
-}
-
-// Records returns how many records were written.
-func (w *Writer) Records() uint64 { return w.n }
-
-// Flush drains buffered data to the underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Reader streams execution records from an io.Reader.  It accepts all
 // four container versions; Version reports which one it found.

@@ -3,7 +3,7 @@ package tracefile
 // The version-3 record encoding: the first delta-compressed form (the
 // replay fast path until the plane-split version 4 — see v4.go —
 // superseded it for in-memory traces and at-rest files; v3 files remain
-// fully readable and writable for compatibility).
+// readable, and the Reader decodes them in readV3).
 //
 // Versions 1 and 2 carry the canonical record encoding — full uvarint
 // PCs and 64-bit operand values — which makes decoding a record cost
@@ -77,10 +77,8 @@ package tracefile
 // only when next != pc+1, is zigzag(next - pc).
 
 import (
-	"encoding/binary"
 	"sort"
 
-	"github.com/tracereuse/tlr/internal/isa"
 	"github.com/tracereuse/tlr/internal/trace"
 )
 
@@ -158,91 +156,4 @@ func buildDict(freq map[trace.Loc]uint64) []trace.Loc {
 		locs = locs[:DictCap]
 	}
 	return locs
-}
-
-// v3Encoder transcodes a record stream into the block/delta encoding.
-// It is fed records in order (Recorder.Trace drives it from the
-// canonical encoding) and owns all per-block delta state.
-type v3Encoder struct {
-	enc    []byte
-	blocks []int
-	dict   []trace.Loc
-	idx    map[trace.Loc]uint16
-	last   [DictCap]uint64
-	prevPC uint64
-	n      uint64
-}
-
-func newV3Encoder(dict []trace.Loc, sizeHint int) *v3Encoder {
-	idx := make(map[trace.Loc]uint16, len(dict))
-	for i, l := range dict {
-		idx[l] = uint16(i)
-	}
-	return &v3Encoder{dict: dict, idx: idx, enc: make([]byte, 0, sizeHint)}
-}
-
-func (v *v3Encoder) write(e *trace.Exec) {
-	if v.n%BlockLen == 0 {
-		v.blocks = append(v.blocks, len(v.enc))
-		v.prevPC = 0
-		clear(v.last[:len(v.dict)])
-	}
-	v.n++
-	lenAt := len(v.enc)
-	v.enc = append(v.enc, 0) // length byte, patched below
-	flags := byte(e.NIn)<<flagNInShift | byte(e.NOut)<<flagNOutShift
-	if e.SideEffect {
-		flags |= flagSideEff
-	}
-	seqNext := e.Next == e.PC+1
-	if seqNext {
-		flags |= flagSeqNext
-	}
-	latImplied := e.Lat == isa.InfoOf(e.Op).Latency
-	if latImplied {
-		flags |= flagV3LatImplied
-	}
-	seqPC := e.PC == v.prevPC+1
-	if seqPC {
-		flags |= flagV3SeqPC
-	}
-	v.enc = append(v.enc, flags, byte(e.Op))
-	if !latImplied {
-		v.enc = append(v.enc, e.Lat)
-	}
-	if !seqPC {
-		v.enc = binary.AppendUvarint(v.enc, zig(int64(e.PC-v.prevPC)))
-	}
-	if !seqNext {
-		v.enc = binary.AppendUvarint(v.enc, zig(int64(e.Next-e.PC)))
-	}
-	v.refs(e.Inputs())
-	v.refs(e.Outputs())
-	rl := len(v.enc) - lenAt
-	if rl > 255 {
-		// Impossible by construction: 5 operand references of <= 22
-		// bytes plus a <= 24-byte header.  Guarded so a future field
-		// addition cannot silently truncate the length byte.
-		panic("tracefile: v3 record exceeds 255 bytes")
-	}
-	v.enc[lenAt] = byte(rl)
-	v.prevPC = e.PC
-}
-
-func (v *v3Encoder) refs(refs []trace.Ref) {
-	for _, r := range refs {
-		if di, ok := v.idx[r.Loc]; ok {
-			if r.Val == v.last[di] {
-				v.enc = binary.AppendUvarint(v.enc, uint64(di)<<1)
-				continue
-			}
-			v.enc = binary.AppendUvarint(v.enc, uint64(di)<<1|1)
-			v.enc = binary.AppendUvarint(v.enc, zig(int64(r.Val-v.last[di])))
-			v.last[di] = r.Val
-		} else {
-			v.enc = binary.AppendUvarint(v.enc, uint64(len(v.dict))<<1)
-			v.enc = binary.AppendUvarint(v.enc, rotLoc(r.Loc))
-			v.enc = binary.AppendUvarint(v.enc, r.Val)
-		}
-	}
 }
