@@ -50,9 +50,9 @@ var (
 	Geometry256K = Geometry{Sets: 2048, PCWays: 8, TracesPerPC: 16}
 )
 
-// DefaultCaps is the paper's RTM entry format: up to 8 register and 4
+// entryCaps is the paper's RTM entry format: up to 8 register and 4
 // memory values on each side.
-var DefaultCaps = trace.Caps{InReg: 8, InMem: 4, OutReg: 8, OutMem: 4}
+var entryCaps = trace.Caps{InReg: 8, InMem: 4, OutReg: 8, OutMem: 4}
 
 // Entry is one stored trace.
 //

@@ -42,7 +42,6 @@ func (h Heuristic) String() string {
 // Config configures one realistic RTM simulation.
 type Config struct {
 	Geometry  Geometry
-	Caps      trace.Caps // zero value means DefaultCaps
 	Heuristic Heuristic
 	N         int // I(n) EXP chunk size; ignored by the ILR heuristics
 	MinLen    int // minimum stored trace length (default 1)
@@ -56,13 +55,6 @@ type Config struct {
 	// cloned CPU and fails the run on any state divergence.  It is the
 	// package's differential correctness oracle (slow; tests only).
 	Verify bool
-}
-
-func (c Config) caps() trace.Caps {
-	if c.Caps == (trace.Caps{}) {
-		return DefaultCaps
-	}
-	return c.Caps
 }
 
 // Result summarises one simulation.
@@ -130,12 +122,11 @@ func NewSim(cfg Config, c *cpu.CPU) *Sim {
 // Sim, Replay and NewCollector share it, so every drive mode collects
 // identically.
 func newCollector(cfg Config, m *RTM) collector {
-	caps := cfg.caps()
 	switch cfg.Heuristic {
 	case ILRNE, ILREXP:
-		return &ilrCollector{rtm: m, irb: NewIRB(cfg.Geometry), caps: caps, expand: cfg.Heuristic == ILREXP}
+		return &ilrCollector{rtm: m, irb: NewIRB(cfg.Geometry), expand: cfg.Heuristic == ILREXP}
 	case IEXP:
-		return &fixedCollector{rtm: m, caps: caps, n: max(cfg.N, 1)}
+		return &fixedCollector{rtm: m, n: max(cfg.N, 1)}
 	default:
 		panic(fmt.Sprintf("rtm: unknown heuristic %d", cfg.Heuristic))
 	}
@@ -318,7 +309,6 @@ type collector interface {
 type ilrCollector struct {
 	rtm    *RTM
 	irb    *IRB
-	caps   trace.Caps
 	expand bool
 
 	cur trace.Summarizer // trace being collected (reusable instructions)
@@ -334,13 +324,13 @@ func (c *ilrCollector) observe(e *trace.Exec) {
 		c.finalizePending()
 		return
 	}
-	if !c.cur.TryAdd(e, c.caps) {
+	if !c.cur.TryAdd(e, entryCaps) {
 		// Entry format full: store what we have, restart at e.
 		c.finalizeCur()
-		c.cur.TryAdd(e, c.caps)
+		c.cur.TryAdd(e, entryCaps)
 	}
 	if !c.pending.Empty() {
-		if !c.pending.TryAdd(e, c.caps) {
+		if !c.pending.TryAdd(e, entryCaps) {
 			c.finalizePending()
 		}
 	}
@@ -353,7 +343,7 @@ func (c *ilrCollector) reuseHit(entry *Entry) {
 	}
 	if !c.pending.Empty() {
 		// Two consecutive traces reused: merge them into one entry.
-		if c.pending.NextPC() == entry.Sum.StartPC && c.pending.TryMerge(&entry.Sum, c.caps) {
+		if c.pending.NextPC() == entry.Sum.StartPC && c.pending.TryMerge(&entry.Sum, entryCaps) {
 			return
 		}
 		c.finalizePending()
@@ -388,9 +378,8 @@ func (c *ilrCollector) finalizePending() {
 // fixedCollector implements I(n) EXP: fixed n-instruction traces of any
 // instructions, expanded by n on reuse.
 type fixedCollector struct {
-	rtm  *RTM
-	caps trace.Caps
-	n    int
+	rtm *RTM
+	n   int
 
 	cur trace.Summarizer
 
@@ -407,16 +396,16 @@ func (c *fixedCollector) observe(e *trace.Exec) {
 		c.finalizePending()
 		return
 	}
-	if !c.cur.TryAdd(e, c.caps) {
+	if !c.cur.TryAdd(e, entryCaps) {
 		c.finalizeCur()
-		c.cur.TryAdd(e, c.caps)
+		c.cur.TryAdd(e, entryCaps)
 	}
 	if c.cur.Len() >= c.n {
 		c.finalizeCur()
 	}
 
 	if !c.pending.Empty() {
-		if !c.pending.TryAdd(e, c.caps) {
+		if !c.pending.TryAdd(e, entryCaps) {
 			c.finalizePending()
 		} else {
 			c.pendingExtra++
@@ -433,7 +422,7 @@ func (c *fixedCollector) reuseHit(entry *Entry) {
 	c.cur.Reset()
 	if !c.pending.Empty() {
 		// Consecutive reuses: merge the new trace into the expansion.
-		if c.pending.NextPC() == entry.Sum.StartPC && c.pending.TryMerge(&entry.Sum, c.caps) {
+		if c.pending.NextPC() == entry.Sum.StartPC && c.pending.TryMerge(&entry.Sum, entryCaps) {
 			c.pendingExtra += entry.Sum.Len
 			if c.pendingExtra >= c.n {
 				c.finalizePending()

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 
-	"github.com/tracereuse/tlr/internal/analytics"
 	"github.com/tracereuse/tlr/internal/asm"
 	"github.com/tracereuse/tlr/internal/core"
 	"github.com/tracereuse/tlr/internal/cpu"
@@ -195,8 +194,8 @@ type StudyOutput struct {
 	DDA []dda.Point
 }
 
-// normalize applies the study defaults.  Both RunStudy and the cache
-// key use the normalized form, so a job with explicit defaults and one
+// normalize applies the study defaults.  Both the job body and the
+// cache key use the normalized form, so a job with explicit defaults and one
 // relying on them share a key (and a cached result).
 func (p StudyParams) normalize() StudyParams {
 	if len(p.ILRLatencies) == 0 {
@@ -206,16 +205,6 @@ func (p StudyParams) normalize() StudyParams {
 		p.TLRVariants = []core.Latency{core.ConstLatency(1)}
 	}
 	return p
-}
-
-// RunStudy runs the paper's limit studies over src's dynamic stream
-// (the job body behind StudyJob), polling ctx between instruction
-// blocks.
-func RunStudy(ctx context.Context, src Source, p StudyParams) (StudyOutput, error) {
-	p = p.normalize()
-	v, err := (&laneSpec{src: src, skip: p.Skip, budget: p.Budget, study: &p}).run(ctx)
-	out, _ := v.(StudyOutput)
-	return out, err
 }
 
 // StudyJob builds a cacheable limit-study job over src.
@@ -251,16 +240,6 @@ func ValidGeometry(g rtm.Geometry) error {
 	return nil
 }
 
-// RunRTM runs src's stream under a finite RTM (the job body behind
-// RTMJob), polling ctx as it simulates.  A program-backed source runs
-// the coupled CPU/RTM simulator; a trace-backed source replays the
-// recorded stream through the equivalent rtm.Replay engine.
-func RunRTM(ctx context.Context, src Source, p RTMParams) (rtm.Result, error) {
-	v, err := (&laneSpec{src: src, skip: p.Skip, budget: p.Budget, rtm: &p.Config}).run(ctx)
-	out, _ := v.(rtm.Result)
-	return out, err
-}
-
 // RTMJob builds a cacheable realistic-RTM job over src.
 func RTMJob(id string, src Source, p RTMParams) Job {
 	key := ""
@@ -277,11 +256,11 @@ type PipelineParams struct {
 	Budget uint64
 }
 
-// RunPipeline runs src's program on the execution-driven processor
+// runPipeline runs src's program on the execution-driven processor
 // model (the job body behind PipelineJob), polling ctx as it simulates.
 // The pipeline models fetch and execution itself, so src must be
 // program-backed; a trace-backed source is rejected.
-func RunPipeline(ctx context.Context, src Source, p PipelineParams) (pipeline.Result, error) {
+func runPipeline(ctx context.Context, src Source, p PipelineParams) (pipeline.Result, error) {
 	if src.prog == nil {
 		return pipeline.Result{}, fmt.Errorf("service: pipeline jobs are execution-driven and need a program, not a trace")
 	}
@@ -314,7 +293,7 @@ func PipelineJob(id string, src Source, p PipelineParams) Job {
 		}
 		key = fmt.Sprintf("pipe|%s|%+v|%s|%d|%d", src.Key, flat, rtmPart, p.Skip, p.Budget)
 	}
-	return Job{ID: id, Key: key, Kind: "pipeline", Run: func(ctx context.Context) (any, error) { return RunPipeline(ctx, src, p) }}
+	return Job{ID: id, Key: key, Kind: "pipeline", Run: func(ctx context.Context) (any, error) { return runPipeline(ctx, src, p) }}
 }
 
 // VPParams configures a value-prediction limit-study job.
@@ -323,14 +302,6 @@ type VPParams struct {
 	PredLat float64
 	Skip    uint64
 	Budget  uint64
-}
-
-// RunVP runs the last-value-prediction limit study (the job body behind
-// VPJob), polling ctx between instruction blocks.
-func RunVP(ctx context.Context, src Source, p VPParams) (core.VPResult, error) {
-	v, err := (&laneSpec{src: src, skip: p.Skip, budget: p.Budget, vp: &p}).run(ctx)
-	out, _ := v.(core.VPResult)
-	return out, err
 }
 
 // VPJob builds a cacheable value-prediction job over src.
@@ -346,16 +317,6 @@ func VPJob(id string, src Source, p VPParams) Job {
 type AnalyzeParams struct {
 	Skip   uint64
 	Budget uint64
-}
-
-// RunAnalyze computes the per-class reuse-distance histograms over src's
-// dynamic stream (the job body behind AnalyzeJob), polling ctx between
-// instruction blocks.  It runs on any source — a recorded trace
-// (including a foreign, ingested one) or a live program execution.
-func RunAnalyze(ctx context.Context, src Source, p AnalyzeParams) (analytics.Result, error) {
-	v, err := (&laneSpec{src: src, skip: p.Skip, budget: p.Budget, analyze: true}).run(ctx)
-	out, _ := v.(analytics.Result)
-	return out, err
 }
 
 // AnalyzeJob builds a cacheable reuse-distance analysis job over src.

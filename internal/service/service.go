@@ -53,12 +53,14 @@ var ErrCanceled = errors.New("service: batch canceled")
 // been delivered; it is never observable by callers.
 var errBatchDone = errors.New("service: batch complete")
 
+// programCache is the assembled-program LRU capacity: room for all 14
+// benchmark workloads' programs plus 50 assembly sources clients send.
+const programCache = 64
+
 // Options sizes a Service.
 type Options struct {
 	// Workers is the worker-pool size (<= 0: GOMAXPROCS).
 	Workers int
-	// ProgramCache is the assembled-program LRU capacity (<= 0: 64).
-	ProgramCache int
 	// ResultCache is the job-result LRU capacity (<= 0: 4096).
 	ResultCache int
 	// TraceCacheBytes bounds the digest-addressed trace store's memory
@@ -277,9 +279,6 @@ func New(opt Options) *Service {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.ProgramCache <= 0 {
-		opt.ProgramCache = 64
-	}
 	if opt.ResultCache <= 0 {
 		opt.ResultCache = 4096
 	}
@@ -292,7 +291,7 @@ func New(opt Options) *Service {
 		done:        make(chan struct{}),
 		peerFetch:   opt.PeerFetch,
 		maxInflight: int64(opt.MaxInflight),
-		programs:    newLRU(opt.ProgramCache),
+		programs:    newLRU(programCache),
 		results:     newLRU(opt.ResultCache),
 		traces:      newTraceStore(opt.TraceCacheBytes, opt.TraceDir),
 		inflight:    make(map[string]*flight),

@@ -239,7 +239,7 @@ func TestRunRTMRejectsDegenerateGeometry(t *testing.T) {
 		{Sets: -8, PCWays: 4, TracesPerPC: 4},
 	}
 	for _, g := range bad {
-		_, err := RunRTM(context.Background(), ProgSource("", prog), RTMParams{Config: rtm.Config{Geometry: g}, Budget: 1000})
+		_, err := RTMJob("", ProgSource("", prog), RTMParams{Config: rtm.Config{Geometry: g}, Budget: 1000}).Run(context.Background())
 		if err == nil {
 			t.Errorf("geometry %+v: expected error", g)
 		}
