@@ -13,42 +13,9 @@ import (
 // across calls, so configuration sweeps pay for each distinct simulation
 // once.  cmd/tlrserve serves the same API over HTTP/JSON.
 
-// BatchStats counts batch-service traffic.
-type BatchStats struct {
-	Submitted   uint64 // requests accepted
-	Ran         uint64 // requests actually simulated
-	CacheHits   uint64 // requests answered from the result cache
-	Coalesced   uint64 // requests folded into an identical in-flight run
-	Errors      uint64 // requests that failed
-	Programs    int    // assembled programs currently cached
-	Results     int    // results currently cached
-	Traces      int    // recorded traces in the store's memory tier
-	TraceBytes  int64  // encoded bytes held by the memory tier
-	TraceHits   uint64 // trace-store lookups that found the digest
-	TraceMisses uint64 // trace-store lookups for unknown digests
-
-	TraceDisk      int    // recorded traces in the store's disk tier
-	TraceDiskBytes int64  // file bytes held by the disk tier
-	TraceSpills    uint64 // traces written through to the disk tier
-	TracePromotes  uint64 // disk hits decoded back into the memory tier
-
-	TracePeerFetches uint64 // traces pulled from peers into the local store
-	TracePeerRejects uint64 // peer trace bodies rejected (invalid or wrong digest)
-
-	ResultsOnDisk    int    // results in the persistent result cache
-	ResultDiskHits   uint64 // requests answered from the persistent result cache
-	ResultDiskWrites uint64 // results written through to the persistent cache
-
-	AnalyzeRuns     uint64 // reuse-distance analyses actually computed
-	AnalyzeHits     uint64 // analyses answered from cache (or coalesced)
-	IngestedTraces  uint64 // foreign traces ingested into the store
-	IngestedRecords uint64 // canonical records those ingests produced
-	IngestRejects   uint64 // malformed foreign lines dropped (lenient mode)
-
-	InflightJobs int64  // requests currently reserved via Reserve
-	MaxInflight  int    // admission budget (0: unlimited)
-	Shed         uint64 // reservations refused with ErrOverloaded
-}
+// BatchStats counts batch-service traffic: one request is one service
+// job.
+type BatchStats = service.Stats
 
 // BatchOptions sizes a Batcher.
 type BatchOptions struct {
@@ -138,43 +105,7 @@ func (b *Batcher) Metrics() *metrics.Registry { return b.svc.Metrics() }
 func (b *Batcher) WriteMetrics(w io.Writer) error { return b.svc.Metrics().WritePrometheus(w) }
 
 // Stats returns a snapshot of the Batcher's traffic counters.
-func (b *Batcher) Stats() BatchStats {
-	st := b.svc.Stats()
-	return BatchStats{
-		Submitted:      st.Submitted,
-		Ran:            st.Ran,
-		CacheHits:      st.CacheHits,
-		Coalesced:      st.Coalesced,
-		Errors:         st.Errors,
-		Programs:       st.Programs,
-		Results:        st.Results,
-		Traces:         st.Traces,
-		TraceBytes:     st.TraceBytes,
-		TraceHits:      st.TraceHits,
-		TraceMisses:    st.TraceMisses,
-		TraceDisk:      st.TraceDisk,
-		TraceDiskBytes: st.TraceDiskBytes,
-		TraceSpills:    st.TraceSpills,
-		TracePromotes:  st.TracePromotes,
-
-		TracePeerFetches: st.TracePeerFetches,
-		TracePeerRejects: st.TracePeerRejects,
-
-		ResultsOnDisk:    st.ResultsOnDisk,
-		ResultDiskHits:   st.ResultDiskHits,
-		ResultDiskWrites: st.ResultDiskWrites,
-
-		AnalyzeRuns:     st.AnalyzeRuns,
-		AnalyzeHits:     st.AnalyzeHits,
-		IngestedTraces:  st.IngestedTraces,
-		IngestedRecords: st.IngestedRecords,
-		IngestRejects:   st.IngestRejects,
-
-		InflightJobs: st.InflightJobs,
-		MaxInflight:  st.MaxInflight,
-		Shed:         st.Shed,
-	}
-}
+func (b *Batcher) Stats() BatchStats { return b.svc.Stats() }
 
 // The package-level Batcher behind Run/RunBatch/StreamBatch, started on
 // first use.

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -179,10 +180,28 @@ func TestStatsAndWorkloads(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var stats struct {
-		Service tlr.BatchStats `json:"service"`
+		Service map[string]json.RawMessage `json:"service"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
+	}
+	// The "service" object's key set is part of the /v1/stats contract.
+	want := []string{
+		"AnalyzeHits", "AnalyzeRuns", "CacheHits", "Coalesced", "Errors",
+		"InflightJobs", "IngestRejects", "IngestedRecords", "IngestedTraces",
+		"MaxInflight", "Programs", "Ran", "ResultDiskHits", "ResultDiskWrites",
+		"Results", "ResultsOnDisk", "Shed", "Submitted", "TraceBytes",
+		"TraceDisk", "TraceDiskBytes", "TraceHits", "TraceMisses",
+		"TracePeerFetches", "TracePeerRejects", "TracePromotes", "TraceSpills",
+		"Traces",
+	}
+	var got []string
+	for k := range stats.Service {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/v1/stats service keys:\n got %v\nwant %v", got, want)
 	}
 	resp2, err := http.Get(ts.URL + "/v1/workloads")
 	if err != nil {
