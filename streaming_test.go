@@ -1,7 +1,7 @@
 package tlr
 
 // Tests for the streaming-first TraceSource contract: composite
-// sources (Concat, MergeWindows), streamed (file- and disk-tier-
+// sources (Concat), streamed (file- and disk-tier-
 // backed) replay equivalence across the RTM configuration grid, the
 // two-tier trace store, and the trace-driven DDA path.
 
@@ -10,7 +10,6 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -73,118 +72,6 @@ func TestConcatOfWindowsEqualsLongRecording(t *testing.T) {
 			t.Errorf("%s: concat replay differs from the long recording:\nlong   %+v\nconcat %+v",
 				fromLong[i].ID, payload(fromLong[i]), payload(fromCat[i]))
 		}
-	}
-}
-
-// TestMergeWindowsStitchesAndSharesCache: overlapping recorded
-// skip-windows of one program merge into a provenance-carrying stream
-// that shares the originating program's result-cache entries and
-// materialises to the long recording's digest; gaps and
-// provenance-less windows are rejected.
-func TestMergeWindowsStitchesAndSharesCache(t *testing.T) {
-	ctx := context.Background()
-	long, err := Record(ctx, RecordSpec{Workload: "compress", Budget: 40_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, err := Record(ctx, RecordSpec{Workload: "compress", Budget: 30_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Record(ctx, RecordSpec{Workload: "compress", Skip: 20_000, Budget: 20_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Window order must not matter; overlap ([20k,30k) twice) must
-	// deduplicate.
-	merged := MergeWindows(w2, w1)
-	mat, err := Materialize(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.Digest() != long.Digest() || mat.Records() != long.Records() {
-		t.Fatalf("merged windows materialise to %s/%d, long recording is %s/%d",
-			mat.Digest(), mat.Records(), long.Digest(), long.Records())
-	}
-	if !mat.Complete() == long.Complete() {
-		t.Errorf("merged completeness %v, long recording %v", mat.Complete(), long.Complete())
-	}
-
-	// Provenance survives the merge: the program-backed request's cache
-	// entry answers the merged-backed request, and vice versa on a cold
-	// Batcher.
-	b := NewBatcher(BatchOptions{})
-	defer b.Close()
-	prog := Request{ID: "study", Workload: "compress", Study: &StudyConfig{Budget: 30_000, Skip: 2_000, Window: 256}}
-	viaProg, err := b.Run(ctx, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMerge, err := b.Run(ctx, Request{ID: "study", Trace: merged, Study: &StudyConfig{Budget: 30_000, Skip: 2_000, Window: 256}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !viaMerge.Cached {
-		t.Error("merged-window request missed the program-backed cache entry")
-	}
-	if !reflect.DeepEqual(*viaProg.Study, *viaMerge.Study) {
-		t.Errorf("merged replay differs from execution:\nlive  %+v\nmerge %+v", *viaProg.Study, *viaMerge.Study)
-	}
-	cold := NewBatcher(BatchOptions{})
-	defer cold.Close()
-	viaMergeCold, err := cold.Run(ctx, Request{Trace: merged, Study: &StudyConfig{Budget: 30_000, Skip: 2_000, Window: 256}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaMergeCold.Cached {
-		t.Error("cold merged replay unexpectedly cached")
-	}
-	if !reflect.DeepEqual(*viaProg.Study, *viaMergeCold.Study) {
-		t.Error("cold merged replay differs from execution")
-	}
-
-	// An undercovering merge is rejected like an undercovering
-	// recording (the merged stream holds 40k records).
-	if long.Complete() {
-		t.Skip("compress halted inside 40k instructions; coverage/gap cases not testable")
-	}
-	if _, err := b.Run(ctx, Request{Trace: merged, Study: &StudyConfig{Budget: 50_000}}); err == nil ||
-		!strings.Contains(err.Error(), "skip+budget") {
-		t.Errorf("undercovering merge: err = %v", err)
-	}
-
-	// A gap between windows is an error.
-	w3, err := Record(ctx, RecordSpec{Workload: "compress", Skip: 45_000, Budget: 1_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Run(ctx, Request{Trace: MergeWindows(w1, w3), Study: &StudyConfig{Budget: 1_000}}); err == nil ||
-		!strings.Contains(err.Error(), "gap") {
-		t.Errorf("gapped merge: err = %v", err)
-	}
-
-	// Windows must carry provenance (a reloaded file does not).
-	var buf bytes.Buffer
-	if _, err := w1.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Run(ctx, Request{Trace: MergeWindows(loaded, w2), Study: &StudyConfig{Budget: 1_000}}); err == nil ||
-		!strings.Contains(err.Error(), "provenance") {
-		t.Errorf("provenance-less merge: err = %v", err)
-	}
-	// Different programs do not merge.
-	other, err := Record(ctx, RecordSpec{Workload: "li", Budget: 1_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Run(ctx, Request{Trace: MergeWindows(w1, other), Study: &StudyConfig{Budget: 1_000}}); err == nil ||
-		!strings.Contains(err.Error(), "different programs") {
-		t.Errorf("cross-program merge: err = %v", err)
 	}
 }
 
@@ -437,9 +324,9 @@ func TestTraceDrivenDDA(t *testing.T) {
 }
 
 // TestCompositeIdentityDistinct: every source shape yields a distinct,
-// non-empty cache identity — in particular a Concat over MergeWindows
-// children (which have neither digest nor composite key of their own)
-// must not collapse to one shared key across different programs.
+// non-empty cache identity — in particular a Concat over composite
+// children (which have no digest of their own) must not collapse to
+// one shared key across different programs.
 func TestCompositeIdentityDistinct(t *testing.T) {
 	ctx := context.Background()
 	recA, err := Record(ctx, RecordSpec{Workload: "compress", Budget: 2_000})
@@ -462,8 +349,8 @@ func TestCompositeIdentityDistinct(t *testing.T) {
 		}
 		return id
 	}
-	a := idOf(Concat(MergeWindows(recA)))
-	b := idOf(Concat(MergeWindows(recB)))
+	a := idOf(Concat(Concat(recA)))
+	b := idOf(Concat(Concat(recB)))
 	if a == b {
 		t.Fatalf("different streams share cache identity %q", a)
 	}

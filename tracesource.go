@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -32,8 +31,7 @@ import (
 // recording serves O(1)-seekable cursors; a trace file or a disk-tier
 // store entry decodes incrementally, so replaying an N-record file
 // costs O(batch) memory; and sources compose: Concat plays several
-// streams back to back, MergeWindows stitches recorded skip-windows of
-// one program into a single replayable stream.
+// streams back to back as one.
 //
 // Pipeline requests model fetch and execution itself and therefore
 // cannot run from a recording; they reject trace sources with
@@ -47,7 +45,7 @@ var ErrTraceUnsupported = errors.New(
 // TraceSource is a recorded dynamic instruction stream, usable as a
 // Request's program input for the trace-driven kinds (Study, RTM, VP).
 // Implementations are *Trace, TraceFile, TraceReader, TraceRef and the
-// composites Concat and MergeWindows; the interface is sealed.
+// composite Concat; the interface is sealed.
 type TraceSource interface {
 	// describe resolves the stream's identity — cache key material,
 	// provenance, record count — without replaying it.  The Batcher is
@@ -88,18 +86,13 @@ func (d streamDesc) identity() string {
 	return d.key
 }
 
-// childIdentity names one composite child inside its parent's key.  A
-// single recording is its digest; a provenance-carrying composite (a
-// merged window set has no digest of its own) is the program identity
-// plus the window it covers; anything else carries a composite key.
+// childIdentity names one composite child inside its parent's key: a
+// single recording is its digest, a composite its composite key.
 func (d streamDesc) childIdentity() string {
 	if d.digest != "" {
 		return d.digest
 	}
-	if d.key != "" {
-		return d.key
-	}
-	return fmt.Sprintf("%s@%d+%d", d.provKey, d.base, d.records)
+	return d.key
 }
 
 // materializer is the optional fast path for sources that already hold
@@ -421,8 +414,8 @@ func (r refSource) openStream(b *Batcher) (trace.Stream, error) {
 // nothing is materialised: each child streams in turn.  Concatenating
 // adjacent windows of one program reproduces the long recording
 // record for record — Materialize of the composite has the same
-// content digest — but for cache-key sharing with the originating
-// program use MergeWindows, which checks the windows actually abut.
+// content digest — but the composite does not share cache entries
+// with the originating program.
 func Concat(sources ...TraceSource) TraceSource {
 	return &concatSource{srcs: sources}
 }
@@ -455,112 +448,7 @@ func (c *concatSource) describe(b *Batcher) (streamDesc, error) {
 }
 
 func (c *concatSource) openStream(b *Batcher) (trace.Stream, error) {
-	parts := make([]streamPart, len(c.srcs))
-	for i, src := range c.srcs {
-		parts[i] = streamPart{src: src}
-	}
-	return &compositeStream{b: b, parts: parts}, nil
-}
-
-// MergeWindows returns a TraceSource that stitches several recorded
-// skip-windows of one program into a single replayable stream.  Every
-// window must carry provenance (it must come from Record, or from
-// Materialize of a merged source — file- and reader-loaded traces do
-// not know their origin), all windows must name the same program, and
-// sorted by their recording skip they must abut or overlap: a gap
-// between consecutive windows is an error, and overlap is deduplicated
-// (the later window's already-covered prefix is skipped).  The merged
-// source carries the shared provenance, so requests backed by it share
-// the originating program's result-cache entries, exactly as a single
-// long recording would.
-func MergeWindows(sources ...TraceSource) TraceSource {
-	return &mergeSource{srcs: sources}
-}
-
-type mergeSource struct {
-	srcs []TraceSource
-}
-
-// mergePlan is a resolved merge: the composite's identity plus the
-// per-window skips a stream applies.
-type mergePlan struct {
-	desc  streamDesc
-	parts []streamPart
-}
-
-func (m *mergeSource) plan(b *Batcher) (mergePlan, error) {
-	if len(m.srcs) == 0 {
-		return mergePlan{}, fmt.Errorf("tlr: MergeWindows needs at least one source")
-	}
-	type window struct {
-		src  TraceSource
-		desc streamDesc
-	}
-	wins := make([]window, len(m.srcs))
-	for i, src := range m.srcs {
-		d, err := src.describe(b)
-		if err != nil {
-			return mergePlan{}, fmt.Errorf("tlr: merge window %d: %w", i, err)
-		}
-		if d.provKey == "" {
-			return mergePlan{}, fmt.Errorf(
-				"tlr: merge window %d carries no provenance; MergeWindows stitches recordings (from Record) of one program — use Concat to chain arbitrary streams", i)
-		}
-		if i > 0 && d.provKey != wins[0].desc.provKey {
-			return mergePlan{}, fmt.Errorf("tlr: merge windows span different programs (%q vs %q)",
-				wins[0].desc.provKey, d.provKey)
-		}
-		wins[i] = window{src: src, desc: d}
-	}
-	sort.SliceStable(wins, func(i, j int) bool { return wins[i].desc.base < wins[j].desc.base })
-
-	p := mergePlan{desc: streamDesc{
-		provKey: wins[0].desc.provKey,
-		base:    wins[0].desc.base,
-	}}
-	pos := wins[0].desc.base // coverage end so far
-	complete := false
-	for i, w := range wins {
-		if w.desc.base > pos {
-			return mergePlan{}, fmt.Errorf(
-				"tlr: merge windows leave a gap: coverage ends at record %d but the next window starts at %d", pos, w.desc.base)
-		}
-		end := w.desc.base + w.desc.records
-		if end <= pos && !w.desc.complete {
-			continue // fully covered by earlier windows
-		}
-		skip := pos - w.desc.base
-		if skip < w.desc.records {
-			p.parts = append(p.parts, streamPart{src: wins[i].src, skip: skip})
-			pos = end
-		}
-		if w.desc.complete {
-			complete = true
-		}
-	}
-	p.desc.records = pos - p.desc.base
-	p.desc.complete = complete
-	return p, nil
-}
-
-func (m *mergeSource) describe(b *Batcher) (streamDesc, error) {
-	p, err := m.plan(b)
-	return p.desc, err
-}
-
-func (m *mergeSource) openStream(b *Batcher) (trace.Stream, error) {
-	p, err := m.plan(b)
-	if err != nil {
-		return nil, err
-	}
-	return &compositeStream{b: b, parts: p.parts}, nil
-}
-
-// streamPart is one child of a composite stream: a source plus the
-// records to skip at its start (overlap deduplication).
-type streamPart struct {
-	src  TraceSource
-	skip uint64
+	return &compositeStream{b: b, parts: c.srcs}, nil
 }
 
 // compositeStream plays a sequence of parts as one trace.Stream,
@@ -568,28 +456,21 @@ type streamPart struct {
 // one child stream is resident at a time.
 type compositeStream struct {
 	b     *Batcher
-	parts []streamPart
+	parts []TraceSource
 	idx   int
 	cur   trace.Stream
 }
 
-// next ensures a current child stream, opening (and pre-skipping) the
-// next part; it returns io.EOF once every part is drained.
+// next ensures a current child stream, opening the next part; it
+// returns io.EOF once every part is drained.
 func (s *compositeStream) next() error {
 	for s.cur == nil {
 		if s.idx >= len(s.parts) {
 			return io.EOF
 		}
-		p := s.parts[s.idx]
-		st, err := p.src.openStream(s.b)
+		st, err := s.parts[s.idx].openStream(s.b)
 		if err != nil {
 			return err
-		}
-		if p.skip > 0 {
-			if _, err := st.Skip(p.skip); err != nil {
-				st.Close()
-				return err
-			}
 		}
 		s.cur = st
 	}
@@ -685,11 +566,9 @@ func (b *Batcher) traceSource(src TraceSource) (func(skip, budget uint64) (servi
 
 // Materialize resolves any TraceSource into an in-memory Trace,
 // replaying (and re-encoding) the stream when the source is not
-// already memory-backed.  Provenance survives: materialising a
-// MergeWindows composite yields a Trace that behaves exactly like one
-// long recording of the program, cache sharing included.  Sources that
-// need a store (TraceRef) must be materialised through their Batcher's
-// Materialize method.
+// already memory-backed; only an in-memory recording keeps its
+// provenance.  Sources that need a store (TraceRef) must be
+// materialised through their Batcher's Materialize method.
 func Materialize(src TraceSource) (*Trace, error) { return materialize(nil, src) }
 
 // Materialize resolves any TraceSource into an in-memory Trace against
@@ -725,8 +604,6 @@ func materialize(b *Batcher, src TraceSource) (*Trace, error) {
 	}
 	return &Trace{
 		t:        rec.Trace(),
-		provKey:  d.provKey,
-		provSkip: d.base,
 		complete: d.complete,
 	}, nil
 }
