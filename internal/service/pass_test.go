@@ -256,6 +256,18 @@ func TestPassMemberCancelAndFailure(t *testing.T) {
 	b := s.Submit(context.Background(), []Job{keep}, 0)
 	waitFor(t, func() bool { return s.Stats().Coalesced == 1 })
 	cancelA()
+	// The flights drop A's interest asynchronously: release the stream
+	// only once every cancelled job's run has seen the cancellation.
+	waitFor(t, func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, j := range jobs[1:] {
+			if f := s.inflight[j.Key]; f != nil && f.ctx.Err() == nil {
+				return false
+			}
+		}
+		return true
+	})
 	close(release)
 
 	resA, _ := a.Wait()
