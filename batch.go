@@ -28,7 +28,7 @@ type BatchOptions struct {
 	// (0 = 64 MiB).
 	TraceStoreBytes int64
 	// TraceDir, when non-empty, enables the trace store's disk tier: a
-	// directory of digest-named version-3 trace files behind the memory
+	// directory of digest-named version-4 trace files behind the memory
 	// LRU.  Stored traces are written through to it, memory evictions
 	// become free drops, and TraceRef resolution falls through
 	// memory → disk, replaying large disk-tier traces as incrementally
