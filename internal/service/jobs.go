@@ -195,8 +195,8 @@ type StudyOutput struct {
 }
 
 // normalize applies the study defaults.  Both the job body and the
-// cache key use the normalized form, so a job with explicit defaults and one
-// relying on them share a key (and a cached result).
+// cache key use the normalized form, so a job with explicit defaults
+// and one relying on them share a key (and a cached result).
 func (p StudyParams) normalize() StudyParams {
 	if len(p.ILRLatencies) == 0 {
 		p.ILRLatencies = []float64{1}

@@ -4,9 +4,9 @@ package tracefile
 // plane-split encoding (see v4.go) with a content digest and per-block
 // offsets.  This is the unit the service's trace store holds and the
 // replay engines consume — the Reader streams records from io, but a
-// Trace can be digest-addressed (stable cache keys),
-// skipped into in O(1) via its block offsets, and replayed many times
-// through a block-batched Cursor without re-parsing headers.
+// Trace can be digest-addressed (stable cache keys), skipped into in
+// O(1) via its block offsets, and replayed many times through a
+// block-batched Cursor without re-parsing headers.
 //
 // The digest is computed over the *canonical* record encoding (the
 // version-1 record stream; never a container header and never the v3 or
@@ -476,8 +476,8 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // WriteTo serialises the trace as a version-4 container: the header
 // (see writeCompressedHeader), then the flate-compressed plane-split
-// record bytes.  Version 4 is the only
-// container the package writes; its readers accept all four.
+// record bytes.  Version 4 is the only container the package writes;
+// its readers accept all four.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	cw := &countWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
