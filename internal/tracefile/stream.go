@@ -188,8 +188,8 @@ func OpenFile(path string) (*Trace, error) {
 	return t, nil
 }
 
-// ProbeFile reads an indexed (version-2/3) container's header without
-// decoding any records: the declared digest, record count and (v3)
+// ProbeFile reads an indexed (version 2-4) container's header without
+// decoding any records: the declared digest, record count and (v3/v4)
 // canonical size.  It is how a directory store rehydrates its index
 // from digest-named files it wrote earlier — cheap enough to run per
 // file at startup.  The header is declared, not verified; Probe is for
@@ -233,7 +233,7 @@ func ScanFile(path string) (ScanInfo, error) {
 // ScanInfo is what one incremental pass over a container learns.
 type ScanInfo struct {
 	// Digest is the content digest of the canonical record encoding,
-	// computed incrementally and (for version-2/3 containers) verified
+	// computed incrementally and (for version 2-4 containers) verified
 	// against the header's declared digest.
 	Digest string
 	// Records is the number of records in the stream.
@@ -257,7 +257,7 @@ const scanFreqCap = 1 << 20
 // Scan reads a complete container from r in one pass, computing the
 // content digest, record count, canonical size and the operand-location
 // dictionary the stream would be given, in O(batch) memory.  Every
-// record is validated, and a version-2/3 header whose declared digest,
+// record is validated, and a version 2-4 header whose declared digest,
 // record count or canonical size disagrees with the stream is rejected
 // — the same guarantees Load gives, without materialising the trace.
 func Scan(r io.Reader) (ScanInfo, error) {
