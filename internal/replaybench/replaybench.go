@@ -121,14 +121,6 @@ type EncodingStats struct {
 	DecodeSpeedup float64
 }
 
-// countWriter counts bytes written (for container sizes).
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
 // MeasureEncoding records n instructions of each workload in the mix
 // and measures both encodings' density and decode cost against the live
 // simulator on the same streams.
@@ -158,8 +150,8 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 			return st, err
 		}
 		tr := rec.Trace()
-		var v4w countWriter
-		if _, err := tr.WriteTo(&v4w); err != nil {
+		fileBytes, err := tr.WriteTo(io.Discard)
+		if err != nil {
 			return st, err
 		}
 		canon, err := tr.CanonicalEncoding()
@@ -179,7 +171,7 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 		totRecords += got
 		totCanon += uint64(tr.CanonicalBytes())
 		totEnc += uint64(tr.Bytes())
-		totFile += uint64(v4w.n)
+		totFile += uint64(fileBytes)
 		stepNs += step
 		canonNs += cDec
 		decNs += vDec
