@@ -219,6 +219,116 @@ func TestStatsAndWorkloads(t *testing.T) {
 	}
 }
 
+// jsonKeys returns the keys of a JSON object in the order they appear.
+func jsonKeys(t *testing.T, raw json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", raw)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestTraceListKeys pins the GET /v1/traces body layout: the keys (in
+// order) of a memory-tier trace, of a disk-only trace and of the tiers
+// object, with diskBytes left out when the trace has no disk copy.
+func TestTraceListKeys(t *testing.T) {
+	rec, err := tlr.Record(context.Background(), tlr.RecordSpec{Workload: "li", Budget: 5_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if _, err := rec.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	list := func(opt tlr.BatchOptions) (trace, tiers json.RawMessage) {
+		t.Helper()
+		srv := newServer(opt)
+		ts := httptest.NewServer(srv.mux())
+		defer func() {
+			ts.Close()
+			srv.batcher.Close()
+		}()
+		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(file.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("upload status %d", resp.StatusCode)
+		}
+		lresp, err := http.Get(ts.URL + "/v1/traces")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lresp.Body.Close()
+		body, err := io.ReadAll(lresp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := jsonKeys(t, body), []string{"tiers", "traces"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("/v1/traces keys %v, want %v", got, want)
+		}
+		var listing struct {
+			Traces []json.RawMessage `json:"traces"`
+			Tiers  json.RawMessage   `json:"tiers"`
+		}
+		if err := json.Unmarshal(body, &listing); err != nil {
+			t.Fatal(err)
+		}
+		if len(listing.Traces) != 1 {
+			t.Fatalf("listing holds %d traces, want 1: %s", len(listing.Traces), body)
+		}
+		return listing.Traces[0], listing.Tiers
+	}
+
+	mem, tiers := list(tlr.BatchOptions{Workers: 1})
+	if got, want := jsonKeys(t, mem), []string{"digest", "records", "bytes", "canonicalBytes", "tier"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("memory trace keys %v, want %v (%s)", got, want, mem)
+	}
+	if got, want := jsonKeys(t, tiers), []string{"disk", "memory", "promotes", "spills"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("tiers keys %v, want %v", got, want)
+	}
+	var occ struct{ Memory, Disk json.RawMessage }
+	if err := json.Unmarshal(tiers, &occ); err != nil {
+		t.Fatal(err)
+	}
+	for name, raw := range map[string]json.RawMessage{"memory": occ.Memory, "disk": occ.Disk} {
+		if got, want := jsonKeys(t, raw), []string{"bytes", "traces"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("tiers.%s keys %v, want %v", name, got, want)
+		}
+	}
+
+	// A memory tier smaller than the trace keeps the upload disk-only.
+	disk, _ := list(tlr.BatchOptions{Workers: 1, TraceStoreBytes: 1024, TraceDir: t.TempDir()})
+	if got, want := jsonKeys(t, disk), []string{"digest", "records", "bytes", "canonicalBytes", "tier", "diskBytes"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("disk-only trace keys %v, want %v (%s)", got, want, disk)
+	}
+	var d struct {
+		Tier      string `json:"tier"`
+		Bytes     int    `json:"bytes"`
+		DiskBytes int64  `json:"diskBytes"`
+	}
+	if err := json.Unmarshal(disk, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Tier != "disk" || d.Bytes != 0 || d.DiskBytes <= 0 {
+		t.Errorf("disk-only trace %s", disk)
+	}
+}
+
 // TestTraceUploadAndDigestRun is the record -> upload -> digest-sweep
 // workflow end to end: a trace recorded from a workload is uploaded
 // once, referenced by digest for a study run, and the answer must be

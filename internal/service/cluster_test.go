@@ -165,6 +165,15 @@ func TestResolveTraceRejectsCorruptPeerBody(t *testing.T) {
 				if _, ok := s.ResolveTrace(wanted.Digest()); ok {
 					t.Fatalf("withDisk=%v: second lookup resolved", withDisk)
 				}
+				// Nor is it stored under its own digest: a rejected body
+				// never enters the memory tier (where it could evict
+				// what the tier holds) or the disk index.
+				if got := s.Traces(); len(got) != 0 {
+					t.Fatalf("withDisk=%v: rejected body stored: %+v", withDisk, got)
+				}
+				if s.HasTrace(other.Digest()) {
+					t.Fatalf("withDisk=%v: rejected body resolves its own digest", withDisk)
+				}
 				// Each lookup consults the peer twice: the corrupt body is
 				// rejected, then the retry (with the peer excluded) finds
 				// no remaining holder.
