@@ -429,31 +429,11 @@ func (s *server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleTraceList(w http.ResponseWriter, _ *http.Request) {
-	infos := s.batcher.Traces()
-	type traceInfo struct {
-		Digest         string `json:"digest"`
-		Records        uint64 `json:"records"`
-		Bytes          int    `json:"bytes"`
-		CanonicalBytes int    `json:"canonicalBytes"`
-		Tier           string `json:"tier"`
-		DiskBytes      int64  `json:"diskBytes,omitempty"`
-	}
-	out := make([]traceInfo, len(infos))
-	for i, t := range infos {
-		out[i] = traceInfo{
-			Digest:         t.Digest,
-			Records:        t.Records,
-			Bytes:          t.Bytes,
-			CanonicalBytes: t.CanonicalBytes,
-			Tier:           t.Tier,
-			DiskBytes:      t.DiskBytes,
-		}
-	}
 	// Tier occupancy comes from the store's own counters (the same
 	// numbers /v1/stats reports), not re-derived from the listing.
 	st := s.batcher.Stats()
 	writeJSON(w, map[string]any{
-		"traces": out,
+		"traces": s.batcher.Traces(),
 		"tiers": map[string]any{
 			"memory": map[string]any{"traces": st.Traces, "bytes": st.TraceBytes},
 			"disk":   map[string]any{"traces": st.TraceDisk, "bytes": st.TraceDiskBytes},

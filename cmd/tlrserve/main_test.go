@@ -489,12 +489,12 @@ func TestTraceDownloadRoundTrip(t *testing.T) {
 
 	// The pulled file replays to the same results as the original
 	// recording (the point of fetching it onto another host).
-	req := tlr.Request{Study: &tlr.StudyConfig{Budget: 8_000, Window: 128}}
-	orig, err := tlr.Replay(context.Background(), rec, req)
+	study := &tlr.StudyConfig{Budget: 8_000, Window: 128}
+	orig, err := tlr.Run(context.Background(), tlr.Request{Trace: rec, Study: study})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pulled, err := tlr.Replay(context.Background(), got, req)
+	pulled, err := tlr.Run(context.Background(), tlr.Request{Trace: got, Study: study})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -279,6 +280,44 @@ func TestReserveAdmission(t *testing.T) {
 		t.Fatalf("unlimited inflight = %d, want %d", got, 1<<20)
 	}
 	rel()
+}
+
+// TestConcurrentInstallsCountOnce: concurrent uploads and lookups of
+// one trace on a disk-tier store index it once and count one spill,
+// every lookup resolves, and the registry's spill and promote counters
+// read what Stats reads (run under -race in CI).
+func TestConcurrentInstallsCountOnce(t *testing.T) {
+	s := New(Options{Workers: 1, TraceDir: t.TempDir()})
+	defer s.Close()
+	tr := recordTestTrace(t, "compress", 3000)
+	body := traceBytes(t, tr)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.AddTraceStream(bytes.NewReader(body)); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, ok := s.ResolveTrace(tr.Digest()); !ok {
+				t.Error("uploaded trace did not resolve")
+			}
+		}()
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.TraceDisk != 1 || st.TraceSpills != 1 || st.TracePromotes < 1 || st.TracePromotes > 4 {
+		t.Fatalf("stats %+v, want one disk trace, one spill and 1-4 promotions", st)
+	}
+	for name, want := range map[string]uint64{
+		"tlr_trace_spills_total":   st.TraceSpills,
+		"tlr_trace_promotes_total": st.TracePromotes,
+	} {
+		if got, ok := s.Metrics().Value(name); !ok || got != float64(want) {
+			t.Errorf("%s = %v (found %v), Stats reads %d", name, got, ok, want)
+		}
+	}
 }
 
 // TestTraceDigestsListsBothTiers: the repair scan source must see

@@ -25,6 +25,8 @@ type serviceMetrics struct {
 	traceMisses *metrics.Counter
 	peerFetches *metrics.Counter
 	peerRejects *metrics.Counter
+	spills      *metrics.Counter
+	promotes    *metrics.Counter
 
 	resultDiskHits   *metrics.Counter
 	resultDiskWrites *metrics.Counter
@@ -68,6 +70,10 @@ func (s *Service) registerMetrics(reg *metrics.Registry) {
 		"Traces pulled from cluster peers into the local store.")
 	m.peerRejects = reg.Counter("tlr_trace_peer_rejects_total",
 		"Peer trace bodies rejected as invalid or digest-mismatched.")
+	m.spills = reg.Counter("tlr_trace_spills_total",
+		"Traces written through to the disk tier.")
+	m.promotes = reg.Counter("tlr_trace_promotes_total",
+		"Disk-tier hits decoded back into the memory tier.")
 
 	m.resultDiskHits = reg.Counter("tlr_result_disk_hits_total",
 		"Jobs answered from the persistent result cache.")
@@ -143,24 +149,6 @@ func (s *Service) registerMetrics(reg *metrics.Registry) {
 		defer s.mu.Unlock()
 		return float64(s.traces.diskBytes)
 	}, "disk")
-
-	// Spill/promote counters are owned by the trace store (mutated under
-	// s.mu); exported as Func-backed counters over the same fields
-	// Stats() reads.
-	reg.CounterFunc("tlr_trace_spills_total",
-		"Traces written through to the disk tier.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.traces.spills)
-		})
-	reg.CounterFunc("tlr_trace_promotes_total",
-		"Disk-tier hits decoded back into the memory tier.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.traces.promotes)
-		})
 }
 
 // jobKind labels a job for the per-kind instruments; jobs submitted

@@ -369,6 +369,8 @@ func (s *Service) Stats() Stats {
 	st.TraceMisses = s.met.traceMisses.Value()
 	st.TracePeerFetches = s.met.peerFetches.Value()
 	st.TracePeerRejects = s.met.peerRejects.Value()
+	st.TraceSpills = s.met.spills.Value()
+	st.TracePromotes = s.met.promotes.Value()
 	st.ResultDiskWrites = s.met.resultDiskWrites.Value()
 	st.IngestedTraces = s.met.ingestedTraces.Value()
 	st.IngestedRecords = s.met.ingestedRecords.Value()
@@ -382,8 +384,6 @@ func (s *Service) Stats() Stats {
 	st.TraceBytes = s.traces.bytes
 	st.TraceDisk = s.traces.diskLen()
 	st.TraceDiskBytes = s.traces.diskBytes
-	st.TraceSpills = s.traces.spills
-	st.TracePromotes = s.traces.promotes
 	if s.resultDisk != nil {
 		st.ResultsOnDisk = s.resultDisk.len()
 	}
@@ -447,28 +447,27 @@ func (s *Service) NoteIngest(records, rejected uint64) {
 // memory-only rather than failing the store.
 func (s *Service) AddTrace(t *tracefile.Trace) string {
 	digest := t.Digest()
-	var disk *diskEntry
+	var disk *tracefile.SpoolInfo
 	wrote := false
 	if dir := s.traceDir(); dir != "" {
 		path := filepath.Join(dir, tracefile.DigestFileName(digest))
 		if _, err := os.Stat(path); err != nil {
-			if t.Save(path) == nil {
-				wrote = true
-			}
+			wrote = t.Save(path) == nil
 		}
 		if fi, err := os.Stat(path); err == nil {
-			disk = &diskEntry{
-				path:           path,
-				records:        t.Records(),
-				fileBytes:      fi.Size(),
-				canonicalBytes: int64(t.CanonicalBytes()),
+			disk = &tracefile.SpoolInfo{
+				Digest:         digest,
+				Records:        t.Records(),
+				CanonicalBytes: int64(t.CanonicalBytes()),
+				Path:           path,
+				FileBytes:      fi.Size(),
 			}
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if disk != nil {
-		s.traces.addDisk(digest, *disk, wrote)
+	if disk != nil && s.traces.addDisk(*disk) && wrote {
+		s.met.spills.Inc()
 	}
 	return s.traces.add(t)
 }
@@ -480,50 +479,52 @@ func (s *Service) AddTrace(t *tracefile.Trace) string {
 // long uploads cost O(batch) memory; the memory tier fills in lazily
 // when the digest is first replayed (see ResolveTrace).  Without a disk
 // tier the trace is decoded into the memory tier, as AddTrace would.
+// The returned TraceInfo is the entry GET /v1/traces would list.
 func (s *Service) AddTraceStream(r io.Reader) (TraceInfo, error) {
-	dir := s.traceDir()
-	if dir == "" {
-		t, err := tracefile.Load(r)
-		if err != nil {
-			return TraceInfo{}, err
-		}
-		digest := s.AddTrace(t)
-		return TraceInfo{
-			Digest:         digest,
-			Records:        t.Records(),
-			Bytes:          t.Bytes(),
-			CanonicalBytes: t.CanonicalBytes(),
-			Tier:           "memory",
-		}, nil
+	return s.installStream(r, "")
+}
+
+// installStream is the one way a container stream enters the store:
+// AddTraceStream's uploads (want == "") and peer fetches, which want
+// one digest.  A body whose content digests to anything else is
+// rejected before it is stored, so it can neither resolve the digest
+// asked for nor take the memory tier's room.  (A spool has already
+// installed such a body's file under its true name, possibly a trace
+// the store holds; the disk index does not learn of it.)
+func (s *Service) installStream(r io.Reader, want string) (TraceInfo, error) {
+	var (
+		t   *tracefile.Trace // memory tier: the decoded trace
+		sp  tracefile.SpoolInfo
+		err error
+	)
+	if dir := s.traceDir(); dir == "" {
+		t, err = tracefile.Load(r)
+	} else {
+		sp, err = tracefile.SpoolToDir(r, dir)
 	}
-	sp, err := tracefile.SpoolToDir(r, dir)
 	if err != nil {
 		return TraceInfo{}, err
 	}
-	ent := diskEntry{
-		path:           sp.Path,
-		records:        sp.Records,
-		fileBytes:      sp.FileBytes,
-		canonicalBytes: sp.CanonicalBytes,
+	digest := sp.Digest
+	if t != nil {
+		digest = t.Digest()
+	}
+	if want != "" && digest != want {
+		return TraceInfo{}, fmt.Errorf("content digest is %s", digest)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, existed := s.traces.getDisk(sp.Digest)
-	s.traces.addDisk(sp.Digest, ent, !existed)
-	info := TraceInfo{
-		Digest:         sp.Digest,
-		Records:        sp.Records,
-		CanonicalBytes: int(sp.CanonicalBytes),
-		Tier:           "disk",
-		DiskBytes:      sp.FileBytes,
+	if t != nil {
+		s.traces.add(t)
+	} else {
+		if s.traces.addDisk(sp) {
+			s.met.spills.Inc()
+		}
+		// Storing a memory-resident digest again refreshes its LRU
+		// position, as AddTrace does.
+		s.traces.get(digest)
 	}
-	if t, ok := s.traces.get(sp.Digest); ok {
-		// The digest is also memory-resident: report the same tier and
-		// encoded size GET /v1/traces would.
-		info.Tier = "memory+disk"
-		info.Bytes = t.Bytes()
-	}
-	return info, nil
+	return s.traces.info(digest), nil
 }
 
 // traceDir returns the disk tier's directory ("" = no disk tier).
@@ -561,12 +562,13 @@ func (s *Service) rehydrateTraceDir(dir string) {
 			log.Printf("service: trace store: skipping %s: %v", path, err)
 			continue
 		}
-		s.traces.addDisk(info.Digest, diskEntry{
-			path:           path,
-			records:        info.Records,
-			fileBytes:      fi.Size(),
-			canonicalBytes: info.CanonicalBytes,
-		}, false)
+		s.traces.addDisk(tracefile.SpoolInfo{
+			Digest:         info.Digest,
+			Records:        info.Records,
+			CanonicalBytes: info.CanonicalBytes,
+			Path:           path,
+			FileBytes:      fi.Size(),
+		})
 	}
 }
 
@@ -620,15 +622,15 @@ func (s *Service) resolveLocal(digest string) (TraceHandle, bool) {
 		return TraceHandle{}, false
 	}
 	s.met.traceHits.Inc()
-	promote := ent.fileBytes <= s.traces.promoteMaxFileBytes()
+	promote := ent.FileBytes <= s.traces.promoteMaxFileBytes()
 	s.mu.Unlock()
 
 	if promote {
-		if t, err := tracefile.OpenFile(ent.path); err == nil {
+		if t, err := tracefile.OpenFile(ent.Path); err == nil {
+			s.met.promotes.Inc()
 			s.mu.Lock()
 			// Another goroutine may have promoted the same digest while
 			// this one was decoding; the store's add is idempotent.
-			s.traces.promotes++
 			s.traces.add(t)
 			s.mu.Unlock()
 			return memHandle(digest, t), true
@@ -639,9 +641,9 @@ func (s *Service) resolveLocal(digest string) (TraceHandle, bool) {
 	}
 	return TraceHandle{
 		Digest:  digest,
-		Records: ent.records,
+		Records: ent.Records,
 		open: func() (trace.Stream, error) {
-			return tracefile.OpenFileStream(ent.path)
+			return tracefile.OpenFileStream(ent.Path)
 		},
 	}, true
 }
@@ -686,58 +688,17 @@ func (s *Service) fetchFromPeer(digest string) (TraceHandle, bool) {
 // or wrong digest) and the caller may retry from another peer.
 func (s *Service) installPeerBody(digest string, body io.ReadCloser) (h TraceHandle, ok, valid bool) {
 	defer body.Close()
-
-	dir := s.traceDir()
-	if dir == "" {
-		t, err := tracefile.Load(body)
-		if err != nil || t.Digest() != digest {
-			s.rejectPeerBody(digest, err)
-			return TraceHandle{}, false, false
-		}
-		s.met.peerFetches.Inc()
-		s.met.traceHits.Inc()
-		s.mu.Lock()
-		s.traces.add(t)
-		s.mu.Unlock()
-		return memHandle(digest, t), true, true
-	}
-
-	sp, err := tracefile.SpoolToDir(body, dir)
-	if err != nil {
-		s.rejectPeerBody(digest, err)
+	if _, err := s.installStream(body, digest); err != nil {
+		s.met.peerRejects.Inc()
+		log.Printf("service: peer fetch %s: rejected body: %v", digest, err)
 		return TraceHandle{}, false, false
 	}
-	if sp.Digest != digest {
-		// A valid container for some other digest: the spool installed it
-		// under its true name (possibly a trace we legitimately hold), but
-		// it must never resolve the digest that was asked for.
-		s.rejectPeerBody(digest, fmt.Errorf("peer served digest %s", sp.Digest))
-		return TraceHandle{}, false, false
-	}
-	ent := diskEntry{
-		path:           sp.Path,
-		records:        sp.Records,
-		fileBytes:      sp.FileBytes,
-		canonicalBytes: sp.CanonicalBytes,
-	}
-	s.mu.Lock()
-	_, existed := s.traces.getDisk(sp.Digest)
-	s.traces.addDisk(sp.Digest, ent, !existed)
-	s.mu.Unlock()
 	s.met.peerFetches.Inc()
-	// Resolve through the normal local path so small fetches promote to
-	// memory and large ones stream, exactly like a restart-rehydrated
-	// file would.
+	// Resolve through the normal local path so small disk-tier fetches
+	// promote to memory and large ones stream, exactly like a
+	// restart-rehydrated file would.
 	h, ok = s.resolveLocal(digest)
 	return h, ok, true
-}
-
-func (s *Service) rejectPeerBody(digest string, err error) {
-	s.met.peerRejects.Inc()
-	if err == nil {
-		err = errors.New("content digest mismatch")
-	}
-	log.Printf("service: peer fetch %s: rejected body: %v", digest, err)
 }
 
 // TraceDigests returns every digest the local tiers hold (memory and
@@ -770,42 +731,6 @@ func memHandle(digest string, t *tracefile.Trace) TraceHandle {
 	}
 }
 
-// lookupTrace is the tier fall-through every stored-trace query
-// shares: memory first, then the disk tier's metadata, with hit/miss
-// accounting.  Exactly one of the returns is useful on a hit: the
-// in-memory trace, or the disk entry to read from.
-func (s *Service) lookupTrace(digest string) (*tracefile.Trace, diskEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.traces.get(digest)
-	var ent diskEntry
-	if !ok {
-		ent, ok = s.traces.getDisk(digest)
-	}
-	if ok {
-		s.met.traceHits.Inc()
-	} else {
-		s.met.traceMisses.Inc()
-	}
-	return t, ent, ok
-}
-
-// TraceByDigest returns the stored trace for a digest, materialising a
-// disk-only trace into memory (without admitting it to the memory
-// tier) when necessary.  Callers that only need to replay should prefer
-// ResolveTrace, which keeps large traces on disk.
-func (s *Service) TraceByDigest(digest string) (*tracefile.Trace, bool) {
-	t, ent, ok := s.lookupTrace(digest)
-	if t != nil || !ok {
-		return t, ok
-	}
-	t, err := tracefile.OpenFile(ent.path)
-	if err != nil {
-		return nil, false
-	}
-	return t, true
-}
-
 // WriteTraceTo streams the stored trace for a digest to w as a
 // version-4 container, serving the memory tier's encoding or copying
 // the disk tier's file without decoding it.  It reports the bytes
@@ -813,15 +738,20 @@ func (s *Service) TraceByDigest(digest string) (*tracefile.Trace, bool) {
 // written means nothing reached w, so a server can still answer with
 // an error status.
 func (s *Service) WriteTraceTo(digest string, w io.Writer) (int64, bool, error) {
-	t, ent, ok := s.lookupTrace(digest)
-	if !ok {
+	s.mu.Lock()
+	t, inMem := s.traces.get(digest)
+	ent, onDisk := s.traces.getDisk(digest)
+	s.mu.Unlock()
+	if !inMem && !onDisk {
+		s.met.traceMisses.Inc()
 		return 0, false, nil
 	}
-	if t != nil {
+	s.met.traceHits.Inc()
+	if inMem {
 		n, err := t.WriteTo(w)
 		return n, true, err
 	}
-	f, err := os.Open(ent.path)
+	f, err := os.Open(ent.Path)
 	if err != nil {
 		return 0, true, err
 	}

@@ -29,24 +29,13 @@ type traceStore struct {
 	order    *list.List // front = most recently used
 
 	dir       string // "" = no disk tier
-	disk      map[string]diskEntry
+	disk      map[string]tracefile.SpoolInfo
 	diskBytes int64
-	spills    uint64 // traces written through to the disk tier
-	promotes  uint64 // disk hits decoded back into the memory tier
 }
 
 type traceEntry struct {
 	digest string
 	t      *tracefile.Trace
-}
-
-// diskEntry is the metadata the store keeps about a disk-tier file (the
-// records themselves stay on disk).
-type diskEntry struct {
-	path           string
-	records        uint64
-	fileBytes      int64
-	canonicalBytes int64
 }
 
 func newTraceStore(capBytes int64, dir string) *traceStore {
@@ -55,7 +44,7 @@ func newTraceStore(capBytes int64, dir string) *traceStore {
 		items:    make(map[string]*list.Element),
 		order:    list.New(),
 		dir:      dir,
-		disk:     make(map[string]diskEntry),
+		disk:     make(map[string]tracefile.SpoolInfo),
 	}
 }
 
@@ -100,16 +89,16 @@ func (c *traceStore) add(t *tracefile.Trace) string {
 }
 
 // addDisk records a digest-named file as the disk tier's copy of a
-// trace.  wrote tells whether the file was newly written (a spill) or
-// already present.
-func (c *traceStore) addDisk(digest string, e diskEntry, wrote bool) {
-	if old, ok := c.disk[digest]; ok {
-		c.diskBytes -= old.fileBytes
-	} else if wrote {
-		c.spills++
+// trace (the records themselves stay on disk) and reports whether the
+// digest is new to the disk tier.
+func (c *traceStore) addDisk(e tracefile.SpoolInfo) bool {
+	old, ok := c.disk[e.Digest]
+	if ok {
+		c.diskBytes -= old.FileBytes
 	}
-	c.disk[digest] = e
-	c.diskBytes += e.fileBytes
+	c.disk[e.Digest] = e
+	c.diskBytes += e.FileBytes
+	return !ok
 }
 
 // get returns the memory tier's trace for a digest, refreshing LRU
@@ -125,7 +114,7 @@ func (c *traceStore) get(digest string) (*tracefile.Trace, bool) {
 }
 
 // getDisk returns the disk tier's metadata for a digest.
-func (c *traceStore) getDisk(digest string) (diskEntry, bool) {
+func (c *traceStore) getDisk(digest string) (tracefile.SpoolInfo, bool) {
 	e, ok := c.disk[digest]
 	return e, ok
 }
@@ -135,18 +124,12 @@ func (c *traceStore) len() int { return c.order.Len() }
 // digests returns every digest held in either tier, sorted, with no
 // duplicates.  It is the anti-entropy repair loop's scan source.
 func (c *traceStore) digests() []string {
-	seen := make(map[string]bool, c.order.Len()+len(c.disk))
-	out := make([]string, 0, c.order.Len()+len(c.disk))
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		d := el.Value.(*traceEntry).digest
-		if !seen[d] {
-			seen[d] = true
-			out = append(out, d)
-		}
+	out := make([]string, 0, len(c.items)+len(c.disk))
+	for d := range c.items {
+		out = append(out, d)
 	}
 	for d := range c.disk {
-		if !seen[d] {
-			seen[d] = true
+		if _, inMem := c.items[d]; !inMem {
 			out = append(out, d)
 		}
 	}
@@ -162,54 +145,54 @@ func (c *traceStore) diskLen() int { return len(c.disk) }
 // bounded on this; 0 for a disk-only trace), DiskBytes what the disk
 // tier spends on its file (0 without a disk tier), and CanonicalBytes
 // what the same stream costs in the uncompressed canonical encoding, so
-// each tier's density win is observable per trace.
+// each tier's density win is observable per trace.  The JSON form is
+// an entry of cmd/tlrserve's GET /v1/traces listing.
 type TraceInfo struct {
-	Digest         string
-	Records        uint64
-	Bytes          int
-	CanonicalBytes int
+	Digest         string `json:"digest"`
+	Records        uint64 `json:"records"`
+	Bytes          int    `json:"bytes"`
+	CanonicalBytes int    `json:"canonicalBytes"`
 	// Tier is "memory", "disk", or "memory+disk".
-	Tier      string
-	DiskBytes int64
+	Tier      string `json:"tier"`
+	DiskBytes int64  `json:"diskBytes,omitempty"`
+}
+
+// info describes a digest from whichever tiers hold it.
+func (c *traceStore) info(digest string) TraceInfo {
+	info := TraceInfo{Digest: digest}
+	if el, ok := c.items[digest]; ok {
+		t := el.Value.(*traceEntry).t
+		info.Records, info.Bytes, info.CanonicalBytes = t.Records(), t.Bytes(), t.CanonicalBytes()
+		info.Tier = "memory"
+	}
+	if d, ok := c.disk[digest]; ok {
+		info.DiskBytes = d.FileBytes
+		if info.Tier == "" {
+			info.Records, info.CanonicalBytes = d.Records, int(d.CanonicalBytes)
+			info.Tier = "disk"
+		} else {
+			info.Tier = "memory+disk"
+		}
+	}
+	return info
 }
 
 // list returns the stored traces: the memory tier most recently used
 // first, then disk-only traces.
 func (c *traceStore) list() []TraceInfo {
-	out := make([]TraceInfo, 0, c.order.Len())
-	inMem := make(map[string]bool, c.order.Len())
+	out := make([]TraceInfo, 0, len(c.items)+len(c.disk))
 	for el := c.order.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*traceEntry)
-		inMem[ent.digest] = true
-		info := TraceInfo{
-			Digest:         ent.digest,
-			Records:        ent.t.Records(),
-			Bytes:          ent.t.Bytes(),
-			CanonicalBytes: ent.t.CanonicalBytes(),
-			Tier:           "memory",
-		}
-		if d, ok := c.disk[ent.digest]; ok {
-			info.Tier = "memory+disk"
-			info.DiskBytes = d.fileBytes
-		}
-		out = append(out, info)
+		out = append(out, c.info(el.Value.(*traceEntry).digest))
 	}
-	diskOnly := make([]string, 0, len(c.disk))
-	for digest := range c.disk {
-		if !inMem[digest] {
-			diskOnly = append(diskOnly, digest)
+	var diskOnly []string
+	for d := range c.disk {
+		if _, inMem := c.items[d]; !inMem {
+			diskOnly = append(diskOnly, d)
 		}
 	}
 	sort.Strings(diskOnly)
-	for _, digest := range diskOnly {
-		d := c.disk[digest]
-		out = append(out, TraceInfo{
-			Digest:         digest,
-			Records:        d.records,
-			CanonicalBytes: int(d.canonicalBytes),
-			Tier:           "disk",
-			DiskBytes:      d.fileBytes,
-		})
+	for _, d := range diskOnly {
+		out = append(out, c.info(d))
 	}
 	return out
 }

@@ -88,7 +88,7 @@ type Request struct {
 	// Prog is an already-assembled program.
 	Prog *Program
 	// Trace is a recorded instruction stream (see Record, TraceFile,
-	// TraceReader, TraceRef) for the trace-driven kinds.
+	// TraceRef) for the trace-driven kinds.
 	Trace TraceSource
 
 	// Study runs the reuse limit studies (KindStudy).

@@ -34,7 +34,7 @@
 // Study, RTM and VP are trace-driven: their engines consume the dynamic
 // instruction stream and nothing else, so any TraceSource — an
 // in-memory recording from Record, a trace file (TraceFile/OpenTrace),
-// an io.Reader (TraceReader/ReadTrace), or a digest reference into a
+// an io.Reader (ReadTrace), or a digest reference into a
 // trace store (TraceRef) — can stand in for the program, exactly as the
 // paper's engines analysed ATOM-recorded trace files offline.  A
 // recorded sweep replays the stream instead of re-simulating (record

@@ -44,8 +44,8 @@ var ErrTraceUnsupported = errors.New(
 
 // TraceSource is a recorded dynamic instruction stream, usable as a
 // Request's program input for the trace-driven kinds (Study, RTM, VP).
-// Implementations are *Trace, TraceFile, TraceReader, TraceRef and the
-// composite Concat; the interface is sealed.
+// Implementations are *Trace, TraceFile, TraceRef and the composite
+// Concat; the interface is sealed.
 type TraceSource interface {
 	// describe resolves the stream's identity — cache key material,
 	// provenance, record count — without replaying it.  The Batcher is
@@ -93,13 +93,6 @@ func (d streamDesc) childIdentity() string {
 		return d.digest
 	}
 	return d.key
-}
-
-// materializer is the optional fast path for sources that already hold
-// (or can cheaply produce) an in-memory Trace; Materialize uses it
-// before falling back to recording the opened stream.
-type materializer interface {
-	resolveTrace(b *Batcher) (*Trace, error)
 }
 
 // Trace is an in-memory recorded instruction stream: the result of
@@ -166,8 +159,6 @@ func (t *Trace) describe(*Batcher) (streamDesc, error) {
 }
 
 func (t *Trace) openStream(*Batcher) (trace.Stream, error) { return t.t.Cursor(), nil }
-
-func (t *Trace) resolveTrace(*Batcher) (*Trace, error) { return t, nil }
 
 // RecordSpec names the program to record and the stream bounds.
 // Exactly one of Workload, Source or Prog must be set.
@@ -249,14 +240,6 @@ func Record(ctx context.Context, spec RecordSpec) (*Trace, error) {
 	}, nil
 }
 
-// Replay runs a request against a recorded stream: sugar for setting
-// req.Trace.  The request must be of a trace-driven kind (Study, RTM or
-// VP) and must not name a program of its own.
-func Replay(ctx context.Context, src TraceSource, req Request) (Result, error) {
-	req.Trace = src
-	return Run(ctx, req)
-}
-
 // ReadTrace reads and validates a complete trace from r (any container
 // version).  The result carries no provenance: it is cached under its
 // content digest.
@@ -319,42 +302,6 @@ func (s *fileSource) openStream(b *Batcher) (trace.Stream, error) {
 		return nil, err
 	}
 	return tracefile.OpenFileStream(s.path)
-}
-
-// TraceReader returns a TraceSource backed by an io.Reader.  A reader
-// is one-shot but a source must be replayable many times, so the
-// stream is consumed into memory on first use and cached; the source
-// then behaves like the loaded *Trace.
-func TraceReader(r io.Reader) TraceSource {
-	return &readerSource{load: func() (*Trace, error) { return ReadTrace(r) }}
-}
-
-type readerSource struct {
-	load func() (*Trace, error)
-	once sync.Once
-	t    *Trace
-	err  error
-}
-
-func (s *readerSource) resolveTrace(*Batcher) (*Trace, error) {
-	s.once.Do(func() { s.t, s.err = s.load() })
-	return s.t, s.err
-}
-
-func (s *readerSource) describe(b *Batcher) (streamDesc, error) {
-	t, err := s.resolveTrace(b)
-	if err != nil {
-		return streamDesc{}, err
-	}
-	return t.describe(b)
-}
-
-func (s *readerSource) openStream(b *Batcher) (trace.Stream, error) {
-	t, err := s.resolveTrace(b)
-	if err != nil {
-		return nil, err
-	}
-	return t.openStream(b)
 }
 
 // TraceRef returns a TraceSource addressing a trace already stored in
@@ -577,8 +524,8 @@ func Materialize(src TraceSource) (*Trace, error) { return materialize(nil, src)
 func (b *Batcher) Materialize(src TraceSource) (*Trace, error) { return materialize(b, src) }
 
 func materialize(b *Batcher, src TraceSource) (*Trace, error) {
-	if m, ok := src.(materializer); ok {
-		return m.resolveTrace(b)
+	if t, ok := src.(*Trace); ok {
+		return t, nil
 	}
 	d, err := src.describe(b)
 	if err != nil {
@@ -657,19 +604,6 @@ func (b *Batcher) Traces() []TraceInfo { return b.svc.Traces() }
 // no hit/miss statistics, so routing layers can probe placement
 // cheaply before deciding to forward or pull.
 func (b *Batcher) HasTrace(digest string) bool { return b.svc.HasTrace(digest) }
-
-// TraceByDigest returns the stored trace for a content digest, or
-// false if the store does not hold it (never stored, or evicted from
-// every tier).  A disk-only trace is materialised into memory; to
-// replay a stored trace without materialising it, run a request
-// backed by TraceRef(digest), and to copy its bytes use WriteTraceTo.
-func (b *Batcher) TraceByDigest(digest string) (*Trace, bool) {
-	t, ok := b.svc.TraceByDigest(digest)
-	if !ok {
-		return nil, false
-	}
-	return &Trace{t: t}, true
-}
 
 // WriteTraceTo streams the stored trace for a digest to w as a
 // version-4 trace file, serving the memory tier's encoding or copying
