@@ -165,13 +165,11 @@ type sweepBench struct {
 	DecodeSpeedup              float64 `json:"decodeSpeedup"`
 
 	// Streamed (on-disk) replay memory: heap bytes allocated by one
-	// full incremental replay of a version-4 file at two stream lengths
+	// full incremental replay of a version-4 file at two stream lengths,
+	// each the median of alternating replays from empty buffer pools
 	// (see replaybench.MeasureStreamMemory).  The constant-memory gate:
-	// allocation per replayed record must stay a tiny constant —
-	// marginal cost well under a byte per record (compress/flate's
-	// transient per-deflate-block tables are the only length-
-	// proportional term), orders of magnitude below materialising the
-	// trace.
+	// allocation per replayed record must stay a tiny constant, orders
+	// of magnitude below materialising the trace.
 	StreamSmallRecords        uint64  `json:"streamSmallRecords"`
 	StreamLargeRecords        uint64  `json:"streamLargeRecords"`
 	StreamSmallAllocBytes     uint64  `json:"streamSmallAllocBytes"`

@@ -33,6 +33,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"time"
 
 	"github.com/tracereuse/tlr"
@@ -224,9 +225,13 @@ func batchDecode(tr *tracefile.Trace) (uint64, error) {
 type StreamMemory struct {
 	SmallRecords    uint64
 	LargeRecords    uint64
-	SmallAllocBytes uint64 // heap allocated replaying the small file (best of 3)
-	LargeAllocBytes uint64 // heap allocated replaying the 4x file (best of 3)
+	SmallAllocBytes uint64 // heap allocated replaying the small file (median)
+	LargeAllocBytes uint64 // heap allocated replaying the 4x file (median)
 }
+
+// streamAllocReps is how many replays of each file MeasureStreamMemory
+// takes the median of.
+const streamAllocReps = 5
 
 // MeasureStreamMemory records two streams of one workload — n records
 // and 4n records — saves them as version-4 files under dir, and
@@ -258,34 +263,35 @@ func MeasureStreamMemory(dir string, n uint64) (StreamMemory, error) {
 	if st.LargeRecords, err = record(4*n, largePath); err != nil {
 		return st, err
 	}
-	if st.SmallAllocBytes, err = replayAllocBytes(smallPath); err != nil {
-		return st, err
-	}
-	if st.LargeAllocBytes, err = replayAllocBytes(largePath); err != nil {
-		return st, err
-	}
-	return st, nil
+	st.SmallAllocBytes, st.LargeAllocBytes, err = replayAllocBytes(smallPath, largePath)
+	return st, err
 }
 
 // replayAllocBytes measures the heap bytes one full streamed replay of
-// the file allocates (best — i.e. smallest — of three runs, so a
-// concurrent GC or pool miss cannot inflate the gated number).
-func replayAllocBytes(path string) (uint64, error) {
-	var best uint64
-	for i := 0; i < 3; i++ {
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if err := streamFile(path); err != nil {
-			return 0, err
-		}
-		runtime.ReadMemStats(&m1)
-		alloc := m1.TotalAlloc - m0.TotalAlloc
-		if i == 0 || alloc < best {
-			best = alloc
+// each file allocates: the median of streamAllocReps replays per file,
+// alternating the files.  Every replay starts from empty buffer pools
+// (a sync.Pool keeps its objects through one GC, so two GCs run before
+// each), so neither length reuses buffers the other one grew and both
+// are measured in the same state.
+func replayAllocBytes(small, large string) (uint64, uint64, error) {
+	var allocs [2][]uint64
+	for rep := 0; rep < streamAllocReps; rep++ {
+		for i, path := range [2]string{small, large} {
+			runtime.GC()
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if err := streamFile(path); err != nil {
+				return 0, 0, err
+			}
+			runtime.ReadMemStats(&m1)
+			allocs[i] = append(allocs[i], m1.TotalAlloc-m0.TotalAlloc)
 		}
 	}
-	return best, nil
+	for _, a := range allocs {
+		slices.Sort(a)
+	}
+	return allocs[0][streamAllocReps/2], allocs[1][streamAllocReps/2], nil
 }
 
 // streamFile replays a trace file through the incremental decoder,
