@@ -34,8 +34,8 @@
 // Study, RTM and VP are trace-driven: their engines consume the dynamic
 // instruction stream and nothing else, so any TraceSource — an
 // in-memory recording from Record, a trace file (TraceFile/OpenTrace),
-// an io.Reader (ReadTrace), or a digest reference into a
-// trace store (TraceRef) — can stand in for the program, exactly as the
+// an io.Reader (ReadTrace), or a digest reference into a trace store
+// (TraceRef) — can stand in for the program, exactly as the
 // paper's engines analysed ATOM-recorded trace files offline.  A
 // recorded sweep replays the stream instead of re-simulating (record
 // once, analyse across the whole configuration grid) and returns
