@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/pass.golden.jsonl from the current engines")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
 
 // passGoldenFile pins the payloads of a replay-grid-shaped batch.
 const passGoldenFile = "pass.golden.jsonl"

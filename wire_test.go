@@ -1,12 +1,18 @@
 package tlr
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/tracereuse/tlr/internal/rtm"
 )
 
 // wireRequests is one request of every configuration kind, as the wire
@@ -111,6 +117,37 @@ var badRequests = []string{
 	`{"kind": "rtm", "workload": "li", "vp": {}, "budget": 1}`,
 	`{"kind": "nonsense", "workload": "li", "vp": {}, "budget": 1}`,
 	`{"workload": "li", "rtm": {"heuristic": "bogus"}, "budget": 1}`,
+	`{"workload": "li", "rtm": {"heuristic": 1}, "budget": 1}`,
+}
+
+// Decoder-equivalence inputs: a null heuristic, and a legacy study that
+// mixes the versioned latency list with both legacy ones.
+const (
+	nullHeuristicRequest = `{"workload": "li", "rtm": {"geometry": {"sets": 64, "pcWays": 4, "tracesPerPC": 4}, "heuristic": null}, "budget": 1}`
+	mixedLatencyRequest  = `{"workload": "gcc", "study": {"budget": 1000, "tlrProp": [0.5, 0.25], "tlrConst": [3],
+		"tlrVariants": [{"k": 2}, {"const": 4}, {}]}}`
+)
+
+// TestRequestWireDecodeEquivalence pins decoder behaviour the wire
+// golden cannot see: a null heuristic means ILR NE, and a study mixing
+// the latency spellings lists the versioned variants, then the legacy
+// constants, then the legacy proportionals.
+func TestRequestWireDecodeEquivalence(t *testing.T) {
+	var req Request
+	if err := json.Unmarshal([]byte(nullHeuristicRequest), &req); err != nil {
+		t.Fatal(err)
+	}
+	if req.RTM == nil || req.RTM.Heuristic != ILRNE {
+		t.Errorf("null heuristic decoded as %+v, want ILR NE", req.RTM)
+	}
+	req = Request{}
+	if err := json.Unmarshal([]byte(mixedLatencyRequest), &req); err != nil {
+		t.Fatal(err)
+	}
+	want := []Latency{PropLatency(2), ConstLatency(4), {}, ConstLatency(3), PropLatency(0.5), PropLatency(0.25)}
+	if req.Study == nil || !reflect.DeepEqual(req.Study.TLRVariants, want) {
+		t.Errorf("mixed latency spellings decoded as %+v, want variants %v", req.Study, want)
+	}
 }
 
 // TestRequestWireRejects: future versions and kind/config mismatches
@@ -179,6 +216,91 @@ func TestHeuristicNames(t *testing.T) {
 	}
 }
 
+// wireGoldenFile pins the exact bytes of request and result encodings.
+const wireGoldenFile = "wire.golden"
+
+// wireGoldenCases are the encodings wireGoldenFile pins, by name: every
+// kind, the defaults a codec could drop or invent (the zero heuristic, a
+// zero pipeline, a zero latency), a digest-only trace reference, the
+// legacy spelling re-encoded, and a result with and without an error.
+func wireGoldenCases(t *testing.T) []struct {
+	name string
+	v    any
+} {
+	type c = struct {
+		name string
+		v    any
+	}
+	var cases []c
+	for _, req := range wireRequests() {
+		cases = append(cases, c{"request/" + req.ID, req})
+	}
+	var legacy Request
+	if err := json.Unmarshal([]byte(legacyRequest), &legacy); err != nil {
+		t.Fatal(err)
+	}
+	digest := "sha256:" + strings.Repeat("ab", 32)
+	cases = append(cases,
+		c{"request/analyze", Request{ID: "a", Workload: "li", Analyze: &AnalyzeConfig{}, Skip: 7, Budget: 500}},
+		c{"request/rtm-default-heuristic", Request{Workload: "li", RTM: &RTMConfig{Geometry: Geometry4K}, Budget: 500}},
+		c{"request/pipeline-zero", Request{Workload: "li", Pipeline: &PipelineConfig{}, Budget: 500}},
+		c{"request/study-ilp-zero-latency", Request{Workload: "gcc", Study: &StudyConfig{
+			Budget: 500, TLRVariants: []Latency{{}, PropLatency(0.25)}, ILPWindows: []int{16, 0}}}},
+		c{"request/vp-trace-ref", Request{ID: "t", Trace: TraceRef(digest), VP: &VPConfig{}, Budget: 500}},
+		c{"request/legacy", legacy},
+		c{"result/rtm", Result{Index: 2, ID: "r", Kind: KindRTM, Cached: true, Node: "n1", Forwarded: true,
+			RTM: &RTMResult{Executed: 90, Skipped: 10, Hits: 3, Stored: 4, IRBRate: 0.5,
+				RTM: rtm.Stats{Lookups: 20, Hits: 3, Inserts: 6, PCEvicts: 1}, Top: []rtm.TraceProfile{{StartPC: 0x40, Len: 5, Hits: 2, Ins: 1, Outs: 2}}}}},
+		c{"result/error", Result{Index: 1, ID: "y", Kind: KindRTM, Err: errors.New("boom")}},
+	)
+	return cases
+}
+
+// TestRequestWireGolden checks every case of wireGoldenCases encodes to
+// the pinned bytes (-update rewrites them, only for an intended wire
+// change).
+func TestRequestWireGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, tc := range wireGoldenCases(t) {
+		b, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fmt.Fprintf(&buf, "%s\t%s\n", tc.name, b)
+	}
+	checkGolden(t, wireGoldenFile, buf.Bytes())
+}
+
+// checkGolden compares got with testdata/name line by line, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("%s line %d differs:\n got %s\nwant %s", name, i+1, g, w)
+		}
+	}
+}
+
 // FuzzRequestJSON feeds arbitrary bytes to the request and result
 // decoders, which the server runs on every request body and peer
 // response: decoding must never panic, and whatever decodes must
@@ -205,6 +327,8 @@ func FuzzRequestJSON(f *testing.F) {
 	}
 	f.Add(b)
 	f.Add([]byte(legacyRequest))
+	f.Add([]byte(nullHeuristicRequest))
+	f.Add([]byte(mixedLatencyRequest))
 	for _, bad := range badRequests {
 		f.Add([]byte(bad))
 	}
