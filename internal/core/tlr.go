@@ -8,8 +8,8 @@ import "github.com/tracereuse/tlr/internal/trace"
 // every output" model; otherwise it is the constant Const — the
 // "valid-bit" model.
 type Latency struct {
-	Const float64
-	K     float64
+	Const float64 `json:"const,omitempty"`
+	K     float64 `json:"k,omitempty"`
 }
 
 // ConstLatency returns a constant reuse latency of c cycles.

@@ -26,11 +26,11 @@ import "github.com/tracereuse/tlr/internal/trace"
 // VPConfig configures a value-prediction limit study.
 type VPConfig struct {
 	// Window is the instruction window size (0 = infinite).
-	Window int
+	Window int `json:"window,omitempty"`
 	// PredLat is the cycles from window entry to predicted values being
-	// available (default 1, like the reuse latency of the studies it is
-	// compared with).
-	PredLat float64
+	// available (0 = the default of 1 cycle, like the reuse latency of
+	// the studies it is compared with).
+	PredLat float64 `json:"predLat,omitempty"`
 }
 
 // VPResult reports one value-prediction limit study.

@@ -3,6 +3,7 @@ package rtm
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"github.com/tracereuse/tlr/internal/cpu"
 	"github.com/tracereuse/tlr/internal/trace"
@@ -37,6 +38,38 @@ func (h Heuristic) String() string {
 	default:
 		return fmt.Sprintf("heuristic(%d)", int(h))
 	}
+}
+
+// MarshalText returns the heuristic's wire spelling ("ILR NE", "ILR
+// EXP", "IEXP").
+func (h Heuristic) MarshalText() ([]byte, error) {
+	switch h {
+	case ILRNE:
+		return []byte("ILR NE"), nil
+	case ILREXP:
+		return []byte("ILR EXP"), nil
+	case IEXP:
+		return []byte("IEXP"), nil
+	default:
+		return []byte(fmt.Sprintf("heuristic(%d)", int(h))), nil
+	}
+}
+
+// UnmarshalText parses a wire heuristic name, accepting the paper's
+// spellings ("ILR NE", "ILR EXP", "I(n) EXP") as well as the compact
+// forms ("ILRNE", "ILREXP", "IEXP").  Empty means ILR NE.
+func (h *Heuristic) UnmarshalText(text []byte) error {
+	switch strings.ToUpper(strings.ReplaceAll(strings.TrimSpace(string(text)), "_", " ")) {
+	case "", "ILR NE", "ILRNE":
+		*h = ILRNE
+	case "ILR EXP", "ILREXP":
+		*h = ILREXP
+	case "IEXP", "I(N) EXP", "I EXP":
+		*h = IEXP
+	default:
+		return fmt.Errorf("rtm: unknown heuristic %q", text)
+	}
+	return nil
 }
 
 // Config configures one realistic RTM simulation.

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 
 	"github.com/tracereuse/tlr/internal/asm"
@@ -167,22 +168,40 @@ func Fingerprint(p *isa.Program) string {
 	return fmt.Sprintf("img:%x", h.Sum(nil))
 }
 
-// StudyParams configures a reuse limit-study job (mirrors
-// tlr.StudyConfig, which cannot be imported from here).
+// StudyParams configures a reuse limit-study job.  It is the one
+// declaration of the study kind's parameters: the tlr facade aliases it
+// as StudyConfig, the wire encodes it through its JSON tags, and the
+// cache key is derived from the same encoding.
 type StudyParams struct {
-	Budget       uint64
-	Skip         uint64
-	Window       int
-	ILRLatencies []float64
-	TLRVariants  []core.Latency
-	Strict       bool
-	MaxRunLen    int
+	// Budget is the number of dynamic instructions to measure.  Inside a
+	// tlr.Request it may be left zero, in which case the Request's
+	// Skip/Budget apply.
+	Budget uint64 `json:"budget,omitempty"`
+	// Skip is executed before measurement starts (the paper skipped the
+	// first 25 M instructions).
+	Skip uint64 `json:"skip,omitempty"`
+	// Window is the instruction window size (0 = infinite; the paper's
+	// finite machine uses 256).
+	Window int `json:"window,omitempty"`
+	// ILRLatencies are the instruction-reuse latencies to evaluate
+	// (default: {1}).
+	ILRLatencies []float64 `json:"ilrLatencies,omitempty"`
+	// TLRVariants are the trace-reuse latency models to evaluate
+	// (default: {ConstLatency(1)}).
+	TLRVariants []core.Latency `json:"tlrVariants,omitempty"`
+	// Strict replaces the Theorem-1 upper bound with the strict
+	// trace-identity test (see core.TLRConfig.Strict).
+	Strict bool `json:"strict,omitempty"`
+	// MaxRunLen caps trace length (0 = unbounded).
+	MaxRunLen int `json:"maxRunLen,omitempty"`
 	// ILPWindows, when non-empty, additionally runs the raw
-	// dynamic-dependence-analysis base machine (no reuse) at each of
-	// these window sizes over the same stream pass — the trace-driven
-	// DDA path: the analytical timing model consumes whatever stream the
-	// Source provides, recorded or live.
-	ILPWindows []int
+	// dynamic-dependence-analysis base machine (Austin & Sohi's timing
+	// model, no reuse) at each of these window sizes (0 = infinite)
+	// over the same stream pass, filling the result's DDA points.  Like
+	// the rest of the study kind it is trace-driven: backed by a
+	// recorded stream it analyses the replayed stream, with results
+	// identical to live execution.
+	ILPWindows []int `json:"ilpWindows,omitempty"`
 }
 
 // StudyOutput is a limit-study job's result.
@@ -210,12 +229,24 @@ func (p StudyParams) normalize() StudyParams {
 // StudyJob builds a cacheable limit-study job over src.
 func StudyJob(id string, src Source, p StudyParams) Job {
 	p = p.normalize()
-	key := ""
-	if src.Key != "" {
-		key = fmt.Sprintf("study|%s|%d|%d|%d|%v|%v|%v|%d|%v",
-			src.Key, p.Budget, p.Skip, p.Window, p.ILRLatencies, p.TLRVariants, p.Strict, p.MaxRunLen, p.ILPWindows)
+	return laneJob(id, jobKey("study", src, p), "study", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, study: &p})
+}
+
+// jobKey derives a job's result-cache key from its kind, its source's
+// stream identity and the JSON encoding of its normalized parameters,
+// which covers every field they declare (pointers by their pointee).  A
+// source without identity runs unkeyed, and so do parameters JSON
+// cannot encode (a NaN or infinite latency): running uncached is always
+// safe.
+func jobKey(kind string, src Source, params any) string {
+	if src.Key == "" {
+		return ""
 	}
-	return laneJob(id, key, "study", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, study: &p})
+	b, err := json.Marshal(params)
+	if err != nil {
+		return ""
+	}
+	return kind + "|" + src.Key + "|" + string(b)
 }
 
 // RTMParams configures a realistic-RTM simulation job.
@@ -242,11 +273,7 @@ func ValidGeometry(g rtm.Geometry) error {
 
 // RTMJob builds a cacheable realistic-RTM job over src.
 func RTMJob(id string, src Source, p RTMParams) Job {
-	key := ""
-	if src.Key != "" {
-		key = fmt.Sprintf("rtm|%s|%+v|%d|%d", src.Key, p.Config, p.Skip, p.Budget)
-	}
-	return laneJob(id, key, "rtm", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, rtm: &p.Config})
+	return laneJob(id, jobKey("rtm", src, p), "rtm", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, rtm: &p.Config})
 }
 
 // PipelineParams configures an execution-driven pipeline job.
@@ -281,36 +308,19 @@ func runPipeline(ctx context.Context, src Source, p PipelineParams) (pipeline.Re
 // zero-value configuration share one cache entry.
 func PipelineJob(id string, src Source, p PipelineParams) Job {
 	p.Config = p.Config.Normalized()
-	key := ""
-	if src.Key != "" {
-		// Config.RTM is a pointer: format the pointee (or "none"), never
-		// the address, or identical jobs would miss the cache.
-		flat := p.Config
-		flat.RTM = nil
-		rtmPart := "none"
-		if p.Config.RTM != nil {
-			rtmPart = fmt.Sprintf("%+v", *p.Config.RTM)
-		}
-		key = fmt.Sprintf("pipe|%s|%+v|%s|%d|%d", src.Key, flat, rtmPart, p.Skip, p.Budget)
-	}
-	return Job{ID: id, Key: key, Kind: "pipeline", Run: func(ctx context.Context) (any, error) { return runPipeline(ctx, src, p) }}
+	return Job{ID: id, Key: jobKey("pipeline", src, p), Kind: "pipeline", Run: func(ctx context.Context) (any, error) { return runPipeline(ctx, src, p) }}
 }
 
 // VPParams configures a value-prediction limit-study job.
 type VPParams struct {
-	Window  int
-	PredLat float64
-	Skip    uint64
-	Budget  uint64
+	Config core.VPConfig
+	Skip   uint64
+	Budget uint64
 }
 
 // VPJob builds a cacheable value-prediction job over src.
 func VPJob(id string, src Source, p VPParams) Job {
-	key := ""
-	if src.Key != "" {
-		key = fmt.Sprintf("vp|%s|%d|%g|%d|%d", src.Key, p.Window, p.PredLat, p.Skip, p.Budget)
-	}
-	return laneJob(id, key, "vp", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, vp: &p})
+	return laneJob(id, jobKey("vp", src, p), "vp", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, vp: &p})
 }
 
 // AnalyzeParams configures a reuse-distance analysis job.
@@ -321,11 +331,7 @@ type AnalyzeParams struct {
 
 // AnalyzeJob builds a cacheable reuse-distance analysis job over src.
 func AnalyzeJob(id string, src Source, p AnalyzeParams) Job {
-	key := ""
-	if src.Key != "" {
-		key = fmt.Sprintf("analyze|%s|%d|%d", src.Key, p.Skip, p.Budget)
-	}
-	j := laneJob(id, key, "analyze", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, analyze: true})
+	j := laneJob(id, jobKey("analyze", src, p), "analyze", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, analyze: true})
 	j.analyze = true
 	return j
 }

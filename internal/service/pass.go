@@ -163,7 +163,7 @@ func (l *lane) build(set *core.StudySet) error {
 		if spec.budget == 0 {
 			return fmt.Errorf("service: VP Budget must be positive")
 		}
-		g := set.VP(core.VPConfig{Window: spec.vp.Window, PredLat: spec.vp.PredLat})
+		g := set.VP(spec.vp.Config)
 		l.inSet = true
 		l.result = func() any { return g.Result() }
 	case spec.rtm != nil:

@@ -68,7 +68,7 @@ func passJobs(src Source) []Job {
 			RTMJob(id("rtm-exp-4k"), src, RTMParams{Config: rtm.Config{Geometry: rtm.Geometry4K, Heuristic: rtm.ILREXP}, Skip: skip, Budget: passBudget}),
 			RTMJob(id("rtm-ne-512"), src, RTMParams{Config: rtm.Config{Geometry: rtm.Geometry512, Heuristic: rtm.ILRNE}, Skip: skip, Budget: passBudget}),
 			RTMJob(id("rtm-i4-4k"), src, RTMParams{Config: rtm.Config{Geometry: rtm.Geometry4K, Heuristic: rtm.IEXP, N: 4}, Skip: skip, Budget: passBudget}),
-			VPJob(id("vp"), src, VPParams{Window: 256, Skip: skip, Budget: passBudget}),
+			VPJob(id("vp"), src, VPParams{Config: core.VPConfig{Window: 256}, Skip: skip, Budget: passBudget}),
 			AnalyzeJob(id("analyze"), src, AnalyzeParams{Skip: skip, Budget: passBudget}),
 		)
 	}

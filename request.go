@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"github.com/tracereuse/tlr/internal/analytics"
+	"github.com/tracereuse/tlr/internal/core"
 	"github.com/tracereuse/tlr/internal/service"
 	"github.com/tracereuse/tlr/internal/workload"
 )
@@ -39,15 +40,11 @@ const (
 	KindAnalyze Kind = "analyze"
 )
 
-// VPConfig configures a value-prediction limit study (KindVP).  The
+// VPConfig configures a value-prediction limit study (KindVP): Window
+// is the instruction window size (0 = infinite) and PredLat the cycles
+// until predicted values are available (0 = the default of 1).  The
 // instruction bounds come from the Request's Skip and Budget.
-type VPConfig struct {
-	// Window is the instruction window size (0 = infinite).
-	Window int
-	// PredLat is the cycles from window entry to predicted values being
-	// available (0 = the default of 1 cycle).
-	PredLat float64
-}
+type VPConfig = core.VPConfig
 
 // AnalyzeConfig configures a reuse-distance analysis (KindAnalyze).
 // The empty config is valid: the analysis has no knobs yet (bins and
@@ -365,16 +362,8 @@ func (b *Batcher) serviceJob(index int, r Request) (service.Job, Kind, error) {
 		if err != nil {
 			return service.Job{}, "", err
 		}
-		return service.StudyJob(id, src, service.StudyParams{
-			Budget:       s.Budget,
-			Skip:         skip,
-			Window:       s.Window,
-			ILRLatencies: s.ILRLatencies,
-			TLRVariants:  s.TLRVariants,
-			Strict:       s.Strict,
-			MaxRunLen:    s.MaxRunLen,
-			ILPWindows:   s.ILPWindows,
-		}), kind, nil
+		s.Skip = skip
+		return service.StudyJob(id, src, s), kind, nil
 	case KindRTM:
 		if r.Budget == 0 {
 			return service.Job{}, "", fmt.Errorf("rtm requests need a positive Budget")
@@ -444,10 +433,9 @@ func (b *Batcher) serviceJob(index int, r Request) (service.Job, Kind, error) {
 			return service.Job{}, "", err
 		}
 		return service.VPJob(id, src, service.VPParams{
-			Window:  r.VP.Window,
-			PredLat: r.VP.PredLat,
-			Skip:    skip,
-			Budget:  r.Budget,
+			Config: *r.VP,
+			Skip:   skip,
+			Budget: r.Budget,
 		}), kind, nil
 	}
 }

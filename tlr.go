@@ -88,6 +88,7 @@ import (
 	"github.com/tracereuse/tlr/internal/isa"
 	"github.com/tracereuse/tlr/internal/pipeline"
 	"github.com/tracereuse/tlr/internal/rtm"
+	"github.com/tracereuse/tlr/internal/service"
 	"github.com/tracereuse/tlr/internal/workload"
 )
 
@@ -125,38 +126,10 @@ func ConstLatency(c float64) Latency { return core.ConstLatency(c) }
 func PropLatency(k float64) Latency { return core.PropLatency(k) }
 
 // StudyConfig configures a reuse limit study over one program
-// (KindStudy).
-type StudyConfig struct {
-	// Budget is the number of dynamic instructions to measure.  Inside a
-	// Request it may be left zero, in which case the Request's
-	// Skip/Budget apply.
-	Budget uint64
-	// Skip is executed before measurement starts (the paper skipped the
-	// first 25 M instructions).
-	Skip uint64
-	// Window is the instruction window size (0 = infinite; the paper's
-	// finite machine uses 256).
-	Window int
-	// ILRLatencies are the instruction-reuse latencies to evaluate
-	// (default: {1}).
-	ILRLatencies []float64
-	// TLRVariants are the trace-reuse latency models to evaluate
-	// (default: {ConstLatency(1)}).
-	TLRVariants []Latency
-	// Strict replaces the Theorem-1 upper bound with the strict
-	// trace-identity test (see core.TLRConfig.Strict).
-	Strict bool
-	// MaxRunLen caps trace length (0 = unbounded).
-	MaxRunLen int
-	// ILPWindows, when non-empty, additionally runs the raw
-	// dynamic-dependence-analysis base machine (Austin & Sohi's timing
-	// model, no reuse) at each of these window sizes (0 = infinite)
-	// over the same stream pass, filling StudyResult.DDA.  Like the
-	// rest of the Study kind it is trace-driven: backed by a recorded
-	// TraceSource it analyses the replayed stream, with results
-	// identical to live execution.
-	ILPWindows []int
-}
+// (KindStudy).  It is the service's declaration of the study
+// parameters, so the facade, the wire and the result cache read one
+// type; see the field docs there.
+type StudyConfig = service.StudyParams
 
 // DDAPoint is one window size's base-machine outcome from the
 // dynamic-dependence-analysis timing model (StudyConfig.ILPWindows).

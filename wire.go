@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // The wire layer: a versioned JSON encoding of Request and Result,
@@ -44,41 +43,36 @@ type traceJSON struct {
 	Data []byte `json:"data,omitempty"`
 }
 
+// The study, VP and analyze configurations carry their own JSON tags
+// and cross the wire as declared.  rtm.Geometry, rtm.Config and
+// pipeline.Config stay untagged, so the RTM and pipeline kinds keep
+// these wire structs: the figure golden and the benchmark's pinned
+// result hash encode Geometry under its Go field names where the wire
+// spells them in lower case, and an untagged rtm.Config keeps Verify in
+// the cache key (a verified run is never answered by an unverified one)
+// and off the wire.
 type geometryJSON struct {
 	Sets        int `json:"sets"`
 	PCWays      int `json:"pcWays"`
 	TracesPerPC int `json:"tracesPerPC"`
 }
 
-type latencyJSON struct {
-	Const float64 `json:"const,omitempty"`
-	K     float64 `json:"k,omitempty"`
-}
-
+// studyJSON is StudyConfig plus its pre-versioned spelling of
+// TLRVariants, still accepted on input (constants first, then
+// proportionals, as the original server appended them).
 type studyJSON struct {
-	Budget       uint64        `json:"budget,omitempty"`
-	Skip         uint64        `json:"skip,omitempty"`
-	Window       int           `json:"window,omitempty"`
-	ILRLatencies []float64     `json:"ilrLatencies,omitempty"`
-	TLRVariants  []latencyJSON `json:"tlrVariants,omitempty"`
-	// TLRConst and TLRProp are the pre-versioned spelling of
-	// TLRVariants, still accepted on input (constants first, then
-	// proportionals, as the original server appended them).
-	TLRConst  []float64 `json:"tlrConst,omitempty"`
-	TLRProp   []float64 `json:"tlrProp,omitempty"`
-	Strict    bool      `json:"strict,omitempty"`
-	MaxRunLen int       `json:"maxRunLen,omitempty"`
-	// ILPWindows requests the raw dynamic-dependence-analysis base
-	// machine at these window sizes alongside the reuse studies.
-	ILPWindows []int `json:"ilpWindows,omitempty"`
+	StudyConfig
+	TLRConst []float64 `json:"tlrConst,omitempty"`
+	TLRProp  []float64 `json:"tlrProp,omitempty"`
 }
 
 type rtmJSON struct {
-	Geometry          geometryJSON `json:"geometry"`
-	Heuristic         string       `json:"heuristic,omitempty"`
-	N                 int          `json:"n,omitempty"`
-	MinLen            int          `json:"minLen,omitempty"`
-	InvalidateOnWrite bool         `json:"invalidateOnWrite,omitempty"`
+	Geometry geometryJSON `json:"geometry"`
+	// Heuristic is never omitted: ILR NE is its zero value.
+	Heuristic         Heuristic `json:"heuristic"`
+	N                 int       `json:"n,omitempty"`
+	MinLen            int       `json:"minLen,omitempty"`
+	InvalidateOnWrite bool      `json:"invalidateOnWrite,omitempty"`
 }
 
 type pipelineJSON struct {
@@ -90,30 +84,20 @@ type pipelineJSON struct {
 	RTM             *rtmJSON `json:"rtm,omitempty"`
 }
 
-type vpJSON struct {
-	Window  int     `json:"window,omitempty"`
-	PredLat float64 `json:"predLat,omitempty"`
-}
-
-// analyzeJSON is the reuse-distance analysis configuration: empty today
-// (the analysis has no knobs), present so "analyze": {} selects the kind
-// and future knobs stay additive.
-type analyzeJSON struct{}
-
 type requestJSON struct {
-	V        int           `json:"v,omitempty"`
-	ID       string        `json:"id,omitempty"`
-	Workload string        `json:"workload,omitempty"`
-	Source   string        `json:"source,omitempty"`
-	Trace    *traceJSON    `json:"trace,omitempty"`
-	Kind     string        `json:"kind,omitempty"`
-	Study    *studyJSON    `json:"study,omitempty"`
-	RTM      *rtmJSON      `json:"rtm,omitempty"`
-	Pipeline *pipelineJSON `json:"pipeline,omitempty"`
-	VP       *vpJSON       `json:"vp,omitempty"`
-	Analyze  *analyzeJSON  `json:"analyze,omitempty"`
-	Skip     uint64        `json:"skip,omitempty"`
-	Budget   uint64        `json:"budget,omitempty"`
+	V        int            `json:"v,omitempty"`
+	ID       string         `json:"id,omitempty"`
+	Workload string         `json:"workload,omitempty"`
+	Source   string         `json:"source,omitempty"`
+	Trace    *traceJSON     `json:"trace,omitempty"`
+	Kind     string         `json:"kind,omitempty"`
+	Study    *studyJSON     `json:"study,omitempty"`
+	RTM      *rtmJSON       `json:"rtm,omitempty"`
+	Pipeline *pipelineJSON  `json:"pipeline,omitempty"`
+	VP       *VPConfig      `json:"vp,omitempty"`
+	Analyze  *AnalyzeConfig `json:"analyze,omitempty"`
+	Skip     uint64         `json:"skip,omitempty"`
+	Budget   uint64         `json:"budget,omitempty"`
 }
 
 type resultJSON struct {
@@ -132,37 +116,6 @@ type resultJSON struct {
 	Error     string          `json:"error,omitempty"`
 }
 
-// HeuristicName returns the wire spelling of a collection heuristic
-// ("ILR NE", "ILR EXP", "IEXP").
-func HeuristicName(h Heuristic) string {
-	switch h {
-	case ILRNE:
-		return "ILR NE"
-	case ILREXP:
-		return "ILR EXP"
-	case IEXP:
-		return "IEXP"
-	default:
-		return fmt.Sprintf("heuristic(%d)", int(h))
-	}
-}
-
-// ParseHeuristic parses a wire heuristic name, accepting the paper's
-// spellings ("ILR NE", "ILR EXP", "I(n) EXP") as well as the compact
-// forms ("ILRNE", "ILREXP", "IEXP").  Empty means ILR NE.
-func ParseHeuristic(s string) (Heuristic, error) {
-	switch strings.ToUpper(strings.ReplaceAll(strings.TrimSpace(s), "_", " ")) {
-	case "", "ILR NE", "ILRNE":
-		return ILRNE, nil
-	case "ILR EXP", "ILREXP":
-		return ILREXP, nil
-	case "IEXP", "I(N) EXP", "I EXP":
-		return IEXP, nil
-	default:
-		return 0, fmt.Errorf("tlr: unknown heuristic %q", s)
-	}
-}
-
 func checkWireVersion(v int) error {
 	if v < 0 || v > WireVersion {
 		return fmt.Errorf("tlr: unsupported wire version %d (this build speaks <= %d)", v, WireVersion)
@@ -175,37 +128,25 @@ func toRTMJSON(c *RTMConfig) *rtmJSON {
 		return nil
 	}
 	return &rtmJSON{
-		Geometry: geometryJSON{
-			Sets:        c.Geometry.Sets,
-			PCWays:      c.Geometry.PCWays,
-			TracesPerPC: c.Geometry.TracesPerPC,
-		},
-		Heuristic:         HeuristicName(c.Heuristic),
+		Geometry:          geometryJSON{Sets: c.Geometry.Sets, PCWays: c.Geometry.PCWays, TracesPerPC: c.Geometry.TracesPerPC},
+		Heuristic:         c.Heuristic,
 		N:                 c.N,
 		MinLen:            c.MinLen,
 		InvalidateOnWrite: c.InvalidateOnWrite,
 	}
 }
 
-func fromRTMJSON(j *rtmJSON) (*RTMConfig, error) {
+func fromRTMJSON(j *rtmJSON) *RTMConfig {
 	if j == nil {
-		return nil, nil
-	}
-	h, err := ParseHeuristic(j.Heuristic)
-	if err != nil {
-		return nil, err
+		return nil
 	}
 	return &RTMConfig{
-		Geometry: Geometry{
-			Sets:        j.Geometry.Sets,
-			PCWays:      j.Geometry.PCWays,
-			TracesPerPC: j.Geometry.TracesPerPC,
-		},
-		Heuristic:         h,
+		Geometry:          Geometry{Sets: j.Geometry.Sets, PCWays: j.Geometry.PCWays, TracesPerPC: j.Geometry.TracesPerPC},
+		Heuristic:         j.Heuristic,
 		N:                 j.N,
 		MinLen:            j.MinLen,
 		InvalidateOnWrite: j.InvalidateOnWrite,
-	}, nil
+	}
 }
 
 // MarshalJSON encodes the request in the versioned wire format.  A
@@ -221,6 +162,8 @@ func (r Request) MarshalJSON() ([]byte, error) {
 		Workload: r.Workload,
 		Source:   r.Source,
 		Kind:     string(r.Kind()),
+		VP:       r.VP,
+		Analyze:  r.Analyze,
 		Skip:     r.Skip,
 		Budget:   r.Budget,
 	}
@@ -240,20 +183,8 @@ func (r Request) MarshalJSON() ([]byte, error) {
 		}
 		j.Trace = tj
 	}
-	if s := r.Study; s != nil {
-		sj := &studyJSON{
-			Budget:       s.Budget,
-			Skip:         s.Skip,
-			Window:       s.Window,
-			ILRLatencies: s.ILRLatencies,
-			Strict:       s.Strict,
-			MaxRunLen:    s.MaxRunLen,
-			ILPWindows:   s.ILPWindows,
-		}
-		for _, v := range s.TLRVariants {
-			sj.TLRVariants = append(sj.TLRVariants, latencyJSON{Const: v.Const, K: v.K})
-		}
-		j.Study = sj
+	if r.Study != nil {
+		j.Study = &studyJSON{StudyConfig: *r.Study}
 	}
 	j.RTM = toRTMJSON(r.RTM)
 	if p := r.Pipeline; p != nil {
@@ -265,12 +196,6 @@ func (r Request) MarshalJSON() ([]byte, error) {
 			WaitForOperands: p.WaitForOperands,
 			RTM:             toRTMJSON(p.RTM),
 		}
-	}
-	if v := r.VP; v != nil {
-		j.VP = &vpJSON{Window: v.Window, PredLat: v.PredLat}
-	}
-	if r.Analyze != nil {
-		j.Analyze = &analyzeJSON{}
 	}
 	return json.Marshal(j)
 }
@@ -308,6 +233,9 @@ func (r *Request) UnmarshalJSON(data []byte) error {
 		ID:       j.ID,
 		Workload: j.Workload,
 		Source:   j.Source,
+		RTM:      fromRTMJSON(j.RTM),
+		VP:       j.VP,
+		Analyze:  j.Analyze,
 		Skip:     j.Skip,
 		Budget:   j.Budget,
 	}
@@ -332,48 +260,24 @@ func (r *Request) UnmarshalJSON(data []byte) error {
 		}
 	}
 	if s := j.Study; s != nil {
-		cfg := &StudyConfig{
-			Budget:       s.Budget,
-			Skip:         s.Skip,
-			Window:       s.Window,
-			ILRLatencies: s.ILRLatencies,
-			Strict:       s.Strict,
-			MaxRunLen:    s.MaxRunLen,
-			ILPWindows:   s.ILPWindows,
-		}
-		for _, v := range s.TLRVariants {
-			cfg.TLRVariants = append(cfg.TLRVariants, Latency{Const: v.Const, K: v.K})
-		}
+		cfg := s.StudyConfig
 		for _, c := range s.TLRConst {
 			cfg.TLRVariants = append(cfg.TLRVariants, ConstLatency(c))
 		}
 		for _, k := range s.TLRProp {
 			cfg.TLRVariants = append(cfg.TLRVariants, PropLatency(k))
 		}
-		out.Study = cfg
-	}
-	var err error
-	if out.RTM, err = fromRTMJSON(j.RTM); err != nil {
-		return err
+		out.Study = &cfg
 	}
 	if p := j.Pipeline; p != nil {
-		cfg := &PipelineConfig{
+		out.Pipeline = &PipelineConfig{
 			FetchWidth:      p.FetchWidth,
 			Window:          p.Window,
 			FrontLat:        p.FrontLat,
 			ReuseLat:        p.ReuseLat,
 			WaitForOperands: p.WaitForOperands,
+			RTM:             fromRTMJSON(p.RTM),
 		}
-		if cfg.RTM, err = fromRTMJSON(p.RTM); err != nil {
-			return err
-		}
-		out.Pipeline = cfg
-	}
-	if v := j.VP; v != nil {
-		out.VP = &VPConfig{Window: v.Window, PredLat: v.PredLat}
-	}
-	if j.Analyze != nil {
-		out.Analyze = &AnalyzeConfig{}
 	}
 	if j.Kind != "" && j.Kind != string(out.Kind()) {
 		return fmt.Errorf("tlr: request kind %q does not match its configuration (%q)", j.Kind, out.Kind())

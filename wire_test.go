@@ -192,12 +192,17 @@ func TestResultWireRoundTrip(t *testing.T) {
 }
 
 // TestHeuristicNames: every heuristic's wire name parses back to itself,
-// and the paper's spellings are accepted.
+// the paper's spellings are accepted, and an unknown value still has a
+// name.
 func TestHeuristicNames(t *testing.T) {
 	for _, h := range []Heuristic{ILRNE, ILREXP, IEXP} {
-		got, err := ParseHeuristic(HeuristicName(h))
-		if err != nil || got != h {
-			t.Errorf("%v: parse(name) = %v, %v", h, got, err)
+		name, err := h.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Heuristic
+		if err := got.UnmarshalText(name); err != nil || got != h {
+			t.Errorf("%v: parse(%q) = %v, %v", h, name, got, err)
 		}
 	}
 	for s, want := range map[string]Heuristic{
@@ -207,12 +212,17 @@ func TestHeuristicNames(t *testing.T) {
 		"I(n) EXP": IEXP,
 		"iexp":     IEXP,
 	} {
-		if got, err := ParseHeuristic(s); err != nil || got != want {
-			t.Errorf("ParseHeuristic(%q) = %v, %v; want %v", s, got, err, want)
+		got := Heuristic(-1)
+		if err := got.UnmarshalText([]byte(s)); err != nil || got != want {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseHeuristic("bogus"); err == nil {
+	var h Heuristic
+	if err := h.UnmarshalText([]byte("bogus")); err == nil {
 		t.Error("bogus heuristic should fail to parse")
+	}
+	if name, _ := Heuristic(7).MarshalText(); string(name) != "heuristic(7)" {
+		t.Errorf("unknown heuristic marshals as %q, want heuristic(7)", name)
 	}
 }
 
