@@ -13,19 +13,22 @@ import (
 // bytes are already buffered when the current one finishes decoding —
 // replay overlaps I/O with decode instead of ping-ponging.
 //
-// The chunks come from a shared pool and the goroutine can hold at
-// most readAheadDepth of them, so per-stream memory stays fixed and
-// the O(batch) replay guarantee (and its alloc gates) holds: the
-// per-open cost is one goroutine and two channels, amortised over the
-// whole file.
+// A stream draws at most readAheadDepth chunks from a shared pool and
+// then recycles those same chunks through a free list of its own, so
+// per-stream memory stays fixed and the O(batch) replay guarantee (and
+// its alloc gates) holds: the per-open cost is one goroutine and three
+// channels, amortised over the whole file.  (Recycling through the
+// shared pool alone does not keep the bound: a chunk the decoder puts
+// back can land in another P's private slot, out of the prefetcher's
+// reach, and the prefetcher allocates another.)
 
 const (
 	// readAheadChunk is the unit of prefetch.  256 KiB spans many v4
 	// blocks, big enough to keep a spinning disk streaming and small
 	// enough that three in flight cost under 1 MiB per open stream.
 	readAheadChunk = 256 << 10
-	// readAheadDepth is how many chunks the prefetcher may run ahead
-	// of the decoder.
+	// readAheadDepth is how many chunks one stream holds: the one being
+	// decoded and those prefetched ahead of it.
 	readAheadDepth = 3
 )
 
@@ -49,6 +52,7 @@ type raChunk struct {
 // matching the FileStream it feeds.
 type readAhead struct {
 	ch   chan raChunk
+	free chan *[]byte // consumed chunks, for the prefetcher to refill
 	stop chan struct{}
 	wg   sync.WaitGroup
 	c    io.Closer
@@ -64,6 +68,7 @@ type readAhead struct {
 func newReadAhead(src io.ReadCloser) *readAhead {
 	ra := &readAhead{
 		ch:   make(chan raChunk, readAheadDepth),
+		free: make(chan *[]byte, readAheadDepth),
 		stop: make(chan struct{}),
 		c:    src,
 	}
@@ -71,8 +76,17 @@ func newReadAhead(src io.ReadCloser) *readAhead {
 	go func() {
 		defer ra.wg.Done()
 		defer close(ra.ch)
-		for {
-			buf := readAheadPool.Get().(*[]byte)
+		for drawn := 0; ; drawn++ {
+			var buf *[]byte
+			if drawn < readAheadDepth {
+				buf = readAheadPool.Get().(*[]byte)
+			} else {
+				select {
+				case buf = <-ra.free:
+				case <-ra.stop:
+					return
+				}
+			}
 			n, err := io.ReadFull(src, *buf)
 			if err == io.ErrUnexpectedEOF {
 				err = io.EOF
@@ -94,7 +108,7 @@ func newReadAhead(src io.ReadCloser) *readAhead {
 func (r *readAhead) Read(p []byte) (int, error) {
 	for len(r.data) == 0 {
 		if r.cur != nil {
-			readAheadPool.Put(r.cur)
+			r.free <- r.cur // never blocks: the stream holds at most readAheadDepth chunks
 			r.cur = nil
 		}
 		if r.err != nil {
@@ -113,8 +127,8 @@ func (r *readAhead) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Close stops the prefetcher, returns every outstanding chunk to the
-// pool and closes the underlying source.
+// Close stops the prefetcher, returns every chunk the stream holds to
+// the pool and closes the underlying source.
 func (r *readAhead) Close() error {
 	close(r.stop)
 	// The goroutine may be blocked on a send; draining until the
@@ -123,6 +137,10 @@ func (r *readAhead) Close() error {
 		readAheadPool.Put(c.buf)
 	}
 	r.wg.Wait()
+	close(r.free)
+	for buf := range r.free {
+		readAheadPool.Put(buf)
+	}
 	if r.cur != nil {
 		readAheadPool.Put(r.cur)
 		r.cur = nil

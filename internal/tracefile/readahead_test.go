@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -94,5 +95,33 @@ func TestReadAheadCloseMidStream(t *testing.T) {
 	}
 	if _, err := ra.Read(make([]byte, 1)); err == nil {
 		t.Fatal("read after Close succeeded")
+	}
+}
+
+// TestReadAheadHoldsDepthChunks checks a stream over many chunks
+// allocates no more than readAheadDepth of them: consumed chunks are
+// recycled within the stream, so the per-stream bound holds however
+// the prefetcher and the reader are scheduled.
+func TestReadAheadHoldsDepthChunks(t *testing.T) {
+	src := bytes.NewReader(make([]byte, 12*readAheadChunk))
+	p := make([]byte, 4096)
+	runtime.GC() // a sync.Pool keeps its objects through one GC
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ra := newReadAhead(nopCloserR{src})
+	for {
+		if _, err := ra.Read(p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ra.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(readAheadDepth*readAheadChunk+readAheadChunk/2); got > limit {
+		t.Errorf("streaming 12 chunks allocated %d B, want <= %d (%d chunks and change)", got, limit, readAheadDepth)
 	}
 }
