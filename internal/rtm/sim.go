@@ -26,18 +26,14 @@ const (
 	IEXP
 )
 
-// String returns the paper's name for the heuristic.
+// String returns the paper's name for the heuristic, which is its wire
+// spelling except for I(n) EXP.
 func (h Heuristic) String() string {
-	switch h {
-	case ILRNE:
-		return "ILR NE"
-	case ILREXP:
-		return "ILR EXP"
-	case IEXP:
+	if h == IEXP {
 		return "I(n) EXP"
-	default:
-		return fmt.Sprintf("heuristic(%d)", int(h))
 	}
+	name, _ := h.MarshalText() // never fails
+	return string(name)
 }
 
 // MarshalText returns the heuristic's wire spelling ("ILR NE", "ILR
