@@ -151,11 +151,12 @@ type sweepBench struct {
 	ReplayShallowSpeedup float64 `json:"replayShallowSpeedup"`
 
 	// Format-level statistics over internal/replaybench's workload mix
-	// (see EncodingStats).  encodeBytesPerRecord is the v4 container at
-	// rest; CI gates it at <= 0.5x of canonicalBytesPerRecord, gates
-	// decodeSpeedup (v4 plane-split decode vs the canonical per-record
-	// decode it replaced) at >= 2.0x, and gates decodeNsPerRecord at
-	// <= 2.25x stepNsPerRecord (measured ~1.9x).
+	// (see EncodingStats; the timings are medians of interleaved rounds).
+	// encodeBytesPerRecord is the v4 container at rest; CI gates it at
+	// <= 0.5x of canonicalBytesPerRecord, gates decodeSpeedup (v4
+	// plane-split decode vs the canonical per-record decode it replaced)
+	// at >= 2.0x, and gates decodeNsPerRecord at <= 2.25x
+	// stepNsPerRecord (measured ~1.9x).
 	EncodeBytesPerRecord       float64 `json:"encodeBytesPerRecord"`
 	EncodedMemBytesPerRecord   float64 `json:"encodedMemBytesPerRecord"`
 	CanonicalBytesPerRecord    float64 `json:"canonicalBytesPerRecord"`
@@ -178,8 +179,9 @@ type sweepBench struct {
 
 	// Reuse-distance analytics: one exact LRU-stack analyze pass
 	// (internal/analytics, the /v1/analyze engine) over a fresh
-	// recording, so the per-record cost of the O(n log n) Fenwick-tree
-	// distance computation is tracked release over release.
+	// recording, so the per-record cost of the distance computation
+	// (bounded recency lists for the register classes, a Fenwick tree
+	// for memory) is tracked release over release.
 	AnalyzeRecords     uint64  `json:"analyzeRecords"`
 	AnalyzeSecs        float64 `json:"analyzeSeconds"`
 	AnalyzeNsPerRecord float64 `json:"analyzeNsPerRecord"`

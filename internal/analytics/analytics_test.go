@@ -9,8 +9,8 @@ import (
 )
 
 // naiveAnalyzer is the brute-force O(n²) reference: one explicit LRU
-// stack per class, distance = position in the stack.  The tree-based
-// engine must match it bin for bin on every tested stream.
+// stack per class, distance = position in the stack.  The engine must
+// match it bin for bin on every tested stream.
 type naiveAnalyzer struct {
 	records uint64
 	stacks  [3][]trace.Loc // most recently used first
@@ -28,7 +28,7 @@ func (a *naiveAnalyzer) consume(e *trace.Exec) {
 }
 
 func (a *naiveAnalyzer) access(l trace.Loc) {
-	k := l.Kind()
+	k := min(l.Kind(), trace.KindMem) // any other kind counts as memory
 	st := a.stacks[k]
 	h := &a.hists[k]
 	h.Accesses++
@@ -41,10 +41,12 @@ func (a *naiveAnalyzer) access(l trace.Loc) {
 	}
 	if pos < 0 {
 		h.Cold++
-		a.stacks[k] = append([]trace.Loc{l}, st...)
-		return
+		st = append(st, l)
+		a.stacks[k] = st
+		pos = len(st) - 1
+	} else {
+		h.Bins[BinOf(uint64(pos))]++
 	}
-	h.Bins[BinOf(uint64(pos))]++
 	copy(st[1:pos+1], st[:pos])
 	st[0] = l
 }
@@ -152,8 +154,8 @@ func TestSyntheticPatterns(t *testing.T) {
 	})
 }
 
-// TestMatchesBruteForceOnWorkloads proves the O(n log n) engine equal to
-// the O(n²) reference across real workload grid cells: several
+// TestMatchesBruteForceOnWorkloads proves the engine equal to the O(n²)
+// reference across real workload grid cells: several
 // workloads, several (skip, budget) windows each.
 func TestMatchesBruteForceOnWorkloads(t *testing.T) {
 	cells := []struct {
@@ -192,7 +194,7 @@ func TestMatchesBruteForceOnWorkloads(t *testing.T) {
 		}
 		got, want := fast.Result(), naive.result()
 		if got != want {
-			t.Errorf("%s skip=%d budget=%d:\n tree  %+v\n naive %+v",
+			t.Errorf("%s skip=%d budget=%d:\n engine %+v\n naive  %+v",
 				c.workload, c.skip, c.budget, got, want)
 		}
 		if got.Records == 0 || got.IntReg.Accesses == 0 {
@@ -219,27 +221,85 @@ func TestCompactionPreservesDistances(t *testing.T) {
 		naive.consume(e)
 	}
 	if got, want := fast.Result(), naive.result(); got != want {
-		t.Fatalf("compaction diverged:\n tree  %+v\n naive %+v", got, want)
+		t.Fatalf("compaction diverged:\n engine %+v\n naive  %+v", got, want)
 	}
 }
 
-func BenchmarkAnalyzer(b *testing.B) {
-	w, _ := workload.ByName("compress")
-	prog, err := w.Program()
-	if err != nil {
-		b.Fatal(err)
+// TestRegisterClassPastRecencyList feeds each register class far more
+// distinct locations than its recency list holds, re-accessed at
+// distances on both sides of the list's capacity, and checks every bin,
+// cold count and distinct count against the reference.
+func TestRegisterClassPastRecencyList(t *testing.T) {
+	fast := New()
+	naive := &naiveAnalyzer{}
+	x := uint64(99)
+	for i := 0; i < 20_000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		// Working sets of 300 and 600 locations put most re-accesses
+		// near and past distance 256; the register file's own indexes
+		// stay among them.
+		e := &trace.Exec{}
+		e.AddIn(trace.Loc(uint64(trace.KindIntReg)<<62|x>>33%300), 0)
+		e.AddIn(trace.Loc(uint64(trace.KindFPReg)<<62|x>>45%600), 0)
+		e.AddOut(trace.IntReg(uint8(x>>20%8)), 0)
+		fast.Consume(e)
+		naive.consume(e)
 	}
-	var recs []trace.Exec
-	m := cpu.New(prog)
-	if _, err := m.Run(20_000, func(e *trace.Exec) { recs = append(recs, *e) }); err != nil {
-		b.Fatal(err)
+	got, want := fast.Result(), naive.result()
+	if got != want {
+		t.Fatalf("diverged:\n engine %+v\n naive  %+v", got, want)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := New()
-		for j := range recs {
-			a.Consume(&recs[j])
+	for _, h := range []Hist{got.IntReg, got.FPReg} {
+		if h.Distinct <= farDist || h.Bins[NumBins-1] == 0 || h.Bins[NumBins-2] == 0 {
+			t.Fatalf("stream does not cross the recency list's capacity: %+v", h)
 		}
 	}
-	b.SetBytes(int64(len(recs)))
+}
+
+// TestUnknownKindCountsAsMemory pins that a location of the fourth kind,
+// which a trace file can carry, is counted with memory words (as
+// Result.Class and ClassLabel name it) rather than crashing the engine.
+func TestUnknownKindCountsAsMemory(t *testing.T) {
+	a := New()
+	odd := trace.Loc(3<<62 | 5)
+	for _, l := range []trace.Loc{odd, trace.Mem(5), odd} {
+		e := &trace.Exec{}
+		e.AddIn(l, 0)
+		a.Consume(e)
+	}
+	m := a.Result().Mem
+	if m.Accesses != 3 || m.Cold != 2 || m.Bins[0] != 1 || m.Distinct != 2 {
+		t.Fatalf("fourth-kind locations: %+v", m)
+	}
+}
+
+// BenchmarkAnalyzer reports the engine's cost per record on an
+// integer-register-heavy stream (compress) and an FP- and memory-heavy
+// one (tomcatv), so each class's path is tracked.
+func BenchmarkAnalyzer(b *testing.B) {
+	for _, name := range []string{"compress", "tomcatv"} {
+		b.Run(name, func(b *testing.B) {
+			w, ok := workload.ByName(name)
+			if !ok {
+				b.Fatalf("unknown workload %q", name)
+			}
+			prog, err := w.Program()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var recs []trace.Exec
+			m := cpu.New(prog)
+			if _, err := m.Run(20_000, func(e *trace.Exec) { recs = append(recs, *e) }); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := New()
+				for j := range recs {
+					a.Consume(&recs[j])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
+		})
+	}
 }

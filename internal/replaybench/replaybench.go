@@ -111,16 +111,24 @@ type EncodingStats struct {
 	EncodedBytesPerRecord   float64 // in-memory v4 plane-split encoding
 	FileBytesPerRecord      float64 // v4 container as written (flate-framed)
 
-	// Mean nanoseconds per record (best of three passes per workload).
+	// Mean over the workload mix of each workload's median nanoseconds
+	// per record across encodingRounds interleaved rounds.
 	StepNsPerRecord            float64 // live functional-simulator step
 	CanonicalDecodeNsPerRecord float64 // v1/v2 per-record decode (the old replay path)
 	DecodeNsPerRecord          float64 // v4 plane-split batched decode (the replay hot path)
 
-	// DecodeSpeedup is the geometric mean over the workload mix of
-	// canonical-decode time over v4-decode time: how much faster the
-	// replay hot path got, format for format, on the same streams.
+	// DecodeSpeedup is the geometric mean over the workload mix of each
+	// workload's median, across rounds, of the round's canonical-decode
+	// time over its v4-decode time: how much faster the replay hot path
+	// got, format for format, on the same streams.
 	DecodeSpeedup float64
 }
+
+// encodingRounds is how many rounds MeasureEncoding times per workload.
+// Each round times the step, the canonical decode and the v4 decode
+// back to back, so a drift of the host's speed reaches all three alike
+// and cancels from the round's ratio.
+const encodingRounds = 9
 
 // MeasureEncoding records n instructions of each workload in the mix
 // and measures both encodings' density and decode cost against the live
@@ -139,12 +147,6 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 		if err != nil {
 			return st, err
 		}
-		step, err := bestOf(3, func() (uint64, error) {
-			return cpu.New(prog).Run(n, func(*trace.Exec) {})
-		})
-		if err != nil {
-			return st, err
-		}
 		rec := tracefile.NewRecorder()
 		got, err := cpu.New(prog).Run(n, rec.Write)
 		if err != nil {
@@ -159,24 +161,31 @@ func MeasureEncoding(n uint64) (EncodingStats, error) {
 		if err != nil {
 			return st, err
 		}
-		cDec, err := bestOf(3, func() (uint64, error) {
-			return tracefile.CanonicalDecode(canon, func(*trace.Exec) {})
-		})
-		if err != nil {
-			return st, err
-		}
-		vDec, err := bestOf(3, func() (uint64, error) { return batchDecode(tr) })
-		if err != nil {
-			return st, err
+		var step, cDec, vDec, ratio [encodingRounds]float64
+		for r := range encodingRounds {
+			if step[r], err = nsPerRecord(func() (uint64, error) {
+				return cpu.New(prog).Run(n, func(*trace.Exec) {})
+			}); err != nil {
+				return st, err
+			}
+			if cDec[r], err = nsPerRecord(func() (uint64, error) {
+				return tracefile.CanonicalDecode(canon, func(*trace.Exec) {})
+			}); err != nil {
+				return st, err
+			}
+			if vDec[r], err = nsPerRecord(func() (uint64, error) { return batchDecode(tr) }); err != nil {
+				return st, err
+			}
+			ratio[r] = cDec[r] / vDec[r]
 		}
 		totRecords += got
 		totCanon += uint64(tr.CanonicalBytes())
 		totEnc += uint64(tr.Bytes())
 		totFile += uint64(fileBytes)
-		stepNs += step
-		canonNs += cDec
-		decNs += vDec
-		geo *= cDec / vDec
+		stepNs += median(step[:])
+		canonNs += median(cDec[:])
+		decNs += median(vDec[:])
+		geo *= median(ratio[:])
 	}
 	nw := float64(len(EncodingWorkloads))
 	st.CanonicalBytesPerRecord = float64(totCanon) / float64(totRecords)
@@ -321,22 +330,22 @@ func streamFile(path string) error {
 	return nil
 }
 
-// bestOf runs f reps times and returns the best nanoseconds-per-record.
-func bestOf(reps int, f func() (uint64, error)) (float64, error) {
-	best := 0.0
-	for i := 0; i < reps; i++ {
-		t0 := time.Now()
-		n, err := f()
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			return 0, fmt.Errorf("replaybench: empty run")
-		}
-		v := float64(time.Since(t0).Nanoseconds()) / float64(n)
-		if i == 0 || v < best {
-			best = v
-		}
+// nsPerRecord runs f once and returns its nanoseconds per record.
+func nsPerRecord(f func() (uint64, error)) (float64, error) {
+	t0 := time.Now()
+	n, err := f()
+	if err != nil {
+		return 0, err
 	}
-	return best, nil
+	if n == 0 {
+		return 0, fmt.Errorf("replaybench: empty run")
+	}
+	return float64(time.Since(t0).Nanoseconds()) / float64(n), nil
+}
+
+// median returns the median of xs, reordering them; an even count
+// takes the upper middle value.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
