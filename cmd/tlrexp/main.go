@@ -176,15 +176,6 @@ type sweepBench struct {
 	StreamSmallAllocBytes     uint64  `json:"streamSmallAllocBytes"`
 	StreamLargeAllocBytes     uint64  `json:"streamLargeAllocBytes"`
 	StreamAllocBytesPerRecord float64 `json:"streamAllocBytesPerRecord"`
-
-	// Reuse-distance analytics: one exact LRU-stack analyze pass
-	// (internal/analytics, the /v1/analyze engine) over a fresh
-	// recording, so the per-record cost of the distance computation
-	// (bounded recency lists for the register classes, a Fenwick tree
-	// for memory) is tracked release over release.
-	AnalyzeRecords     uint64  `json:"analyzeRecords"`
-	AnalyzeSecs        float64 `json:"analyzeSeconds"`
-	AnalyzeNsPerRecord float64 `json:"analyzeNsPerRecord"`
 }
 
 // rtmSweepRequests builds the Figure-9 grid (collection heuristic x RTM
@@ -290,9 +281,6 @@ func runSweepBench(cfg expt.Config, path string) error {
 	if err := runReplayBench(ctx, &b); err != nil {
 		return err
 	}
-	if err := runAnalyzeBench(ctx, &b); err != nil {
-		return err
-	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(b); err != nil {
@@ -314,31 +302,6 @@ func runSweepBench(cfg expt.Config, path string) error {
 	fmt.Printf("streamed replay memory: %d records -> %d B allocated, %d records -> %d B (%.2f B/record)\n",
 		b.StreamSmallRecords, b.StreamSmallAllocBytes, b.StreamLargeRecords, b.StreamLargeAllocBytes,
 		b.StreamAllocBytesPerRecord)
-	fmt.Printf("reuse-distance analyze: %d records in %.3fs (%.1f ns/record)\n",
-		b.AnalyzeRecords, b.AnalyzeSecs, b.AnalyzeNsPerRecord)
-	return nil
-}
-
-// runAnalyzeBench times the reuse-distance analytics engine over one
-// fresh recording and fills the analyze fields of the summary.
-func runAnalyzeBench(ctx context.Context, b *sweepBench) error {
-	const budget = 200_000
-	rec, err := tlr.Record(ctx, tlr.RecordSpec{Workload: "compress", Budget: budget})
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	res, err := tlr.Run(ctx, tlr.Request{Trace: rec, Analyze: &tlr.AnalyzeConfig{}})
-	if err != nil {
-		return err
-	}
-	d := time.Since(t0)
-	if res.Analyze == nil || res.Analyze.Records != budget {
-		return fmt.Errorf("analyze bench histogram: %+v", res.Analyze)
-	}
-	b.AnalyzeRecords = budget
-	b.AnalyzeSecs = d.Seconds()
-	b.AnalyzeNsPerRecord = float64(d.Nanoseconds()) / float64(budget)
 	return nil
 }
 

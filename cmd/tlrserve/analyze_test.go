@@ -81,26 +81,8 @@ func TestIngestAnalyzeAndStats(t *testing.T) {
 		t.Fatalf("non-analyze kind accepted: status %d", resp.StatusCode)
 	}
 
-	// /v1/stats carries the analytics section with the ingest and
-	// analyze accounting.
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var stats struct {
-		Analytics struct {
-			AnalyzeRuns     uint64 `json:"analyzeRuns"`
-			AnalyzeHits     uint64 `json:"analyzeHits"`
-			IngestedTraces  uint64 `json:"ingestedTraces"`
-			IngestedRecords uint64 `json:"ingestedRecords"`
-			IngestRejects   uint64 `json:"ingestRejects"`
-		} `json:"analytics"`
-	}
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	a := stats.Analytics
+	// /v1/stats carries the ingest and analyze accounting.
+	a := serviceStats(t, ts.URL)
 	if a.AnalyzeRuns != 1 || a.AnalyzeHits != 1 {
 		t.Errorf("analyze counters: %+v", a)
 	}

@@ -293,6 +293,16 @@ func TestClusterThreeNodeFabric(t *testing.T) {
 	if st := nonOwner.srv.batcher.Stats(); st.TracePeerFetches != 1 {
 		t.Fatalf("TracePeerFetches = %d, want 1", st.TracePeerFetches)
 	}
+	sections := getStats(t, nonOwner.url, "cluster", "runtime", "service")
+	var clusterStats struct {
+		Fabric cluster.Stats `json:"fabric"`
+	}
+	if err := json.Unmarshal(sections["cluster"], &clusterStats); err != nil {
+		t.Fatal(err)
+	}
+	if clusterStats.Fabric.FetchHits != 1 {
+		t.Fatalf("/v1/stats cluster.fabric = %+v, want 1 fetch hit", clusterStats.Fabric)
+	}
 }
 
 // TestClusterSurvivesOwnerDown: with replication factor 2, a digest

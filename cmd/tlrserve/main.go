@@ -109,9 +109,10 @@
 // -chaos-drop and -chaos-delay inject transport faults on peer
 // traffic for chaos testing.
 //
-// GET /healthz reports liveness; GET /v1/stats reports service,
-// trace-store, result-cache, analytics, admission and runtime counters,
-// and (when clustered) per-peer health and fabric counters.
+// GET /healthz reports liveness; GET /v1/stats reports the service
+// counters (tlr.BatchStats: jobs, trace store, result cache, analytics,
+// admission) and runtime counters, and (when clustered) per-peer health
+// and fabric counters.
 // With -pprof, the standard net/http/pprof endpoints are mounted under
 // /debug/pprof/ so decode and simulation hot paths can be profiled
 // against the live server.
@@ -751,36 +752,10 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st := s.batcher.Stats()
 	out := map[string]any{
-		"service": st,
-		"traceStore": map[string]any{
-			"hits": st.TraceHits, "misses": st.TraceMisses,
-			"memory":      map[string]any{"traces": st.Traces, "bytes": st.TraceBytes},
-			"disk":        map[string]any{"traces": st.TraceDisk, "bytes": st.TraceDiskBytes},
-			"spills":      st.TraceSpills,
-			"promotes":    st.TracePromotes,
-			"peerFetches": st.TracePeerFetches,
-			"peerRejects": st.TracePeerRejects,
-		},
-		"resultCache": map[string]any{
-			"entries":     st.Results,
-			"diskEntries": st.ResultsOnDisk,
-			"diskHits":    st.ResultDiskHits,
-			"diskWrites":  st.ResultDiskWrites,
-		},
-		"analytics": map[string]any{
-			"analyzeRuns":     st.AnalyzeRuns,
-			"analyzeHits":     st.AnalyzeHits,
-			"ingestedTraces":  st.IngestedTraces,
-			"ingestedRecords": st.IngestedRecords,
-			"ingestRejects":   st.IngestRejects,
-		},
-		"admission": map[string]any{
-			"inflightJobs": st.InflightJobs,
-			"maxInflight":  st.MaxInflight,
-			"shed":         st.Shed,
-		},
+		// One flat rendering of tlr.BatchStats: trace-store,
+		// result-cache, analytics and admission counters included.
+		"service": s.batcher.Stats(),
 		// The runtime section reads the same collector behind the go_*
 		// gauges /metrics exports, so the two views cannot disagree.
 		"runtime": s.runtimeC.Read(),

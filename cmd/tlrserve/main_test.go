@@ -174,15 +174,9 @@ func TestBatchStreamsAllKindsAndCaches(t *testing.T) {
 // TestStatsAndWorkloads smoke-tests the read-only endpoints.
 func TestStatsAndWorkloads(t *testing.T) {
 	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var stats struct {
-		Service map[string]json.RawMessage `json:"service"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	sections := getStats(t, ts.URL, "runtime", "service")
+	var service map[string]json.RawMessage
+	if err := json.Unmarshal(sections["service"], &service); err != nil {
 		t.Fatal(err)
 	}
 	// The "service" object's key set is part of the /v1/stats contract.
@@ -196,7 +190,7 @@ func TestStatsAndWorkloads(t *testing.T) {
 		"Traces",
 	}
 	var got []string
-	for k := range stats.Service {
+	for k := range service {
 		got = append(got, k)
 	}
 	sort.Strings(got)
@@ -217,6 +211,42 @@ func TestStatsAndWorkloads(t *testing.T) {
 	if len(wl.Workloads) != 14 {
 		t.Errorf("workloads = %d, want 14", len(wl.Workloads))
 	}
+}
+
+// getStats fetches url's /v1/stats and returns its sections, failing
+// unless the top-level key set is exactly want (sorted): every counter
+// has one rendering, so no hand-regrouped section may appear.
+func getStats(t *testing.T, url string, want ...string) map[string]json.RawMessage {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sections map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&sections); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range sections {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("/v1/stats sections:\n got %v\nwant %v", got, want)
+	}
+	return sections
+}
+
+// serviceStats returns the service section of an unclustered node's
+// /v1/stats.
+func serviceStats(t *testing.T, url string) tlr.BatchStats {
+	t.Helper()
+	var st tlr.BatchStats
+	if err := json.Unmarshal(getStats(t, url, "runtime", "service")["service"], &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // jsonKeys returns the keys of a JSON object in the order they appear.
@@ -663,24 +693,8 @@ func TestChunkedUploadToDiskTier(t *testing.T) {
 	if listing.Tiers.Disk.Traces != 1 || listing.Tiers.Disk.Bytes == 0 {
 		t.Fatalf("tier occupancy %+v", listing.Tiers)
 	}
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	var stats struct {
-		TraceStore struct {
-			Disk struct {
-				Traces int `json:"traces"`
-			} `json:"disk"`
-			Spills uint64 `json:"spills"`
-		} `json:"traceStore"`
-	}
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.TraceStore.Disk.Traces != 1 || stats.TraceStore.Spills != 1 {
-		t.Fatalf("stats %+v", stats.TraceStore)
+	if st := serviceStats(t, ts.URL); st.TraceDisk != 1 || st.TraceSpills != 1 {
+		t.Fatalf("stats %+v", st)
 	}
 
 	// The download streams the disk tier's file byte for byte.

@@ -236,21 +236,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 		t.Fatalf("oversized batch status = %d, want 429", resp.StatusCode)
 	}
 
-	var stats struct {
-		Admission struct {
-			MaxInflight int    `json:"maxInflight"`
-			Shed        uint64 `json:"shed"`
-		} `json:"admission"`
-	}
-	sresp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Admission.MaxInflight != 2 || stats.Admission.Shed != 3 {
-		t.Fatalf("admission stats = %+v, want maxInflight 2 and 3 sheds", stats.Admission)
+	if st := serviceStats(t, ts.URL); st.MaxInflight != 2 || st.Shed != 3 {
+		t.Fatalf("admission stats = %+v, want MaxInflight 2 and 3 sheds", st)
 	}
 }

@@ -25,24 +25,9 @@ type IngestFormat struct {
 }
 
 // CSVFormat is the column layout of a CSV address trace.  Column
-// indices are 0-based; -1 means the column is absent.
-type CSVFormat struct {
-	// AddrCol is the memory-address column (required).
-	AddrCol int
-	// OpCol tells reads from writes ("r"/"read"/"load"/"0" vs
-	// "w"/"write"/"store"/"1"); -1 treats every row as a read.
-	OpCol int
-	// PCCol carries the accessing instruction's PC; -1 synthesizes
-	// sequential PCs, making every row a distinct static access site.
-	PCCol int
-	// Comma is the field separator (0 = ',').
-	Comma rune
-	// Header skips the first non-blank, non-comment line.
-	Header bool
-	// AddrBase is the address radix: 0 auto-detects by "0x" prefix, 10
-	// and 16 force a radix.
-	AddrBase int
-}
+// indices are 0-based; -1 means the column is absent.  See the field
+// docs on the ingest package's declaration.
+type CSVFormat = ingest.CSVLayout
 
 // PCTextFormat is the "PC op" text format (no knobs yet; the struct
 // keeps future options additive).
@@ -64,14 +49,7 @@ type IngestStats = ingest.Stats
 func (f IngestFormat) mapper() (ingest.Mapper, error) {
 	switch {
 	case f.CSV != nil && f.PCText == nil:
-		return ingest.NewCSV(ingest.CSVLayout{
-			AddrCol:  f.CSV.AddrCol,
-			OpCol:    f.CSV.OpCol,
-			PCCol:    f.CSV.PCCol,
-			Comma:    f.CSV.Comma,
-			Header:   f.CSV.Header,
-			AddrBase: f.CSV.AddrBase,
-		})
+		return ingest.NewCSV(*f.CSV)
 	case f.PCText != nil && f.CSV == nil:
 		return ingest.NewPCText(), nil
 	default:

@@ -37,6 +37,25 @@ const (
 // entirely, so probe recovery is what closes it in practice.
 const failuresBeforeUnhealthy = 3
 
+// Per-operation deadlines.  Each fabric call runs under its own
+// bounded context rather than one coarse client timeout, so a slow
+// peer can delay only the operation that touched it.
+const (
+	// probeTimeout bounds one health probe.
+	probeTimeout = 2 * time.Second
+	// statusTimeout bounds one HasTrace (HEAD) existence check during
+	// repair.
+	statusTimeout = 5 * time.Second
+	// fetchTimeout bounds one peer trace fetch including reading the
+	// body.
+	fetchTimeout = 60 * time.Second
+	// replicateTimeout bounds one replication delivery attempt.
+	replicateTimeout = 60 * time.Second
+	// forwardTimeout caps one forwarded run (tighter caller contexts
+	// still apply).
+	forwardTimeout = 120 * time.Second
+)
+
 // Config configures a node's view of the fabric.
 type Config struct {
 	// Self is this node's own base URL.  It must appear in Peers.
@@ -48,7 +67,8 @@ type Config struct {
 	Replication int
 	// Client performs all peer HTTP requests.  Defaults to a plain
 	// client; every fabric operation carries its own context deadline
-	// (the per-op timeouts below), so no coarse Client.Timeout is set.
+	// (the per-operation timeouts above), so no coarse Client.Timeout
+	// is set.
 	Client *http.Client
 	// Retries is the attempt budget for one replication delivery.
 	// Defaults to 3.
@@ -66,24 +86,6 @@ type Config struct {
 	// redelivery.
 	ProbeEvery time.Duration
 
-	// Per-operation deadlines.  Each fabric call runs under its own
-	// bounded context rather than one coarse client timeout, so a
-	// slow peer can delay only the operation that touched it.
-	//
-	// ProbeTimeout bounds one health probe.  Defaults to 2s.
-	ProbeTimeout time.Duration
-	// StatusTimeout bounds one HasTrace (HEAD) existence check during
-	// repair.  Defaults to 5s.
-	StatusTimeout time.Duration
-	// FetchTimeout bounds one peer trace fetch including reading the
-	// body.  Defaults to 60s.
-	FetchTimeout time.Duration
-	// ReplicateTimeout bounds one replication delivery attempt.
-	// Defaults to 60s.
-	ReplicateTimeout time.Duration
-	// ForwardTimeout caps one forwarded run (tighter caller contexts
-	// still apply).  Defaults to 120s.
-	ForwardTimeout time.Duration
 	// BreakerCooldown is how long an open per-peer breaker waits
 	// before admitting one half-open trial call.  Defaults to 5s.
 	BreakerCooldown time.Duration
@@ -180,12 +182,7 @@ type Fabric struct {
 	logf        func(string, ...any)
 	hintDir     string
 
-	probeTimeout     time.Duration
-	statusTimeout    time.Duration
-	fetchTimeout     time.Duration
-	replicateTimeout time.Duration
-	forwardTimeout   time.Duration
-	breakerCooldown  time.Duration
+	breakerCooldown time.Duration
 
 	mu         sync.Mutex
 	peers      map[string]*peerState
@@ -242,21 +239,6 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.StatusTimeout <= 0 {
-		cfg.StatusTimeout = 5 * time.Second
-	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 60 * time.Second
-	}
-	if cfg.ReplicateTimeout <= 0 {
-		cfg.ReplicateTimeout = 60 * time.Second
-	}
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = 120 * time.Second
-	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 5 * time.Second
 	}
@@ -268,28 +250,23 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Fabric{
-		ring:             ring,
-		self:             cfg.Self,
-		replication:      cfg.Replication,
-		client:           cfg.Client,
-		retries:          cfg.Retries,
-		backoff:          cfg.Backoff,
-		readTrace:        cfg.ReadTrace,
-		listDigests:      cfg.ListDigests,
-		logf:             cfg.Logf,
-		hintDir:          cfg.HintDir,
-		probeTimeout:     cfg.ProbeTimeout,
-		statusTimeout:    cfg.StatusTimeout,
-		fetchTimeout:     cfg.FetchTimeout,
-		replicateTimeout: cfg.ReplicateTimeout,
-		forwardTimeout:   cfg.ForwardTimeout,
-		breakerCooldown:  cfg.BreakerCooldown,
-		peers:            make(map[string]*peerState, len(cfg.Peers)),
-		hints:            make(map[string]map[string]struct{}),
-		delivering:       make(map[string]bool),
-		queue:            make(chan string, cfg.QueueDepth),
-		ctx:              ctx,
-		cancel:           cancel,
+		ring:            ring,
+		self:            cfg.Self,
+		replication:     cfg.Replication,
+		client:          cfg.Client,
+		retries:         cfg.Retries,
+		backoff:         cfg.Backoff,
+		readTrace:       cfg.ReadTrace,
+		listDigests:     cfg.ListDigests,
+		logf:            cfg.Logf,
+		hintDir:         cfg.HintDir,
+		breakerCooldown: cfg.BreakerCooldown,
+		peers:           make(map[string]*peerState, len(cfg.Peers)),
+		hints:           make(map[string]map[string]struct{}),
+		delivering:      make(map[string]bool),
+		queue:           make(chan string, cfg.QueueDepth),
+		ctx:             ctx,
+		cancel:          cancel,
 	}
 	for _, p := range cfg.Peers {
 		if p != cfg.Self {
@@ -398,7 +375,7 @@ func (f *Fabric) Fetch(digest string, exclude ...string) (io.ReadCloser, string,
 // fetchFrom performs one GET against one peer under the fetch
 // deadline.  The returned body keeps the deadline armed until Close.
 func (f *Fabric) fetchFrom(peer, digest string) (io.ReadCloser, error) {
-	ctx, cancel := context.WithTimeout(f.ctx, f.fetchTimeout)
+	ctx, cancel := context.WithTimeout(f.ctx, fetchTimeout)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/traces/"+digest, nil)
 	if err != nil {
 		cancel()
@@ -619,7 +596,7 @@ func isPermanent(err error) bool {
 func (f *Fabric) replicateOnce(digest, peer string) error {
 	start := time.Now()
 	defer func() { f.replDur.Observe(time.Since(start).Seconds()) }()
-	ctx, cancel := context.WithTimeout(f.ctx, f.replicateTimeout)
+	ctx, cancel := context.WithTimeout(f.ctx, replicateTimeout)
 	defer cancel()
 	// Stream the trace through a pipe so replication never buffers a
 	// whole container, mirroring the chunked-upload path clients use.
@@ -660,7 +637,7 @@ func (f *Fabric) replicateOnce(digest, peer string) error {
 // receiving node to execute locally rather than forward again.  The
 // call is capped by the fabric's forward timeout on top of ctx.
 func (f *Fabric) PostRun(ctx context.Context, target string, body []byte) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, f.forwardTimeout)
+	ctx, cancel := context.WithTimeout(ctx, forwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/run", bytes.NewReader(body))
 	if err != nil {
@@ -723,7 +700,7 @@ func (f *Fabric) probeAll() {
 // redelivery of any hints owed to the peer.
 func (f *Fabric) probe(peer string) {
 	now := time.Now()
-	ctx, cancel := context.WithTimeout(f.ctx, f.probeTimeout)
+	ctx, cancel := context.WithTimeout(f.ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil)
 	if err != nil {
@@ -793,14 +770,8 @@ func (f *Fabric) StatsSnapshot() Stats {
 	defer f.mu.Unlock()
 	s := f.stats
 	s.ReplicationQueue = len(f.queue)
-	for _, hs := range f.hints {
-		s.HintsPending += len(hs)
-	}
-	for _, st := range f.peers {
-		if st.consec >= failuresBeforeUnhealthy {
-			s.BreakerOpen++
-		}
-	}
+	s.HintsPending = f.hintsPendingLocked()
+	s.BreakerOpen = f.breakersOpenLocked()
 	return s
 }
 
@@ -809,9 +780,27 @@ func (f *Fabric) StatsSnapshot() Stats {
 func (f *Fabric) HintsPending() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.hintsPendingLocked()
+}
+
+// hintsPendingLocked counts the hints owed across all peers; f.mu must
+// be held.
+func (f *Fabric) hintsPendingLocked() int {
 	n := 0
 	for _, hs := range f.hints {
 		n += len(hs)
+	}
+	return n
+}
+
+// breakersOpenLocked counts the peers whose breaker is open; f.mu must
+// be held.
+func (f *Fabric) breakersOpenLocked() int {
+	n := 0
+	for _, st := range f.peers {
+		if st.consec >= failuresBeforeUnhealthy {
+			n++
+		}
 	}
 	return n
 }

@@ -7,8 +7,9 @@ import (
 // registerMetrics exports the fabric on a metrics registry.  The
 // mutex-guarded Stats struct stays the single source of truth for
 // counters — every exported counter is a Func-backed view over the
-// same fields StatsSnapshot serves, so /metrics and /v1/stats cannot
-// drift apart.  Only the latency distributions are native histograms,
+// same fields StatsSnapshot serves, and the hint and breaker gauges
+// call the same locked counts it does, so /metrics and /v1/stats
+// cannot drift apart.  Only the latency distributions are native histograms,
 // observed on the peer-call paths themselves.
 func (f *Fabric) registerMetrics(reg *metrics.Registry) {
 	counter := func(name, help string, get func(*Stats) uint64) {
@@ -81,26 +82,14 @@ func (f *Fabric) registerMetrics(reg *metrics.Registry) {
 		func() float64 {
 			f.mu.Lock()
 			defer f.mu.Unlock()
-			n := 0
-			for _, st := range f.peers {
-				if st.consec >= failuresBeforeUnhealthy {
-					n++
-				}
-			}
-			return float64(n)
+			return float64(f.breakersOpenLocked())
 		})
 	reg.GaugeFunc("tlr_cluster_peers_healthy",
 		"Other peers currently considered healthy.",
 		func() float64 {
 			f.mu.Lock()
 			defer f.mu.Unlock()
-			n := 0
-			for _, st := range f.peers {
-				if st.consec < failuresBeforeUnhealthy {
-					n++
-				}
-			}
-			return float64(n)
+			return float64(len(f.peers) - f.breakersOpenLocked())
 		})
 
 	f.fetchDur = reg.Histogram("tlr_cluster_fetch_seconds",

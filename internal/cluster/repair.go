@@ -108,7 +108,7 @@ func (f *Fabric) hasTraceOn(peer, digest string) (bool, error) {
 		f.bump(func(s *Stats) { s.BreakerShed++ })
 		return false, errBreakerOpen
 	}
-	ctx, cancel := context.WithTimeout(f.ctx, f.statusTimeout)
+	ctx, cancel := context.WithTimeout(f.ctx, statusTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodHead, peer+"/v1/traces/"+digest, nil)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -475,5 +476,55 @@ func TestResultRehydrationSkipsJunk(t *testing.T) {
 	defer s2.Close()
 	if st := s2.Stats(); st.ResultsOnDisk != 1 {
 		t.Fatalf("rehydrated %d results, want 1 (junk must be skipped)", st.ResultsOnDisk)
+	}
+}
+
+// TestResultEnvelopeLoadsNullDDA: study envelopes written before
+// StudyOutput.DDA was omitempty carry "DDA":null; they must still
+// rehydrate and load as the same result.
+func TestResultEnvelopeLoadsNullDDA(t *testing.T) {
+	w, _ := workload.ByName("compress")
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1})
+	res, err := s.Submit(context.Background(),
+		[]Job{StudyJob("j", ProgSource("k", prog), StudyParams{Budget: 2000})}, 0).Wait()
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res[0].Value.(StudyOutput)
+
+	// The parent's encoding: the same fields, in order, DDA untagged.
+	raw, err := json.Marshal(struct{ ILR, TLR, DDA any }{want.ILR, want.TLR, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"DDA":null`)) {
+		t.Fatalf("old-form value lacks \"DDA\":null: %s", raw)
+	}
+	dir := t.TempDir()
+	const key = "study|old-envelope"
+	env, err := json.Marshal(resultEnvelope{V: resultEnvelopeVersion, Key: key, Kind: "study", Value: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newResultDisk(dir)
+	if err := os.WriteFile(d.path(key), env, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d.rehydrate()
+	if !d.known[key] {
+		t.Fatal("envelope with \"DDA\":null was skipped at rehydration")
+	}
+	got, err := d.load(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded result differs:\ngot  %+v\nwant %+v", got, want)
 	}
 }

@@ -210,7 +210,7 @@ type StudyOutput struct {
 	TLR core.TLRResult
 	// DDA is the base-machine point per requested ILPWindows entry (nil
 	// when none were requested).
-	DDA []dda.Point
+	DDA []dda.Point `json:",omitempty"`
 }
 
 // normalize applies the study defaults.  Both the job body and the

@@ -268,8 +268,8 @@ func resultFromService(r service.Result, kind Kind) Result {
 	}
 	switch kind {
 	case KindStudy:
-		o := r.Value.(service.StudyOutput)
-		res.Study = &StudyResult{ILR: o.ILR, TLR: o.TLR, DDA: o.DDA}
+		o := r.Value.(StudyResult)
+		res.Study = &o
 	case KindRTM:
 		o := r.Value.(RTMResult)
 		res.RTM = &o

@@ -137,14 +137,9 @@ type DDAPoint = dda.Point
 
 // StudyResult bundles the instruction-level and trace-level limit-study
 // results for one program; all engines saw the same dynamic stream and
-// the ILR/TLR pair shared one reusability classification.
-type StudyResult struct {
-	ILR core.ILRResult
-	TLR core.TLRResult
-	// DDA holds the base-machine point per StudyConfig.ILPWindows entry
-	// (nil when none were requested).
-	DDA []DDAPoint `json:",omitempty"`
-}
+// the ILR/TLR pair shared one reusability classification.  It is the
+// service's study job result.
+type StudyResult = service.StudyOutput
 
 // RTM geometry and simulation types (paper §4.6).
 type (
