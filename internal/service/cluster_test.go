@@ -3,17 +3,20 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/tracereuse/tlr/internal/cpu"
+	"github.com/tracereuse/tlr/internal/trace"
 	"github.com/tracereuse/tlr/internal/tracefile"
 	"github.com/tracereuse/tlr/internal/workload"
 )
@@ -526,5 +529,65 @@ func TestResultEnvelopeLoadsNullDDA(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("loaded result differs:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestTamperedDiskFileIsNotPromoted: a disk-tier file whose payload
+// still decodes but no longer matches its declared digest (one output
+// value flipped, the header left alone) must not be promoted into the
+// memory tier: promotion keeps the file's payload, so it is the digest
+// check that refuses it.  Nor may a valid container of another trace,
+// put under the digest's file name, be promoted as that digest.
+func TestTamperedDiskFileIsNotPromoted(t *testing.T) {
+	tr := recordTestTrace(t, "compress", 3000)
+	// install stores tr on a fresh disk-tier service, replaces its file
+	// with body and resolves the digest, which must not promote.
+	install := func(body []byte) string {
+		dir := t.TempDir()
+		s := New(Options{Workers: 1, TraceDir: dir})
+		defer s.Close()
+		info, err := s.AddTraceStream(bytes.NewReader(traceBytes(t, tr)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, tracefile.DigestFileName(info.Digest))
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.ResolveTrace(info.Digest); !ok {
+			t.Fatal("disk-tier digest did not resolve")
+		}
+		if st := s.Stats(); st.TracePromotes != 0 {
+			t.Fatalf("replaced file promoted %d times", st.TracePromotes)
+		}
+		return path
+	}
+
+	install(traceBytes(t, recordTestTrace(t, "compress", 3001)))
+
+	// The same records with one output value's low bit flipped: same
+	// record count, canonical size and dictionary, another digest.
+	rec := tracefile.NewRecorder()
+	cur := tr.Cursor()
+	flipped := false
+	var e trace.Exec
+	for cur.Next(&e) == nil {
+		if !flipped && e.NOut > 0 {
+			e.Out[0].Val ^= 1
+			flipped = true
+		}
+		rec.Write(&e)
+	}
+	cur.Close()
+	tampered := traceBytes(t, rec.Trace())
+	// Keep the original header's digest (magic, version and record
+	// count precede it).
+	sum, err := hex.DecodeString(strings.TrimPrefix(tr.Digest(), tracefile.DigestPrefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(tampered[12+8:], sum)
+	if _, err := tracefile.OpenFile(install(tampered)); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("loading the tampered file: %v, want a digest mismatch", err)
 	}
 }

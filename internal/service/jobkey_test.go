@@ -8,6 +8,7 @@ import (
 
 	"github.com/tracereuse/tlr/internal/core"
 	"github.com/tracereuse/tlr/internal/isa"
+	"github.com/tracereuse/tlr/internal/rtm"
 	"github.com/tracereuse/tlr/internal/workload"
 )
 
@@ -38,10 +39,13 @@ func keyOf(t *testing.T, params any) string {
 // any one of them to a non-zero, non-default value changes the key: a
 // field the key missed would let one configuration be answered with
 // another's cached result.  A field of a kind the walk cannot set fails
-// the test, so new fields are covered as they are declared.
+// the test, so new fields are covered as they are declared.  The RTM
+// walk starts from I(n) EXP, the one heuristic that reads N.
 func TestJobKeyCoversEveryField(t *testing.T) {
-	for _, params := range []any{StudyParams{}, RTMParams{}, PipelineParams{}, VPParams{}, AnalyzeParams{}} {
+	iexp := RTMParams{Config: rtm.Config{Heuristic: rtm.IEXP}}
+	for _, params := range []any{StudyParams{}, iexp, PipelineParams{}, VPParams{}, AnalyzeParams{}} {
 		root := reflect.New(reflect.TypeOf(params))
+		root.Elem().Set(reflect.ValueOf(params))
 		key := func() string { return keyOf(t, root.Elem().Interface()) }
 		if key() == "" {
 			t.Fatalf("%T: keyed source gave an unkeyed job", params)
@@ -131,5 +135,60 @@ func TestUnencodableParamsRunUnkeyed(t *testing.T) {
 	out, ok := res[0].Value.(StudyOutput)
 	if !ok || out.TLR.Instructions != 2000 || res[0].Cached {
 		t.Errorf("NaN-latency study returned %+v (cached %v), want a 2000-instruction result", res[0].Value, res[0].Cached)
+	}
+}
+
+// TestEquivalentJobsShareKey submits pairs of RTM and VP jobs whose
+// parameters differ only in ways the engines treat alike (a default
+// spelled out, a count the heuristic ignores or clamps) and requires the
+// second of each pair to be answered from the first's cache entry: one
+// simulation, one cache hit.
+func TestEquivalentJobsShareKey(t *testing.T) {
+	w, _ := workload.ByName("li")
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := ProgSource("workload:li", prog)
+	geom := rtm.Geometry{Sets: 64, PCWays: 4, TracesPerPC: 4}
+	rtmJob := func(h rtm.Heuristic, n, minLen int) Job {
+		return RTMJob("rtm", src, RTMParams{Config: rtm.Config{Geometry: geom, Heuristic: h, N: n, MinLen: minLen}, Budget: 3000})
+	}
+	vpJob := func(predLat float64) Job {
+		return VPJob("vp", src, VPParams{Config: core.VPConfig{Window: 64, PredLat: predLat}, Budget: 3000})
+	}
+	for _, tc := range []struct {
+		name string
+		a, b Job
+	}{
+		{"rtm/MinLen 0~1", rtmJob(rtm.ILREXP, 0, 0), rtmJob(rtm.ILREXP, 0, 1)},
+		{"rtm/MinLen -2~0", rtmJob(rtm.ILREXP, 0, -2), rtmJob(rtm.ILREXP, 0, 0)},
+		{"rtm/ILR NE ignores N", rtmJob(rtm.ILRNE, 0, 0), rtmJob(rtm.ILRNE, 5, 0)},
+		{"rtm/ILR EXP ignores N", rtmJob(rtm.ILREXP, 3, 0), rtmJob(rtm.ILREXP, 0, 0)},
+		{"rtm/IEXP N 0~1", rtmJob(rtm.IEXP, 0, 2), rtmJob(rtm.IEXP, 1, 2)},
+		{"rtm/IEXP N -1~1", rtmJob(rtm.IEXP, -1, 0), rtmJob(rtm.IEXP, 1, 0)},
+		{"vp/PredLat 0~1", vpJob(0), vpJob(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.a.Key != tc.b.Key {
+				t.Fatalf("keys differ:\n%s\n%s", tc.a.Key, tc.b.Key)
+			}
+			s := New(Options{Workers: 1})
+			defer s.Close()
+			first, err := s.Submit(context.Background(), []Job{tc.a}, 0).Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := s.Submit(context.Background(), []Job{tc.b}, 0).Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := s.Stats(); st.Ran != 1 || st.CacheHits != 1 || !second[0].Cached {
+				t.Errorf("ran %d, cache hits %d, second cached %v; want 1, 1, true", st.Ran, st.CacheHits, second[0].Cached)
+			}
+			if !reflect.DeepEqual(first[0].Value, second[0].Value) {
+				t.Errorf("results differ:\n%+v\n%+v", first[0].Value, second[0].Value)
+			}
+		})
 	}
 }

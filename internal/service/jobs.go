@@ -271,8 +271,28 @@ func ValidGeometry(g rtm.Geometry) error {
 	return nil
 }
 
-// RTMJob builds a cacheable realistic-RTM job over src.
+// normalize maps parameters the engine treats alike to one form, so
+// equivalent jobs share a key: rtm.New clamps MinLen to at least 1 (0
+// stands for both), the ILR heuristics ignore N (0), and I(n) EXP runs
+// N below 1 as 1.
+func (p RTMParams) normalize() RTMParams {
+	if p.Config.MinLen <= 1 {
+		p.Config.MinLen = 0
+	}
+	switch p.Config.Heuristic {
+	case rtm.ILRNE, rtm.ILREXP:
+		p.Config.N = 0
+	case rtm.IEXP:
+		p.Config.N = max(p.Config.N, 1)
+	}
+	return p
+}
+
+// RTMJob builds a cacheable realistic-RTM job over src.  The parameters
+// are normalized first, so equivalent configurations share a cache
+// entry.
 func RTMJob(id string, src Source, p RTMParams) Job {
+	p = p.normalize()
 	return laneJob(id, jobKey("rtm", src, p), "rtm", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, rtm: &p.Config})
 }
 
@@ -318,8 +338,20 @@ type VPParams struct {
 	Budget uint64
 }
 
-// VPJob builds a cacheable value-prediction job over src.
+// normalize maps the default prediction latency, which the engine runs
+// at 1 cycle, to its zero value.
+func (p VPParams) normalize() VPParams {
+	if p.Config.PredLat == 1 {
+		p.Config.PredLat = 0
+	}
+	return p
+}
+
+// VPJob builds a cacheable value-prediction job over src.  The
+// parameters are normalized first, so an explicit default and the zero
+// value share a cache entry.
 func VPJob(id string, src Source, p VPParams) Job {
+	p = p.normalize()
 	return laneJob(id, jobKey("vp", src, p), "vp", &laneSpec{src: src, skip: p.Skip, budget: p.Budget, vp: &p})
 }
 

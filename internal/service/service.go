@@ -626,7 +626,9 @@ func (s *Service) resolveLocal(digest string) (TraceHandle, bool) {
 	s.mu.Unlock()
 
 	if promote {
-		if t, err := tracefile.OpenFile(ent.Path); err == nil {
+		// The file must hold the digest it is indexed under: a valid
+		// container of another trace (replaced out-of-band) is not it.
+		if t, err := tracefile.OpenFile(ent.Path); err == nil && t.Digest() == digest {
 			s.met.promotes.Inc()
 			s.mu.Lock()
 			// Another goroutine may have promoted the same digest while
@@ -635,9 +637,11 @@ func (s *Service) resolveLocal(digest string) (TraceHandle, bool) {
 			s.mu.Unlock()
 			return memHandle(digest, t), true
 		}
-		// A disk-tier file that no longer loads (deleted or corrupted
-		// out-of-band) degrades to the streaming path, whose opener will
-		// surface the real error to the job.
+		// A disk-tier file that no longer loads or holds another digest
+		// (deleted, corrupted or replaced out-of-band) degrades to the
+		// streaming path.  Its opener surfaces a file that no longer
+		// decodes, but a stream is never hashed, so a file that decodes
+		// to other records replays as they are.
 	}
 	return TraceHandle{
 		Digest:  digest,

@@ -1,6 +1,7 @@
 package tracefile
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"path/filepath"
@@ -165,4 +166,56 @@ func BenchmarkFileStreamReplay(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(total), "ns/record")
 		})
 	}
+}
+
+// containerBench runs load over the version-4 containers of 20k-record
+// recordings of gcc, compress, ijpeg and tomcatv, one sub-benchmark per
+// workload, reporting ns/record.  These are the containers a trace
+// store takes in: the upload and promote paths load or scan exactly
+// such files.
+func containerBench(b *testing.B, load func(data []byte) (uint64, error)) {
+	const n = 20_000
+	for _, name := range []string{"gcc", "compress", "ijpeg", "tomcatv"} {
+		b.Run(name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if _, err := recordWorkload(b, name, n).WriteTo(&buf); err != nil {
+				b.Fatal(err)
+			}
+			data := buf.Bytes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, err := load(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got != n {
+					b.Fatalf("read %d records, want %d", got, n)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*n), "ns/record")
+		})
+	}
+}
+
+// BenchmarkContainerLoad measures Load of a version-4 container: the
+// cost of a disk-tier promote, a memory-tier upload or a peer fetch.
+func BenchmarkContainerLoad(b *testing.B) {
+	containerBench(b, func(data []byte) (uint64, error) {
+		t, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return 0, err
+		}
+		return t.Records(), nil
+	})
+}
+
+// BenchmarkContainerScan measures Scan of a version-4 container: the
+// validating pass of a SpoolToDir upload.
+func BenchmarkContainerScan(b *testing.B) {
+	containerBench(b, func(data []byte) (uint64, error) {
+		info, err := Scan(bytes.NewReader(data))
+		return info.Records, err
+	})
 }

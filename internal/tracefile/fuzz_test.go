@@ -3,20 +3,16 @@ package tracefile
 import (
 	"bytes"
 	"io"
+	"os"
 	"testing"
 
 	"github.com/tracereuse/tlr/internal/trace"
 )
 
-// FuzzTraceReader hardens the trace decoder against untrusted input:
-// cmd/tlrserve parses client uploads with exactly this code, so no byte
-// sequence may panic it, loop it forever, or let a malformed file
-// masquerade as a valid trace.  Accepted inputs must satisfy the decoder
-// invariants, and Load must round-trip to an identical, identically
-// digested trace.
-func FuzzTraceReader(f *testing.F) {
-	// Seeds: the frozen fixtures in all four container versions, plus
-	// truncations and header corruptions of each.
+// addContainerSeeds seeds a container fuzz target with the frozen
+// fixtures in all four container versions, plus truncations and header
+// corruptions of each.
+func addContainerSeeds(f *testing.F) {
 	for _, name := range []string{"example", "li4200"} {
 		for _, version := range allVersions {
 			seed := readFixture(f, name, version)
@@ -42,7 +38,19 @@ func FuzzTraceReader(f *testing.F) {
 	}
 	f.Add([]byte("TLRTRACE"))
 	f.Add([]byte{})
+}
 
+// FuzzTraceReader hardens the trace decoder against untrusted input:
+// cmd/tlrserve parses client uploads with exactly this code, so no byte
+// sequence may panic it, loop it forever, or let a malformed file
+// masquerade as a valid trace.  Accepted inputs must satisfy the decoder
+// invariants; a loaded trace's Cursor must replay exactly the records
+// the streaming Reader delivered (a version-4 payload is kept as it was
+// read, so this pins the adopted encoding to the streamed one); Scan
+// must agree on its identity; and Load must round-trip to an identical,
+// identically digested trace.
+func FuzzTraceReader(f *testing.F) {
+	addContainerSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -50,30 +58,56 @@ func FuzzTraceReader(f *testing.F) {
 		}
 		// Streaming decode: every accepted record must satisfy the Exec
 		// invariants the engines rely on.
-		var n uint64
+		var streamed []trace.Exec
 		streamErr := r.ForEach(func(e *trace.Exec) bool {
 			if !e.Op.Valid() {
-				t.Fatalf("record %d: invalid op %d accepted", n, e.Op)
+				t.Fatalf("record %d: invalid op %d accepted", len(streamed), e.Op)
 			}
 			if int(e.NIn) > len(e.In) || int(e.NOut) > len(e.Out) {
-				t.Fatalf("record %d: ref counts %d/%d out of range", n, e.NIn, e.NOut)
+				t.Fatalf("record %d: ref counts %d/%d out of range", len(streamed), e.NIn, e.NOut)
 			}
-			n++
+			streamed = append(streamed, *e)
 			return true
 		})
 		if streamErr != nil && streamErr == io.EOF {
 			t.Fatal("ForEach leaked io.EOF")
 		}
 
-		// Load path: anything it accepts must round-trip bit-exactly.
+		// Load path: anything it accepts must replay what the stream
+		// delivered and round-trip bit-exactly.
 		loaded, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if loaded.Records() != n || streamErr != nil {
+		if loaded.Records() != uint64(len(streamed)) || streamErr != nil {
 			t.Fatalf("Load accepted %d records but streaming saw %d (err %v)",
-				loaded.Records(), n, streamErr)
+				loaded.Records(), len(streamed), streamErr)
 		}
+		cur := loaded.Cursor()
+		var e trace.Exec
+		for i := range streamed {
+			if err := cur.Next(&e); err != nil {
+				t.Fatalf("cursor record %d: %v", i, err)
+			}
+			if normalize(e) != normalize(streamed[i]) {
+				t.Fatalf("record %d: cursor replays %+v, stream delivered %+v", i, e, streamed[i])
+			}
+		}
+		if err := cur.Next(&e); err != io.EOF {
+			t.Fatalf("cursor past %d records: %v, want io.EOF", len(streamed), err)
+		}
+		cur.Close()
+
+		info, err := Scan(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("Load accepted what Scan rejects: %v", err)
+		}
+		if info.Digest != loaded.Digest() || info.Records != loaded.Records() ||
+			info.CanonicalBytes != int64(loaded.CanonicalBytes()) {
+			t.Fatalf("Scan reads %s/%d/%d, Load %s/%d/%d", info.Digest, info.Records, info.CanonicalBytes,
+				loaded.Digest(), loaded.Records(), loaded.CanonicalBytes())
+		}
+
 		var out bytes.Buffer
 		if _, err := loaded.WriteTo(&out); err != nil {
 			t.Fatalf("WriteTo of loaded trace: %v", err)
@@ -85,6 +119,51 @@ func FuzzTraceReader(f *testing.F) {
 		if again.Digest() != loaded.Digest() || again.Records() != loaded.Records() {
 			t.Fatalf("round trip changed identity: %s/%d vs %s/%d",
 				loaded.Digest(), loaded.Records(), again.Digest(), again.Records())
+		}
+	})
+}
+
+// FuzzSpoolToDir hardens the upload path of a disk store tier: an
+// accepted body must install a digest-named file that Load reads back
+// with the identity SpoolToDir reported (and that Load of the body
+// itself gives), and a rejected body must leave the directory as it
+// found it — no digest-named file, no temp file.
+func FuzzSpoolToDir(f *testing.F) {
+	addContainerSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		info, err := SpoolToDir(bytes.NewReader(data), dir)
+		ents, rerr := os.ReadDir(dir)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if len(ents) != 0 {
+				t.Fatalf("rejected upload (%v) left %s behind", err, ents[0].Name())
+			}
+			return
+		}
+		if len(ents) != 1 || ents[0].Name() != DigestFileName(info.Digest) {
+			t.Fatalf("accepted upload left %d entries, want only %s", len(ents), DigestFileName(info.Digest))
+		}
+		back, err := OpenFile(info.Path)
+		if err != nil {
+			t.Fatalf("installed file does not load: %v", err)
+		}
+		if back.Digest() != info.Digest || back.Records() != info.Records ||
+			int64(back.CanonicalBytes()) != info.CanonicalBytes {
+			t.Fatalf("installed file loads as %s/%d/%d, spool reported %s/%d/%d",
+				back.Digest(), back.Records(), back.CanonicalBytes(), info.Digest, info.Records, info.CanonicalBytes)
+		}
+		if fi, err := os.Stat(info.Path); err != nil || fi.Size() != info.FileBytes {
+			t.Fatalf("installed file size %v (err %v), spool reported %d", fi, err, info.FileBytes)
+		}
+		direct, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("SpoolToDir accepted what Load rejects: %v", err)
+		}
+		if direct.Digest() != info.Digest || direct.Records() != info.Records {
+			t.Fatalf("Load reads the body as %s/%d, spool as %s/%d", direct.Digest(), direct.Records(), info.Digest, info.Records)
 		}
 	})
 }

@@ -8,9 +8,10 @@ package tracefile
 //     replaying an N-record file costs O(batch) memory instead of the
 //     O(N) a loaded Trace spends.
 //   - Scan is the incremental-digesting pass: one read over a container
-//     computes the content digest, record count, canonical size and
-//     location frequencies in O(batch) memory, verifying the embedded
-//     header as it goes — the validation half of a chunked upload.
+//     computes the content digest, record count and canonical size (and,
+//     for the versions SpoolToDir transcodes, location frequencies) in
+//     O(batch) memory, verifying the embedded header as it goes — the
+//     validation half of a chunked upload.
 //   - SpoolToDir couples the two: it tees an incoming container to a
 //     temp file while Scan validates and digests it, then installs a
 //     digest-named version-4 file (renaming a v4 upload, streaming a
@@ -34,25 +35,38 @@ import (
 )
 
 // canonicalHasher digests a record stream's canonical encoding
-// incrementally: one scratch buffer per record instead of the whole
-// canonical stream a Recorder accumulates.
+// incrementally: records are encoded into a scratch buffer that feeds
+// sha256 a hashChunk at a time, instead of one small Write per record
+// or the whole canonical stream a Recorder accumulates.
 type canonicalHasher struct {
 	h   hash.Hash
 	buf []byte
 	n   int64
 }
 
+// hashChunk is how many canonical bytes the hasher buffers per sha256
+// Write: large enough to amortise the per-Write overhead, small enough
+// to stay cache-resident.
+const hashChunk = 16 << 10
+
 func newCanonicalHasher() *canonicalHasher {
-	return &canonicalHasher{h: sha256.New()}
+	return &canonicalHasher{h: sha256.New(), buf: make([]byte, 0, 2*hashChunk)}
 }
 
 func (c *canonicalHasher) write(e *trace.Exec) {
-	c.buf = appendRecord(c.buf[:0], e)
-	c.h.Write(c.buf)
-	c.n += int64(len(c.buf))
+	start := len(c.buf)
+	c.buf = appendRecord(c.buf, e)
+	c.n += int64(len(c.buf) - start)
+	if len(c.buf) >= hashChunk {
+		c.h.Write(c.buf)
+		c.buf = c.buf[:0]
+	}
 }
 
+// sum flushes the buffered bytes and returns the digest.
 func (c *canonicalHasher) sum() (s [32]byte) {
+	c.h.Write(c.buf)
+	c.buf = c.buf[:0]
 	copy(s[:], c.h.Sum(nil))
 	return
 }
@@ -247,7 +261,7 @@ type ScanInfo struct {
 	dict []trace.Loc
 }
 
-// scanFreqCap bounds the location-frequency map a Scan accumulates: a
+// scanFreqCap bounds the location-frequency table a Scan accumulates: a
 // hostile stream naming millions of distinct memory locations must not
 // turn the O(batch) pass into an O(distinct-locations) allocation.
 // Locations beyond the cap are simply not dictionary candidates (the
@@ -255,59 +269,62 @@ type ScanInfo struct {
 const scanFreqCap = 1 << 20
 
 // Scan reads a complete container from r in one pass, computing the
-// content digest, record count, canonical size and the operand-location
-// dictionary the stream would be given, in O(batch) memory.  Every
-// record is validated, and a version 2-4 header whose declared digest,
-// record count or canonical size disagrees with the stream is rejected
-// — the same guarantees Load gives, without materialising the trace.
+// content digest, record count and canonical size in O(batch) memory.
+// Every record is validated, and a version 2-4 header whose declared
+// digest, record count or canonical size disagrees with the stream is
+// rejected — the same guarantees Load gives, without materialising the
+// trace.  For versions 1-3, the containers SpoolToDir must transcode,
+// it also builds the operand-location dictionary the version-4 form
+// will carry; a version-4 container keeps the dictionary it has.
 func Scan(r io.Reader) (ScanInfo, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return ScanInfo{}, err
 	}
 	h := newCanonicalHasher()
-	freq := make(map[trace.Loc]uint64)
-	count := func(l trace.Loc) {
-		if _, ok := freq[l]; ok || len(freq) < scanFreqCap {
-			freq[l]++
+	var freq *trace.LocMap[uint64]
+	if rd.version != Version4 {
+		freq = new(trace.LocMap[uint64])
+	}
+	count := func(refs []trace.Ref) {
+		for _, ref := range refs {
+			if freq.Len() < scanFreqCap {
+				*freq.At(ref.Loc)++
+			} else if n := freq.Get(ref.Loc); n != 0 {
+				freq.Set(ref.Loc, n+1)
+			}
 		}
 	}
-	var e trace.Exec
+	arena := arenaPool.Get().(*blockArena)
+	defer arenaPool.Put(arena)
 	for {
-		if err := rd.Read(&e); err == io.EOF {
+		n, err := rd.readBatch(arena.recs[:])
+		if err == io.EOF {
 			break
 		} else if err != nil {
 			return ScanInfo{}, err
 		}
-		h.write(&e)
-		for _, ref := range e.Inputs() {
-			count(ref.Loc)
-		}
-		for _, ref := range e.Outputs() {
-			count(ref.Loc)
+		for i := range arena.recs[:n] {
+			e := &arena.recs[i]
+			h.write(e)
+			if freq != nil {
+				count(e.Inputs())
+				count(e.Outputs())
+			}
 		}
 	}
 	info := ScanInfo{
 		Records:        rd.Records(),
 		CanonicalBytes: h.n,
 		Version:        rd.Version(),
-		dict:           buildDict(freq),
+		sum:            h.sum(),
 	}
-	info.sum = h.sum()
+	if freq != nil {
+		info.dict = buildDict(freq)
+	}
 	info.Digest = fmt.Sprintf("%s%x", DigestPrefix, info.sum)
-	if rd.version >= Version2 {
-		if info.Records != rd.declaredRecords {
-			return ScanInfo{}, fmt.Errorf("tracefile: header declares %d records, stream holds %d",
-				rd.declaredRecords, info.Records)
-		}
-		if info.sum != rd.declaredDigest {
-			return ScanInfo{}, fmt.Errorf("tracefile: content digest mismatch: header %s%x, stream %s",
-				DigestPrefix, rd.declaredDigest, info.Digest)
-		}
-	}
-	if rd.version >= Version3 && uint64(info.CanonicalBytes) != rd.declaredCanonical {
-		return ScanInfo{}, fmt.Errorf("tracefile: header declares %d canonical bytes, stream holds %d",
-			rd.declaredCanonical, info.CanonicalBytes)
+	if err := rd.checkDeclared(info.Records, info.sum, info.CanonicalBytes); err != nil {
+		return ScanInfo{}, err
 	}
 	return info, nil
 }

@@ -12,9 +12,11 @@ package tracefile
 // version-1 record stream; never a container header and never the v3 or
 // v4 delta forms), so the same dynamic stream has the same digest
 // whether it was recorded in memory or loaded from a version-1, -2, -3
-// or -4 file.  Load re-encodes canonically for exactly this reason, and
-// the Recorder hashes the canonical bytes it accumulates before
-// transcoding them to the v4 form it keeps.
+// or -4 file.  The Recorder hashes the canonical bytes it accumulates
+// before transcoding them to the v4 form it keeps.  Load hashes the
+// canonical form of every record it decodes: a version-4 container's
+// validated payload and dictionary become the Trace as they are, and
+// older versions are re-recorded into the v4 form.
 
 import (
 	"bufio"
@@ -71,31 +73,28 @@ func (t *Trace) DictLen() int { return len(t.dict) }
 func (t *Trace) Digest() string { return t.digest }
 
 // Recorder accumulates records into an in-memory Trace: the recording
-// half of the record/replay workflow.  It buffers the canonical
-// encoding (the digest is defined over it) and counts location
-// frequencies; finalisation builds the dictionary and transcodes to the
-// v4 form the Trace keeps.
+// half of the record/replay workflow (and how Load reads a version-1,
+// -2 or -3 container).  It buffers the canonical encoding (the digest
+// is defined over it) and counts location frequencies; finalisation
+// builds the dictionary and transcodes to the v4 form the Trace keeps.
 type Recorder struct {
 	canon []byte
-	buf   [4 * binary.MaxVarintLen64]byte
 	n     uint64
-	freq  map[trace.Loc]uint64
+	freq  trace.LocMap[uint64]
 }
 
 // NewRecorder returns an empty Recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{freq: make(map[trace.Loc]uint64)}
-}
+func NewRecorder() *Recorder { return new(Recorder) }
 
 // Write appends one record.  The signature matches the cpu.Run callback
 // so a Recorder can tap the simulator's stream directly.
 func (r *Recorder) Write(e *trace.Exec) {
-	r.canon = append(r.canon, appendRecord(r.buf[:0], e)...)
+	r.canon = appendRecord(r.canon, e)
 	for _, ref := range e.Inputs() {
-		r.freq[ref.Loc]++
+		*r.freq.At(ref.Loc)++
 	}
 	for _, ref := range e.Outputs() {
-		r.freq[ref.Loc]++
+		*r.freq.At(ref.Loc)++
 	}
 	r.n++
 }
@@ -107,8 +106,7 @@ func (r *Recorder) Records() uint64 { return r.n }
 // location dictionary, transcode to the v4 encoding.  The Recorder must
 // not be written to afterwards.
 func (r *Recorder) Trace() *Trace {
-	sum := sha256.Sum256(r.canon)
-	dict := buildDict(r.freq)
+	dict := buildDict(&r.freq)
 	// The v4 form runs well under half the canonical size; starting at
 	// half avoids most growth copies without overshooting.
 	v := newV4Encoder(dict, len(r.canon)/2)
@@ -126,14 +124,20 @@ func (r *Recorder) Trace() *Trace {
 		v.write(&e)
 	}
 	v.finish()
+	return newTrace(v.enc, v.blocks, dict, r.n, len(r.canon), sha256.Sum256(r.canon))
+}
+
+// newTrace assembles a Trace from its v4 encoding and the identity of
+// its canonical form.
+func newTrace(enc []byte, blocks []int, dict []trace.Loc, n uint64, canonical int, sum [sha256.Size]byte) *Trace {
 	return &Trace{
-		enc:       v.enc,
-		n:         r.n,
-		canonical: len(r.canon),
+		enc:       enc,
+		n:         n,
+		canonical: canonical,
 		sum:       sum,
 		digest:    fmt.Sprintf("%s%x", DigestPrefix, sum),
 		dict:      dict,
-		blocks:    v.blocks,
+		blocks:    blocks,
 	}
 }
 
@@ -318,7 +322,7 @@ func (c *Cursor) Run(ctx context.Context, max uint64, fn func(*trace.Exec)) (uin
 
 // appendRecord appends the canonical encoding of e to buf.  It is the
 // single definition of the canonical record format (the digest's
-// domain); Recorder, Scan and CanonicalEncoding share it.
+// domain); Recorder, Scan, Load and CanonicalEncoding share it.
 func appendRecord(buf []byte, e *trace.Exec) []byte {
 	flags := byte(e.NIn)<<flagNInShift | byte(e.NOut)<<flagNOutShift
 	if e.SideEffect {
@@ -526,35 +530,63 @@ func (t *Trace) CanonicalEncoding() ([]byte, error) {
 	return canon, nil
 }
 
-// Load reads a complete trace from r in any container version,
-// validates every record, and returns it re-encoded canonically (so the
-// digest is container-independent).  For version-2 and later input the
-// embedded digest and record count are checked against the re-encoded
-// stream; a mismatch means the file was corrupted or tampered with.
+// Load reads a complete trace from r in any container version and
+// validates every record.  A version-4 container's payload is kept as
+// the Trace's encoding once each block has decoded cleanly, with the
+// container's dictionary; older versions are re-recorded into the v4
+// form.  Either way the canonical form of every record is hashed, so
+// the digest is container-independent, and for version-2 and later
+// input the declared record count, digest and canonical size are
+// checked against the stream; a mismatch means the file was corrupted
+// or tampered with.
 func Load(r io.Reader) (*Trace, error) {
 	tr, err := NewReader(r)
 	if err != nil {
 		return nil, err
 	}
-	rec := NewRecorder()
-	if err := tr.ForEach(func(e *trace.Exec) bool {
-		rec.Write(e)
-		return true
-	}); err != nil {
+	var t *Trace
+	if tr.version == Version4 {
+		if t, err = loadV4(tr); err != nil {
+			return nil, err
+		}
+	} else {
+		rec := NewRecorder()
+		if err := tr.ForEach(func(e *trace.Exec) bool {
+			rec.Write(e)
+			return true
+		}); err != nil {
+			return nil, err
+		}
+		t = rec.Trace()
+	}
+	if err := tr.checkDeclared(t.n, t.sum, int64(t.canonical)); err != nil {
 		return nil, err
 	}
-	t := rec.Trace()
-	if tr.version >= Version2 {
-		if t.n != tr.declaredRecords {
-			return nil, fmt.Errorf("tracefile: header declares %d records, stream holds %d", tr.declaredRecords, t.n)
-		}
-		if want := fmt.Sprintf("%s%x", DigestPrefix, tr.declaredDigest); want != t.digest {
-			return nil, fmt.Errorf("tracefile: content digest mismatch: header %s, stream %s", want, t.digest)
-		}
-	}
-	if tr.version >= Version3 && uint64(t.canonical) != tr.declaredCanonical {
-		return nil, fmt.Errorf("tracefile: header declares %d canonical bytes, stream holds %d",
-			tr.declaredCanonical, t.canonical)
-	}
 	return t, nil
+}
+
+// loadV4 decodes a version-4 container to its end — every block framed,
+// checked and decoded exactly as a streaming read does — while keeping
+// each block's bytes (see v4Stream.keep) and hashing each record's
+// canonical form.
+func loadV4(tr *Reader) (*Trace, error) {
+	s := tr.v4
+	s.keep = true
+	// The payload length is declared, not yet verified: the first
+	// allocation is capped at the small-file expansion allowance and
+	// keepBlock grows it from there.
+	s.enc = make([]byte, 0, min(tr.rawLen, maxV3ExpansionSlack))
+	h := newCanonicalHasher()
+	for {
+		n, err := tr.readBatchV4(s.recs[:])
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+		for i := range s.recs[:n] {
+			h.write(&s.recs[i])
+		}
+	}
+	return newTrace(s.enc, s.blocks, tr.dict, tr.n, int(h.n), h.sum()), nil
 }

@@ -132,6 +132,14 @@ type v4Stream struct {
 	fix      [v4FixupCap]v4Fixup
 	recs     [BatchLen]trace.Exec // buffered batch for per-record Read
 	bn, bpos int
+
+	// keep makes loadV4Block append each block (plane lengths, then
+	// planes) to enc, recording its offset in blocks, instead of reading
+	// it into the reusable blockBuf: how Load adopts the payload it
+	// validates as the Trace's encoding.
+	keep   bool
+	enc    []byte
+	blocks []int
 }
 
 // countByteReader counts the bytes flate consumes from the container
@@ -649,10 +657,15 @@ func (r *Reader) loadV4Block() error {
 		return blockErr(start, fmt.Errorf("%d plane bytes at offset %d extend past the declared %d-byte payload",
 			size, r.off, r.rawLen))
 	}
-	if cap(s.blockBuf) < size {
-		s.blockBuf = make([]byte, size)
+	var buf []byte
+	if s.keep {
+		buf = s.keepBlock(lens, size, r.rawLen)
+	} else {
+		if cap(s.blockBuf) < size {
+			s.blockBuf = make([]byte, size)
+		}
+		buf = s.blockBuf[:size]
 	}
-	buf := s.blockBuf[:size]
 	if _, err := io.ReadFull(r.src, buf); err != nil {
 		return blockErr(start, fmt.Errorf("reading %d plane bytes: %w", size, eofToUnexpected(err)))
 	}
@@ -669,6 +682,49 @@ func (r *Reader) loadV4Block() error {
 	clear(s.last[:s.dictLen])
 	s.blkRecs = count
 	s.blkDone = 0
+	return nil
+}
+
+// keepBlock appends a block's plane lengths to enc, records the block's
+// offset, and returns the size-byte region of enc its planes are read
+// into.  Growth doubles but never past the declared payload length, so
+// an honest container's encoding ends exactly full; a block that fits
+// the declared payload (loadV4Block checks) always fits that bound,
+// since the lengths are rewritten as minimal uvarints.
+func (s *v4Stream) keepBlock(lens v4PlaneLens, size int, rawLen uint64) []byte {
+	s.blocks = append(s.blocks, len(s.enc))
+	var hdr [len(lens) * maxUvarintLen]byte
+	h := hdr[:0]
+	for _, l := range lens {
+		h = binary.AppendUvarint(h, uint64(l))
+	}
+	off := len(s.enc) + len(h)
+	if need := off + size; need > cap(s.enc) {
+		grown := make([]byte, len(s.enc), max(need, min(2*cap(s.enc), int(rawLen))))
+		copy(grown, s.enc)
+		s.enc = grown
+	}
+	s.enc = append(s.enc, h...)[:off+size]
+	return s.enc[off:]
+}
+
+// checkDeclared verifies what a version 2-4 header declares — record
+// count, content digest and (v3/v4) canonical size — against what the
+// stream held; a mismatch means the file was corrupted or tampered with.
+func (r *Reader) checkDeclared(records uint64, sum [32]byte, canonical int64) error {
+	if r.version >= Version2 {
+		if records != r.declaredRecords {
+			return fmt.Errorf("tracefile: header declares %d records, stream holds %d", r.declaredRecords, records)
+		}
+		if sum != r.declaredDigest {
+			return fmt.Errorf("tracefile: content digest mismatch: header %s%x, stream %s%x",
+				DigestPrefix, r.declaredDigest, DigestPrefix, sum)
+		}
+	}
+	if r.version >= Version3 && uint64(canonical) != r.declaredCanonical {
+		return fmt.Errorf("tracefile: header declares %d canonical bytes, stream holds %d",
+			r.declaredCanonical, canonical)
+	}
 	return nil
 }
 

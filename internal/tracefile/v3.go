@@ -77,7 +77,8 @@ package tracefile
 // only when next != pc+1, is zigzag(next - pc).
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/tracereuse/tlr/internal/trace"
 )
@@ -140,20 +141,24 @@ func unrotLoc(v uint64) trace.Loc { return trace.Loc(v>>2 | v<<62) }
 // keeps at most DictCap of them.  Ties break on the location value so
 // the dictionary — and therefore the v3 encoding — is deterministic for
 // a given stream.
-func buildDict(freq map[trace.Loc]uint64) []trace.Loc {
-	locs := make([]trace.Loc, 0, len(freq))
-	for l := range freq {
-		locs = append(locs, l)
+func buildDict(freq *trace.LocMap[uint64]) []trace.Loc {
+	type locCount struct {
+		loc trace.Loc
+		n   uint64
 	}
-	sort.Slice(locs, func(i, j int) bool {
-		fi, fj := freq[locs[i]], freq[locs[j]]
-		if fi != fj {
-			return fi > fj
+	counts := make([]locCount, 0, freq.Len())
+	for l, n := range freq.All() {
+		counts = append(counts, locCount{l, *n})
+	}
+	slices.SortFunc(counts, func(a, b locCount) int {
+		if c := cmp.Compare(b.n, a.n); c != 0 {
+			return c
 		}
-		return locs[i] < locs[j]
+		return cmp.Compare(a.loc, b.loc)
 	})
-	if len(locs) > DictCap {
-		locs = locs[:DictCap]
+	locs := make([]trace.Loc, min(len(counts), DictCap))
+	for i := range locs {
+		locs[i] = counts[i].loc
 	}
 	return locs
 }

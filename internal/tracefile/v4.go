@@ -612,7 +612,7 @@ type v4Encoder struct {
 	enc    []byte // sealed blocks (header + planes, back to back)
 	blocks []int  // blocks[i] = offset of sealed block i in enc
 	dict   []trace.Loc
-	idx    map[trace.Loc]uint16
+	idx    trace.LocMap[uint16] // dictionary index + 1; 0 = not in the dictionary
 	last   [DictCap]uint64
 	prevPC uint64
 	n      uint64 // records written in total
@@ -622,11 +622,11 @@ type v4Encoder struct {
 }
 
 func newV4Encoder(dict []trace.Loc, sizeHint int) *v4Encoder {
-	idx := make(map[trace.Loc]uint16, len(dict))
+	v := &v4Encoder{dict: dict, enc: make([]byte, 0, sizeHint)}
 	for i, l := range dict {
-		idx[l] = uint16(i)
+		v.idx.Set(l, uint16(i+1))
 	}
-	return &v4Encoder{dict: dict, idx: idx, enc: make([]byte, 0, sizeHint)}
+	return v
 }
 
 // write appends one record to the open block, sealing the block when it
@@ -667,8 +667,8 @@ func (v *v4Encoder) write(e *trace.Exec) {
 
 func (v *v4Encoder) refs(refs []trace.Ref) {
 	for _, r := range refs {
-		di, ok := v.idx[r.Loc]
-		if !ok {
+		di := int(v.idx.Get(r.Loc)) - 1
+		if di < 0 {
 			// Literal location: escape byte, then the literal code,
 			// rotated location and full value on the wide plane.  The
 			// parallel val-plane slot is the mandatory 0x00.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -256,5 +257,64 @@ func TestV4CorruptionCarriesRecordContext(t *testing.T) {
 	}
 	if gotErr == nil || !strings.Contains(gotErr.Error(), "record 10 (ref plane offset 32)") {
 		t.Errorf("cursor error %v does not carry record 10 / ref offset 32", gotErr)
+	}
+}
+
+// TestLoadV4ChecksWhatItKeeps: Load keeps a version-4 container's
+// payload as the Trace's encoding, so everything the payload and its
+// header claim is checked on the way in.  A value byte changed to
+// another that still decodes is caught by the digest alone; a header
+// lying about the record count or the canonical size, bytes after the
+// compressed frame and an over-declared plane are rejected; and an
+// untouched payload is kept byte for byte.
+func TestLoadV4ChecksWhatItKeeps(t *testing.T) {
+	tr := addTrace(t, 300)
+	whole := reframeV4Block(t, tr, func(b *v4Block) {})
+	back, err := Load(bytes.NewReader(v4Container(t, tr, whole)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.enc, whole) || !slices.Equal(back.blocks, []int{0}) || !slices.Equal(back.dict, tr.dict) {
+		t.Fatalf("Load did not keep the payload: %d bytes, blocks %v, dict %v", len(back.enc), back.blocks, back.dict)
+	}
+
+	// Record 10's output value delta 0x02 (+1) becomes 0x04 (+2): every
+	// plane still decodes, so the streaming reader accepts it.
+	flipped := v4Container(t, tr, reframeV4Block(t, tr, func(b *v4Block) { b.val[32] ^= 0x06 }))
+	s, err := NewFileStream(bytes.NewReader(flipped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Skip(tr.Records()); err != nil || n != tr.Records() {
+		t.Fatalf("flipped value does not decode: %d records, %v", n, err)
+	}
+	s.Close()
+	if _, err := Load(bytes.NewReader(flipped)); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Errorf("Load of a flipped value: %v, want a digest mismatch", err)
+	}
+	if _, err := Scan(bytes.NewReader(flipped)); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Errorf("Scan of a flipped value: %v, want a digest mismatch", err)
+	}
+
+	lying := func(mod func(h *Trace)) []byte {
+		h := *tr
+		mod(&h)
+		return v4Container(t, &h, whole)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"canonical size", lying(func(h *Trace) { h.canonical++ }), "canonical bytes"},
+		{"fewer records", lying(func(h *Trace) { h.n-- }), "tracefile:"},
+		{"more records", lying(func(h *Trace) { h.n++ }), "tracefile:"},
+		{"trailing data", append(v4Container(t, tr, whole), "extra"...), "trailing data"},
+		{"over-declared plane", v4Container(t, tr, reframeV4Block(t, tr, func(b *v4Block) { b.lat = make([]byte, 301) })),
+			"lat plane declares 301 bytes (limit 300)"},
+	} {
+		if _, err := Load(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load gives %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
