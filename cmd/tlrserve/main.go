@@ -41,10 +41,12 @@
 // server's store and answers {"digest", "records", "tier", ...}.  The
 // body is consumed incrementally — chunked uploads included — and
 // with -trace-dir set it spools straight to a digest-named file in the
-// store's disk tier while being validated and digested, so the server
-// never holds the trace in memory however long the recording is
-// (-max-trace-mb still bounds the total).  Run and batch requests then
-// reference it by content digest without re-uploading:
+// store's disk tier while being validated and digested.  A version-4
+// body whose payload is within the promote bound (an eighth of
+// -trace-store-mb) is kept by that same pass and enters the memory
+// tier too; any longer body is never held in memory however long the
+// recording is (-max-trace-mb still bounds the total).  Run and batch
+// requests then reference it by content digest without re-uploading:
 //
 //	{"trace": {"digest": "sha256:…"}, "study": {"budget": 100000,
 //	 "window": 256}}
@@ -52,8 +54,11 @@
 // Trace-driven kinds (study, rtm, vp) replay the stored stream instead
 // of simulating a program — upload once, sweep the whole configuration
 // grid.  Digest resolution falls through the tiers (memory LRU →
-// disk → 404): small disk hits are promoted back into memory, large
-// ones replay as incrementally decoded streams in O(batch) memory.
+// disk → 404) when a job replays it: small disk hits are promoted back
+// into memory, large ones replay as incrementally decoded streams in
+// O(batch) memory.  A request answered from the result cache resolves
+// nothing; its key needs only the digest's record count, read from the
+// store's index.
 // Pipeline requests are execution-driven and reject trace inputs.
 // GET /v1/traces lists the stored digests with their per-tier sizes
 // and the tier occupancy/spill/promote counters; GET
@@ -398,9 +403,9 @@ func (s *server) handleRepair(w http.ResponseWriter, _ *http.Request) {
 // digest) into the store under its content digest for later
 // digest-referenced runs.  The body — chunked or not — is consumed
 // incrementally: with a disk tier it spools straight to the
-// digest-named file while being validated and digested, so the server
-// never buffers the upload (-max-trace-mb still bounds the total
-// bytes it will read).
+// digest-named file while being validated and digested, and only a
+// small version-4 body's validated payload is kept in memory
+// (-max-trace-mb still bounds the total bytes it will read).
 func (s *server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.maxTraceBytes)
 	info, err := s.batcher.StoreTraceFrom(body)

@@ -715,3 +715,54 @@ func TestChunkedUploadToDiskTier(t *testing.T) {
 		t.Error("download differs from the stored file")
 	}
 }
+
+// TestSmallUploadServedFromMemory: on a disk-tier server, a version-4
+// upload within the promote bound is listed in both tiers as soon as
+// it is stored, its first query replays it from memory without a
+// promote, and a repeat of that query is answered from the result
+// cache without a trace lookup.
+func TestSmallUploadServedFromMemory(t *testing.T) {
+	srv := newServer(tlr.BatchOptions{Workers: 1, TraceDir: t.TempDir()})
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.batcher.Close()
+	})
+	rec, err := tlr.Record(context.Background(), tlr.RecordSpec{Workload: "compress", Budget: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if _, err := rec.WriteTo(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var up struct {
+		Digest string `json:"digest"`
+		Tier   string `json:"tier"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
+		t.Fatal(err)
+	}
+	if up.Digest != rec.Digest() || up.Tier != "memory+disk" {
+		t.Fatalf("upload answered %+v, want %s in memory+disk", up, rec.Digest())
+	}
+	run := `{"trace": {"digest": "` + up.Digest + `"}, "study": {"budget": 20000, "window": 256}}`
+	for i, wantCached := range []bool{false, true} {
+		r := post(t, ts, "/v1/run", run)
+		var res tlr.Result
+		if err := json.NewDecoder(r.Body).Decode(&res); err != nil || r.StatusCode != http.StatusOK || res.Err != nil {
+			t.Fatalf("query %d: status %d, %v / %v", i, r.StatusCode, err, res.Err)
+		}
+		if res.Cached != wantCached {
+			t.Fatalf("query %d: cached %v, want %v", i, res.Cached, wantCached)
+		}
+		if st := serviceStats(t, ts.URL); st.TracePromotes != 0 || st.TraceHits != 1 {
+			t.Fatalf("query %d: %d promotes and %d trace lookups, want 0 and 1", i, st.TracePromotes, st.TraceHits)
+		}
+	}
+}

@@ -289,38 +289,57 @@ func TestReserveAdmission(t *testing.T) {
 // TestConcurrentInstallsCountOnce: concurrent uploads and lookups of
 // one trace on a disk-tier store index it once and count one spill,
 // every lookup resolves, and the registry's spill and promote counters
-// read what Stats reads (run under -race in CI).
+// read what Stats reads (run under -race in CI).  An upload within the
+// promote bound enters memory from its spool, so no lookup promotes;
+// one whose payload is over the bound but whose file is within it
+// stays disk-only until the lookups promote it, 1-4 times.
 func TestConcurrentInstallsCountOnce(t *testing.T) {
-	s := New(Options{Workers: 1, TraceDir: t.TempDir()})
-	defer s.Close()
 	tr := recordTestTrace(t, "compress", 3000)
 	body := traceBytes(t, tr)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.AddTraceStream(bytes.NewReader(body)); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, ok := s.ResolveTrace(tr.Digest()); !ok {
-				t.Error("uploaded trace did not resolve")
-			}
-		}()
+	if tr.Bytes() <= len(body) {
+		t.Fatalf("payload %d bytes within the %d-byte file: no bound separates them", tr.Bytes(), len(body))
 	}
-	wg.Wait()
-	st := s.Stats()
-	if st.TraceDisk != 1 || st.TraceSpills != 1 || st.TracePromotes < 1 || st.TracePromotes > 4 {
-		t.Fatalf("stats %+v, want one disk trace, one spill and 1-4 promotions", st)
-	}
-	for name, want := range map[string]uint64{
-		"tlr_trace_spills_total":   st.TraceSpills,
-		"tlr_trace_promotes_total": st.TracePromotes,
+	for _, c := range []struct {
+		name                   string
+		capBytes               int64
+		minPromote, maxPromote uint64
+	}{
+		{"kept", 0, 0, 0},
+		{"promoted", 8 * int64(len(body)), 1, 4},
 	} {
-		if got, ok := s.Metrics().Value(name); !ok || got != float64(want) {
-			t.Errorf("%s = %v (found %v), Stats reads %d", name, got, ok, want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			s := New(Options{Workers: 1, TraceDir: t.TempDir(), TraceCacheBytes: c.capBytes})
+			defer s.Close()
+			var wg sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := s.AddTraceStream(bytes.NewReader(body)); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, ok := s.ResolveTrace(tr.Digest()); !ok {
+						t.Error("uploaded trace did not resolve")
+					}
+				}()
+			}
+			wg.Wait()
+			st := s.Stats()
+			if st.TraceDisk != 1 || st.TraceSpills != 1 || st.Traces != 1 ||
+				st.TracePromotes < c.minPromote || st.TracePromotes > c.maxPromote {
+				t.Fatalf("stats %+v, want one disk trace, one spill, one memory trace and %d-%d promotions",
+					st, c.minPromote, c.maxPromote)
+			}
+			for name, want := range map[string]uint64{
+				"tlr_trace_spills_total":   st.TraceSpills,
+				"tlr_trace_promotes_total": st.TracePromotes,
+			} {
+				if got, ok := s.Metrics().Value(name); !ok || got != float64(want) {
+					t.Errorf("%s = %v (found %v), Stats reads %d", name, got, ok, want)
+				}
+			}
+		})
 	}
 }
 
@@ -540,30 +559,45 @@ func TestResultEnvelopeLoadsNullDDA(t *testing.T) {
 // put under the digest's file name, be promoted as that digest.
 func TestTamperedDiskFileIsNotPromoted(t *testing.T) {
 	tr := recordTestTrace(t, "compress", 3000)
-	// install stores tr on a fresh disk-tier service, replaces its file
-	// with body and resolves the digest, which must not promote.
-	install := func(body []byte) string {
+	body := traceBytes(t, tr)
+	// install stores tr on a fresh disk-tier service whose promote bound
+	// admits the file but not its payload (so the upload stays
+	// disk-only), replaces its file with repl and resolves the digest,
+	// which must not promote.  It returns the file's path and the
+	// resolved handle.
+	install := func(repl []byte) (string, TraceHandle) {
 		dir := t.TempDir()
-		s := New(Options{Workers: 1, TraceDir: dir})
+		s := New(Options{Workers: 1, TraceDir: dir, TraceCacheBytes: 8 * int64(len(body))})
 		defer s.Close()
-		info, err := s.AddTraceStream(bytes.NewReader(traceBytes(t, tr)))
+		info, err := s.AddTraceStream(bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if info.Tier != "disk" {
+			t.Fatalf("upload landed in tier %q, want disk", info.Tier)
+		}
 		path := filepath.Join(dir, tracefile.DigestFileName(info.Digest))
-		if err := os.WriteFile(path, body, 0o644); err != nil {
+		if err := os.WriteFile(path, repl, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.ResolveTrace(info.Digest); !ok {
+		h, ok := s.ResolveTrace(info.Digest)
+		if !ok {
 			t.Fatal("disk-tier digest did not resolve")
 		}
 		if st := s.Stats(); st.TracePromotes != 0 {
 			t.Fatalf("replaced file promoted %d times", st.TracePromotes)
 		}
-		return path
+		return path, h
 	}
 
-	install(traceBytes(t, recordTestTrace(t, "compress", 3001)))
+	// Another trace's container under the digest's name: its header
+	// disagrees with the index entry, so the stream fallback refuses it
+	// too.
+	_, h := install(traceBytes(t, recordTestTrace(t, "compress", 3001)))
+	if st, err := h.Open(); err == nil {
+		st.Close()
+		t.Fatal("a swapped file opened as the stored digest's stream")
+	}
 
 	// The same records with one output value's low bit flipped: same
 	// record count, canonical size and dictionary, another digest.
@@ -587,7 +621,8 @@ func TestTamperedDiskFileIsNotPromoted(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(tampered[12+8:], sum)
-	if _, err := tracefile.OpenFile(install(tampered)); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+	path, _ := install(tampered)
+	if _, err := tracefile.OpenFile(path); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("loading the tampered file: %v, want a digest mismatch", err)
 	}
 }

@@ -63,7 +63,7 @@ func (s *Service) registerMetrics(reg *metrics.Registry) {
 		"Reservations refused because the in-flight budget was exhausted.")
 
 	m.traceHits = reg.Counter("tlr_trace_hits_total",
-		"Trace-store lookups that resolved a digest.")
+		"Trace-store lookups that resolved a digest: one per replay a job (or a stream pass of jobs) opens, none for a job answered from cache.")
 	m.traceMisses = reg.Counter("tlr_trace_misses_total",
 		"Trace-store lookups for unknown digests.")
 	m.peerFetches = reg.Counter("tlr_trace_peer_fetches_total",

@@ -68,7 +68,8 @@ type Options struct {
 	TraceCacheBytes int64
 	// TraceDir, when non-empty, enables the trace store's disk tier: a
 	// directory of digest-named version-4 files behind the in-memory
-	// LRU.  Stored traces are written through to it, memory evictions
+	// LRU.  Stored traces are written through to it (small version-4
+	// uploads enter memory too, see AddTraceStream), memory evictions
 	// become free drops, and digest lookups fall through memory → disk
 	// (promoting small files back into memory, streaming large ones in
 	// O(batch) memory).  The directory must exist and be writable.
@@ -474,33 +475,40 @@ func (s *Service) AddTrace(t *tracefile.Trace) string {
 
 // AddTraceStream stores a trace read from a container stream (any
 // version), validating and digesting it incrementally.  With a disk
-// tier the stream spools straight to its digest-named file — the trace
-// (and the stream carrying it) is never materialised, so arbitrarily
-// long uploads cost O(batch) memory; the memory tier fills in lazily
-// when the digest is first replayed (see ResolveTrace).  Without a disk
-// tier the trace is decoded into the memory tier, as AddTrace would.
-// The returned TraceInfo is the entry GET /v1/traces would list.
+// tier the stream spools straight to its digest-named file.  A
+// version-4 upload whose declared payload fits the promote bound (one
+// eighth of the memory tier) keeps the payload the spool validates and
+// enters the memory tier too, as AddTrace would, so its first replay
+// decodes nothing again; any other upload (versions 1-3, longer
+// payloads) is never materialised, so arbitrarily long uploads cost
+// O(batch) memory, and the memory tier fills in when the digest is
+// first replayed (see ResolveTrace).  Without a disk tier the trace is
+// decoded into the memory tier, as AddTrace would.  The returned
+// TraceInfo is the entry GET /v1/traces would list.
 func (s *Service) AddTraceStream(r io.Reader) (TraceInfo, error) {
 	return s.installStream(r, "")
 }
 
 // installStream is the one way a container stream enters the store:
 // AddTraceStream's uploads (want == "") and peer fetches, which want
-// one digest.  A body whose content digests to anything else is
+// one digest.  It makes one verifying pass over the body: with a disk
+// tier, SpoolToDir tees it into the digest-named file and keeps a
+// version-4 payload within the promote bound; without one, Load decodes
+// it.  A body whose content digests to anything else than want is
 // rejected before it is stored, so it can neither resolve the digest
-// asked for nor take the memory tier's room.  (A spool has already
+// asked for nor take either tier's room.  (A spool has already
 // installed such a body's file under its true name, possibly a trace
 // the store holds; the disk index does not learn of it.)
 func (s *Service) installStream(r io.Reader, want string) (TraceInfo, error) {
 	var (
-		t   *tracefile.Trace // memory tier: the decoded trace
+		t   *tracefile.Trace // memory tier: the decoded or kept trace
 		sp  tracefile.SpoolInfo
 		err error
 	)
 	if dir := s.traceDir(); dir == "" {
 		t, err = tracefile.Load(r)
 	} else {
-		sp, err = tracefile.SpoolToDir(r, dir)
+		sp, t, err = tracefile.SpoolToDir(r, dir, s.traces.promoteMaxFileBytes())
 	}
 	if err != nil {
 		return TraceInfo{}, err
@@ -514,12 +522,12 @@ func (s *Service) installStream(r io.Reader, want string) (TraceInfo, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if sp.Path != "" && s.traces.addDisk(sp) {
+		s.met.spills.Inc()
+	}
 	if t != nil {
 		s.traces.add(t)
 	} else {
-		if s.traces.addDisk(sp) {
-			s.met.spills.Inc()
-		}
 		// Storing a memory-resident digest again refreshes its LRU
 		// position, as AddTrace does.
 		s.traces.get(digest)
@@ -589,21 +597,55 @@ func (h TraceHandle) Open() (trace.Stream, error) { return h.open() }
 // memory hit (and a small disk hit, which is decoded back into the
 // memory tier — a promotion) serves O(1)-seekable cursors over the
 // in-memory trace; a large disk hit serves incrementally decoded file
-// streams, so replay memory stays O(batch) however long the trace is.
-// A peer hit streams the fetched container into the local store (disk
-// tier when configured — never fully buffered — else memory) and then
-// resolves locally, so the next lookup is a local hit.
+// streams, each refused at open when the file's header no longer
+// matches the store's entry, so replay memory stays O(batch) however
+// long the trace is.  A peer hit streams the fetched container into the
+// local store (see installStream: disk tier when configured, memory
+// too when it is a small version-4 body) and then resolves locally, so
+// the next lookup is a local hit.  Each call counts one hit or miss;
+// callers that only need a digest's record count use TraceRecords,
+// which counts none.
 func (s *Service) ResolveTrace(digest string) (TraceHandle, bool) {
 	if h, ok := s.resolveLocal(digest); ok {
 		return h, true
 	}
-	if s.peerFetch != nil {
-		if h, ok := s.fetchFromPeer(digest); ok {
+	// A fetched body resolves through the normal local path: a body the
+	// install kept hits the memory tier, and a longer one promotes or
+	// streams as a restart-rehydrated file would.
+	if s.fetchFromPeer(digest) {
+		if h, ok := s.resolveLocal(digest); ok {
 			return h, true
 		}
 	}
 	s.met.traceMisses.Inc()
 	return TraceHandle{}, false
+}
+
+// TraceRecords returns a stored trace's record count from the store's
+// indexes — the memory tier's trace or the disk tier's entry — under
+// one lock, opening, decoding and promoting nothing and counting no
+// hit: building a job and its cache key needs only the count, and a
+// job answered from the result cache never replays the trace.  Only
+// when neither local tier knows the digest does it fall through to
+// ResolveTrace's peer leg, which installs what a peer holds; a digest
+// no tier or peer holds counts a miss.
+func (s *Service) TraceRecords(digest string) (uint64, bool) {
+	if n, ok := s.indexedRecords(digest); ok {
+		return n, true
+	}
+	if s.fetchFromPeer(digest) {
+		if n, ok := s.indexedRecords(digest); ok {
+			return n, true
+		}
+	}
+	s.met.traceMisses.Inc()
+	return 0, false
+}
+
+func (s *Service) indexedRecords(digest string) (uint64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.traces.records(digest)
 }
 
 // resolveLocal is ResolveTrace's memory → disk leg.  Hits count
@@ -639,28 +681,38 @@ func (s *Service) resolveLocal(digest string) (TraceHandle, bool) {
 		}
 		// A disk-tier file that no longer loads or holds another digest
 		// (deleted, corrupted or replaced out-of-band) degrades to the
-		// streaming path.  Its opener surfaces a file that no longer
-		// decodes, but a stream is never hashed, so a file that decodes
-		// to other records replays as they are.
+		// streaming path.  Its opener refuses a file whose header
+		// disagrees with the entry (another trace's container) and
+		// surfaces one that no longer decodes, but a stream is never
+		// hashed, so a payload altered under an intact header replays
+		// as it decodes.
 	}
 	return TraceHandle{
 		Digest:  digest,
 		Records: ent.Records,
 		open: func() (trace.Stream, error) {
-			return tracefile.OpenFileStream(ent.Path)
+			st, err := ent.Open()
+			if err != nil {
+				return nil, err
+			}
+			return st, nil
 		},
 	}, true
 }
 
 // fetchFromPeer is ResolveTrace's peer leg: pull the digest's
 // container from whichever peer holds it, validate every byte (the
-// spool re-digests the content), and install it locally.  A body whose
-// content digests to something else is rejected and never indexed
-// under the requested digest — a misbehaving peer cannot poison the
-// local store.  A rejected body does not end the lookup: the fetch is
-// retried with the offending peer excluded, so a corrupt or dying
-// primary owner falls through to the next holder.
-func (s *Service) fetchFromPeer(digest string) (TraceHandle, bool) {
+// spool re-digests the content), and install it locally, reporting
+// whether it did.  A body whose content digests to something else is
+// rejected and never indexed under the requested digest — a
+// misbehaving peer cannot poison the local store.  A rejected body
+// does not end the lookup: the fetch is retried with the offending
+// peer excluded, so a corrupt or dying primary owner falls through to
+// the next holder.
+func (s *Service) fetchFromPeer(digest string) bool {
+	if s.peerFetch == nil {
+		return false
+	}
 	const maxAttempts = 3
 	var exclude []string
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -668,41 +720,36 @@ func (s *Service) fetchFromPeer(digest string) (TraceHandle, bool) {
 		if err != nil {
 			// The transport already fell through every reachable peer.
 			log.Printf("service: peer fetch %s: %v", digest, err)
-			return TraceHandle{}, false
+			return false
 		}
 		if body == nil {
-			return TraceHandle{}, false
+			return false
 		}
-		h, ok, valid := s.installPeerBody(digest, body)
-		if valid {
-			return h, ok
+		if s.installPeerBody(digest, body) {
+			return true
 		}
 		if peer == "" {
 			// No peer identity to exclude: retrying would just ask the
 			// same source again.
-			return TraceHandle{}, false
+			return false
 		}
 		exclude = append(exclude, peer)
 	}
-	return TraceHandle{}, false
+	return false
 }
 
 // installPeerBody validates one fetched container and installs it in
-// the local tiers.  valid=false means the body was rejected (invalid
-// or wrong digest) and the caller may retry from another peer.
-func (s *Service) installPeerBody(digest string, body io.ReadCloser) (h TraceHandle, ok, valid bool) {
+// the local tiers.  false means the body was rejected (invalid or
+// wrong digest) and the caller may retry from another peer.
+func (s *Service) installPeerBody(digest string, body io.ReadCloser) bool {
 	defer body.Close()
 	if _, err := s.installStream(body, digest); err != nil {
 		s.met.peerRejects.Inc()
 		log.Printf("service: peer fetch %s: rejected body: %v", digest, err)
-		return TraceHandle{}, false, false
+		return false
 	}
 	s.met.peerFetches.Inc()
-	// Resolve through the normal local path so small disk-tier fetches
-	// promote to memory and large ones stream, exactly like a
-	// restart-rehydrated file would.
-	h, ok = s.resolveLocal(digest)
-	return h, ok, true
+	return true
 }
 
 // TraceDigests returns every digest the local tiers hold (memory and
@@ -718,12 +765,7 @@ func (s *Service) TraceDigests() []string {
 // alone — no peer traffic, no hit/miss accounting.  Routing layers use
 // it to decide whether a digest-referenced request needs forwarding.
 func (s *Service) HasTrace(digest string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.traces.get(digest); ok {
-		return true
-	}
-	_, ok := s.traces.getDisk(digest)
+	_, ok := s.indexedRecords(digest)
 	return ok
 }
 

@@ -13,11 +13,13 @@ import (
 // total encoded bytes (traces vary from kilobytes to gigabytes, so
 // counting entries would bound nothing).  The optional disk tier (a
 // directory of digest-named version-4 files) sits behind it: traces are
-// written through to disk when they enter the store, memory evictions
-// become free drops instead of data loss, and lookups fall through
-// memory → disk — serving small disk hits by promoting them back into
-// memory and large ones as incrementally-decoded file streams, so
-// replaying an N-record stored trace needs O(batch) memory, not O(N).
+// written through to disk when they enter the store (a small version-4
+// upload enters memory as well, from the one pass that spools it),
+// memory evictions become free drops instead of data loss, and lookups
+// fall through memory → disk — serving small disk hits by promoting
+// them back into memory and large ones as incrementally-decoded file
+// streams, so replaying an N-record stored trace needs O(batch) memory,
+// not O(N).
 //
 // Not safe for concurrent use; Service serialises access under its own
 // mutex and keeps file I/O outside it (see Service.AddTrace and
@@ -49,9 +51,11 @@ func newTraceStore(capBytes int64, dir string) *traceStore {
 }
 
 // promoteMaxFileBytes is the largest disk-tier file a lookup will
-// decode back into the memory tier; larger traces are always served as
-// streams.  The threshold is a fraction of the memory capacity so one
-// promotion cannot wipe most of the cache (the decoded in-memory form
+// decode back into the memory tier, and the largest declared version-4
+// payload (the in-memory form) an upload keeps in memory as it spools;
+// larger traces are served as streams until a lookup promotes them.
+// The threshold is a fraction of the memory capacity so one promotion
+// or upload cannot wipe most of the cache (the decoded in-memory form
 // is a few times the compressed file).
 func (c *traceStore) promoteMaxFileBytes() int64 { return c.capBytes / 8 }
 
@@ -111,6 +115,18 @@ func (c *traceStore) get(digest string) (*tracefile.Trace, bool) {
 	}
 	c.order.MoveToFront(el)
 	return el.Value.(*traceEntry).t, true
+}
+
+// records returns a digest's record count from whichever tier indexes
+// it, without touching LRU order or either tier's data.
+func (c *traceStore) records(digest string) (uint64, bool) {
+	if el, ok := c.items[digest]; ok {
+		return el.Value.(*traceEntry).t.Records(), true
+	}
+	if e, ok := c.disk[digest]; ok {
+		return e.Records, true
+	}
+	return 0, false
 }
 
 // getDisk returns the disk tier's metadata for a digest.

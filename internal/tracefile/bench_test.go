@@ -211,6 +211,27 @@ func BenchmarkContainerLoad(b *testing.B) {
 	})
 }
 
+// BenchmarkContainerSpool measures SpoolToDir of a version-4
+// container into a directory that already holds its file, so each
+// iteration is the upload's one pass: tee to a temp file plus the
+// validating decode.  "stream" keeps nothing, as for an upload over the
+// store's promote bound; "keep" keeps the payload, as for one within
+// it.
+func BenchmarkContainerSpool(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		keepMax int64
+	}{{"stream", 0}, {"keep", 1 << 30}} {
+		b.Run(c.name, func(b *testing.B) {
+			dir := b.TempDir()
+			containerBench(b, func(data []byte) (uint64, error) {
+				info, _, err := SpoolToDir(bytes.NewReader(data), dir, c.keepMax)
+				return info.Records, err
+			})
+		})
+	}
+}
+
 // BenchmarkContainerScan measures Scan of a version-4 container: the
 // validating pass of a SpoolToDir upload.
 func BenchmarkContainerScan(b *testing.B) {

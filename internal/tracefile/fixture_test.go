@@ -217,7 +217,7 @@ func TestFixturesReadBack(t *testing.T) {
 				t.Errorf("%s: Scan gives %+v", name, info)
 			}
 
-			spool, err := SpoolToDir(bytes.NewReader(data), t.TempDir())
+			spool, _, err := SpoolToDir(bytes.NewReader(data), t.TempDir(), 0)
 			if err != nil {
 				t.Fatalf("%s: SpoolToDir: %v", name, err)
 			}

@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"testing"
@@ -127,12 +128,22 @@ func FuzzTraceReader(f *testing.F) {
 // accepted body must install a digest-named file that Load reads back
 // with the identity SpoolToDir reported (and that Load of the body
 // itself gives), and a rejected body must leave the directory as it
-// found it — no digest-named file, no temp file.
+// found it — no digest-named file, no temp file.  The keep bound is set
+// at the body's declared v4 payload length, so a version-4 body must
+// come back kept, with the spool's identity, a Cursor that replays what
+// Load(body) replays, and no more bytes than the bound; re-spooling it
+// with the bound one byte lower must keep nothing and report the same
+// install.
 func FuzzSpoolToDir(f *testing.F) {
 	addContainerSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var keepMax int64
+		declaredV4 := len(data) >= 68 && binary.LittleEndian.Uint32(data[8:12]) == Version4
+		if declaredV4 {
+			keepMax = int64(binary.LittleEndian.Uint64(data[60:68]))
+		}
 		dir := t.TempDir()
-		info, err := SpoolToDir(bytes.NewReader(data), dir)
+		info, kept, err := SpoolToDir(bytes.NewReader(data), dir, keepMax)
 		ents, rerr := os.ReadDir(dir)
 		if rerr != nil {
 			t.Fatal(rerr)
@@ -164,6 +175,43 @@ func FuzzSpoolToDir(f *testing.F) {
 		}
 		if direct.Digest() != info.Digest || direct.Records() != info.Records {
 			t.Fatalf("Load reads the body as %s/%d, spool as %s/%d", direct.Digest(), direct.Records(), info.Digest, info.Records)
+		}
+
+		if keepIt := declaredV4 && keepMax > 0; keepIt != (kept != nil) {
+			t.Fatalf("kept=%v for a v4=%v body at keep bound %d", kept != nil, declaredV4, keepMax)
+		}
+		if kept == nil {
+			return
+		}
+		again, notKept, err := SpoolToDir(bytes.NewReader(data), dir, keepMax-1)
+		if err != nil || again != info || notKept != nil {
+			t.Fatalf("re-spool under the bound: %+v kept=%v (%v), first spool %+v", again, notKept != nil, err, info)
+		}
+		if kept.Digest() != info.Digest || kept.Records() != info.Records ||
+			int64(kept.CanonicalBytes()) != info.CanonicalBytes {
+			t.Fatalf("kept trace is %s/%d/%d, spool reported %s/%d/%d",
+				kept.Digest(), kept.Records(), kept.CanonicalBytes(), info.Digest, info.Records, info.CanonicalBytes)
+		}
+		if int64(kept.Bytes()) > keepMax {
+			t.Fatalf("kept trace holds %d bytes, keep bound %d", kept.Bytes(), keepMax)
+		}
+		kc, dc := kept.Cursor(), direct.Cursor()
+		defer kc.Close()
+		defer dc.Close()
+		var ke, de trace.Exec
+		for i := uint64(0); ; i++ {
+			kerr, derr := kc.Next(&ke), dc.Next(&de)
+			if kerr != derr {
+				t.Fatalf("record %d: kept cursor says %v, Load's %v", i, kerr, derr)
+			}
+			if kerr == io.EOF {
+				break
+			} else if kerr != nil {
+				t.Fatalf("record %d: %v", i, kerr)
+			}
+			if normalize(ke) != normalize(de) {
+				t.Fatalf("record %d: kept cursor replays %+v, Load's %+v", i, ke, de)
+			}
 		}
 	})
 }

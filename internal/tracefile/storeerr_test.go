@@ -12,12 +12,12 @@ func TestSpoolStoreWriteError(t *testing.T) {
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, err := SpoolToDir(bytes.NewReader(buf.Bytes()), t.TempDir()+"/missing")
+	_, _, err := SpoolToDir(bytes.NewReader(buf.Bytes()), t.TempDir()+"/missing", 0)
 	if !errors.Is(err, ErrStoreWrite) {
 		t.Fatalf("err = %v, want ErrStoreWrite", err)
 	}
 	// Invalid bytes are NOT store errors.
-	_, err = SpoolToDir(bytes.NewReader([]byte("NOTATRACE")), t.TempDir())
+	_, _, err = SpoolToDir(bytes.NewReader([]byte("NOTATRACE")), t.TempDir(), 0)
 	if err == nil || errors.Is(err, ErrStoreWrite) {
 		t.Fatalf("bad-bytes err = %v, want a non-store error", err)
 	}

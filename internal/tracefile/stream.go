@@ -16,7 +16,9 @@ package tracefile
 //     temp file while Scan validates and digests it, then installs a
 //     digest-named version-4 file (renaming a v4 upload, streaming a
 //     transcode of a v1/v2/v3 one) — the write path of a disk store
-//     tier.
+//     tier.  A small v4 upload's validated payload is kept on the way
+//     through, so the store can hold it in memory without a second
+//     decode.
 
 import (
 	"bufio"
@@ -219,14 +221,24 @@ func ProbeFile(path string) (ScanInfo, error) {
 	if err != nil {
 		return ScanInfo{}, fmt.Errorf("%s: %w", path, err)
 	}
-	if rd.version < Version2 {
-		return ScanInfo{}, fmt.Errorf("%s: version-%d containers carry no header to probe", path, rd.version)
+	info, err := rd.header()
+	if err != nil {
+		return ScanInfo{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return info, nil
+}
+
+// header returns what an indexed (version 2-4) container's header
+// declares: digest, record count and (v3/v4) canonical size.
+func (r *Reader) header() (ScanInfo, error) {
+	if r.version < Version2 {
+		return ScanInfo{}, fmt.Errorf("version-%d containers carry no header to probe", r.version)
 	}
 	return ScanInfo{
-		Digest:         fmt.Sprintf("%s%x", DigestPrefix, rd.declaredDigest),
-		Records:        rd.declaredRecords,
-		CanonicalBytes: int64(rd.declaredCanonical),
-		Version:        rd.version,
+		Digest:         fmt.Sprintf("%s%x", DigestPrefix, r.declaredDigest),
+		Records:        r.declaredRecords,
+		CanonicalBytes: int64(r.declaredCanonical),
+		Version:        r.version,
 	}, nil
 }
 
@@ -277,9 +289,38 @@ const scanFreqCap = 1 << 20
 // it also builds the operand-location dictionary the version-4 form
 // will carry; a version-4 container keeps the dictionary it has.
 func Scan(r io.Reader) (ScanInfo, error) {
+	info, _, err := scanKeep(r, 0)
+	return info, err
+}
+
+// scanKeep is Scan that also keeps a version-4 container whose header
+// declares a payload of at most keepMax bytes: the pass is Load's
+// (loadV4 decodes, checks and hashes every block exactly as Scan's
+// read does, but appends each block to the Trace's encoding instead of
+// a reusable buffer), so the one verifying pass yields the in-memory
+// Trace as well, and the kept encoding never exceeds keepMax.  Other
+// containers (older versions, longer payloads, keepMax <= 0) are
+// scanned in O(batch) memory and return a nil Trace.
+func scanKeep(r io.Reader, keepMax int64) (ScanInfo, *Trace, error) {
 	rd, err := NewReader(r)
 	if err != nil {
-		return ScanInfo{}, err
+		return ScanInfo{}, nil, err
+	}
+	if rd.version == Version4 && keepMax > 0 && rd.rawLen <= uint64(keepMax) {
+		t, err := loadV4(rd)
+		if err != nil {
+			return ScanInfo{}, nil, err
+		}
+		if err := rd.checkDeclared(t.n, t.sum, int64(t.canonical)); err != nil {
+			return ScanInfo{}, nil, err
+		}
+		return ScanInfo{
+			Digest:         t.digest,
+			Records:        t.n,
+			CanonicalBytes: int64(t.canonical),
+			Version:        Version4,
+			sum:            t.sum,
+		}, t, nil
 	}
 	h := newCanonicalHasher()
 	var freq *trace.LocMap[uint64]
@@ -302,7 +343,7 @@ func Scan(r io.Reader) (ScanInfo, error) {
 		if err == io.EOF {
 			break
 		} else if err != nil {
-			return ScanInfo{}, err
+			return ScanInfo{}, nil, err
 		}
 		for i := range arena.recs[:n] {
 			e := &arena.recs[i]
@@ -324,9 +365,9 @@ func Scan(r io.Reader) (ScanInfo, error) {
 	}
 	info.Digest = fmt.Sprintf("%s%x", DigestPrefix, info.sum)
 	if err := rd.checkDeclared(info.Records, info.sum, info.CanonicalBytes); err != nil {
-		return ScanInfo{}, err
+		return ScanInfo{}, nil, err
 	}
-	return info, nil
+	return info, nil, nil
 }
 
 // SpoolInfo describes a container installed into a directory store.
@@ -338,6 +379,30 @@ type SpoolInfo struct {
 	Path string
 	// FileBytes is the installed file's size on disk.
 	FileBytes int64
+}
+
+// Open opens the installed file as a FileStream (see OpenFileStream),
+// failing when the file's header no longer declares the digest, record
+// count and canonical size the entry records: a file replaced
+// out-of-band since it was installed is refused before it replays a
+// record.  This is one header read per open; the payload is not
+// re-hashed, so a file whose payload alone was altered still replays
+// what it decodes to.
+func (e SpoolInfo) Open() (*FileStream, error) {
+	s, err := OpenFileStream(e.Path)
+	if err != nil {
+		return nil, err
+	}
+	h, err := s.r.header()
+	if err == nil && (h.Digest != e.Digest || h.Records != e.Records || h.CanonicalBytes != e.CanonicalBytes) {
+		err = fmt.Errorf("header declares %s, %d records, %d canonical bytes; the store holds %s, %d records, %d canonical bytes",
+			h.Digest, h.Records, h.CanonicalBytes, e.Digest, e.Records, e.CanonicalBytes)
+	}
+	if err != nil {
+		s.Close()
+		return nil, fmt.Errorf("%s: %w", e.Path, err)
+	}
+	return s, nil
 }
 
 // DigestFileName maps a content digest to the file name a directory
@@ -378,18 +443,22 @@ func (t *teeCapture) Read(p []byte) (int, error) {
 
 // SpoolToDir streams a complete trace container from r into dir as a
 // digest-named version-4 file, validating and digesting it
-// incrementally: at no point is the trace (or the request body carrying
-// it) held in memory, so arbitrarily long uploads cost O(batch).  The
-// incoming bytes are teed to a temporary file in dir while Scan
-// validates them; a version-4 upload is then renamed into place, and a
-// version-1/2/3 upload is transcoded to version 4 by a second O(batch)
-// pass.  Re-uploading a digest the directory already holds is a no-op
-// that returns the existing file's info.  Store-side failures carry
-// ErrStoreWrite; any other error means the uploaded bytes were invalid.
-func SpoolToDir(r io.Reader, dir string) (SpoolInfo, error) {
+// incrementally.  The incoming bytes are teed to a temporary file in
+// dir while one pass validates them; a version-4 upload is then renamed
+// into place, and a version-1/2/3 upload is transcoded to version 4 by
+// a second O(batch) pass.  When the upload is a version-4 container
+// whose header declares a payload of at most keepMax bytes, the
+// validating pass also keeps that payload, as Load does, and SpoolToDir
+// returns it as the decoded Trace; otherwise the Trace is nil and
+// neither the trace nor the body carrying it is ever held in memory,
+// so arbitrarily long uploads cost O(batch).  Re-uploading a digest the
+// directory already holds is a no-op that returns the existing file's
+// info.  Store-side failures carry ErrStoreWrite; any other error means
+// the uploaded bytes were invalid.
+func SpoolToDir(r io.Reader, dir string, keepMax int64) (SpoolInfo, *Trace, error) {
 	tmp, err := os.CreateTemp(dir, ".upload-*.tmp")
 	if err != nil {
-		return SpoolInfo{}, storeWriteErr(err)
+		return SpoolInfo{}, nil, storeWriteErr(err)
 	}
 	defer func() {
 		tmp.Close()
@@ -397,15 +466,15 @@ func SpoolToDir(r io.Reader, dir string) (SpoolInfo, error) {
 	}()
 	bw := bufio.NewWriterSize(tmp, 1<<16)
 	tee := &teeCapture{r: r, w: bw}
-	scan, err := Scan(tee)
+	scan, kept, err := scanKeep(tee, keepMax)
 	if err != nil {
 		if tee.werr != nil {
-			return SpoolInfo{}, storeWriteErr(tee.werr)
+			return SpoolInfo{}, nil, storeWriteErr(tee.werr)
 		}
-		return SpoolInfo{}, err
+		return SpoolInfo{}, nil, err
 	}
 	if err := bw.Flush(); err != nil {
-		return SpoolInfo{}, storeWriteErr(err)
+		return SpoolInfo{}, nil, storeWriteErr(err)
 	}
 	info := SpoolInfo{
 		Digest:         scan.Digest,
@@ -418,33 +487,33 @@ func SpoolToDir(r io.Reader, dir string) (SpoolInfo, error) {
 		// file.  Content addressing makes this safe — equal digests mean
 		// equal streams.
 		info.FileBytes = fi.Size()
-		return info, nil
+		return info, kept, nil
 	}
 	if scan.Version == Version4 {
 		// The upload is already a valid, fully-verified v4 container:
 		// install the teed bytes as-is.
 		if err := tmp.Close(); err != nil {
-			return SpoolInfo{}, storeWriteErr(err)
+			return SpoolInfo{}, nil, storeWriteErr(err)
 		}
 		if err := os.Rename(tmp.Name(), info.Path); err != nil {
-			return SpoolInfo{}, storeWriteErr(err)
+			return SpoolInfo{}, nil, storeWriteErr(err)
 		}
 	} else {
 		if _, err := tmp.Seek(0, io.SeekStart); err != nil {
-			return SpoolInfo{}, storeWriteErr(err)
+			return SpoolInfo{}, nil, storeWriteErr(err)
 		}
 		// The temp file's bytes were fully validated by the scan, so any
 		// transcode failure is the store's fault, not the upload's.
 		if err := transcodeV4File(info.Path, tmp, scan); err != nil {
-			return SpoolInfo{}, storeWriteErr(err)
+			return SpoolInfo{}, nil, storeWriteErr(err)
 		}
 	}
 	fi, err := os.Stat(info.Path)
 	if err != nil {
-		return SpoolInfo{}, storeWriteErr(err)
+		return SpoolInfo{}, nil, storeWriteErr(err)
 	}
 	info.FileBytes = fi.Size()
-	return info, nil
+	return info, kept, nil
 }
 
 // transcodeV4File writes the records of the container in src as a

@@ -115,15 +115,24 @@ func TestScanMatchesLoad(t *testing.T) {
 // TestSpoolToDir: both install paths — a v4 upload renamed into place
 // and a v1/v2/v3 upload transcoded in O(batch) memory — produce a
 // digest-named v4 file that loads back identically, and re-uploading
-// is a no-op.
+// is a no-op.  A v4 upload within the keep bound also comes back as
+// the Trace Load gives; older versions, and a bound one byte short of
+// the payload, keep nothing.
 func TestSpoolToDir(t *testing.T) {
 	tr := loadFixture(t, "li4200", Version4)
 	for _, version := range allVersions {
 		dir := t.TempDir()
 		data := readFixture(t, "li4200", version)
-		info, err := SpoolToDir(bytes.NewReader(data), dir)
+		info, kept, err := SpoolToDir(bytes.NewReader(data), dir, int64(tr.Bytes()))
 		if err != nil {
 			t.Fatalf("v%d: %v", version, err)
+		}
+		if version != Version4 {
+			if kept != nil {
+				t.Fatalf("v%d: upload kept in memory", version)
+			}
+		} else if kept == nil || kept.Digest() != tr.Digest() || !bytes.Equal(kept.enc, tr.enc) {
+			t.Fatalf("v%d: kept trace %v differs from Load's", version, kept)
 		}
 		if info.Digest != tr.Digest() || info.Records != tr.Records() {
 			t.Fatalf("v%d: spool info %+v", version, info)
@@ -153,9 +162,12 @@ func TestSpoolToDir(t *testing.T) {
 		f.Close()
 
 		// Idempotent re-upload.
-		again, err := SpoolToDir(bytes.NewReader(data), dir)
+		again, kept, err := SpoolToDir(bytes.NewReader(data), dir, int64(tr.Bytes())-1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if kept != nil {
+			t.Fatalf("v%d: payload over the keep bound kept", version)
 		}
 		if again != info {
 			t.Fatalf("re-upload changed info: %+v vs %+v", again, info)
@@ -174,7 +186,7 @@ func TestSpoolToDir(t *testing.T) {
 	dir := t.TempDir()
 	data := readFixture(t, "li4200", Version4)
 	data[len(data)-1] ^= 0xff
-	if _, err := SpoolToDir(bytes.NewReader(data), dir); err == nil {
+	if _, _, err := SpoolToDir(bytes.NewReader(data), dir, int64(len(data))<<4); err == nil {
 		t.Fatal("corrupt upload accepted")
 	}
 	ents, err := os.ReadDir(dir)
@@ -183,6 +195,46 @@ func TestSpoolToDir(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("failed upload left %d entries behind", len(ents))
+	}
+}
+
+// TestSpoolInfoOpenChecksHeader: a store entry opens its file as a
+// stream only while the file's header declares the entry's digest,
+// record count and canonical size; another trace's container put under
+// its name, or an entry that disagrees in any one field, fails the
+// open.
+func TestSpoolInfoOpenChecksHeader(t *testing.T) {
+	dir := t.TempDir()
+	info, _, err := SpoolToDir(bytes.NewReader(readFixture(t, "li4200", Version4)), dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := info.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drainStream(t, s); uint64(len(got)) != info.Records {
+		t.Fatalf("stream replayed %d records, entry holds %d", len(got), info.Records)
+	}
+	s.Close()
+
+	for name, e := range map[string]SpoolInfo{
+		"digest":    {Digest: DigestPrefix + "00", Records: info.Records, CanonicalBytes: info.CanonicalBytes, Path: info.Path},
+		"records":   {Digest: info.Digest, Records: info.Records + 1, CanonicalBytes: info.CanonicalBytes, Path: info.Path},
+		"canonical": {Digest: info.Digest, Records: info.Records, CanonicalBytes: info.CanonicalBytes - 1, Path: info.Path},
+	} {
+		if s, err := e.Open(); err == nil {
+			s.Close()
+			t.Errorf("%s: an entry that disagrees with the header opened", name)
+		}
+	}
+
+	if err := os.WriteFile(info.Path, readFixture(t, "example", Version4), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := info.Open(); err == nil {
+		s.Close()
+		t.Fatal("a swapped file opened under the entry's digest")
 	}
 }
 

@@ -8,9 +8,12 @@ package tlr
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/tracereuse/tlr/internal/tracefile"
 )
 
 // TestConcatOfWindowsEqualsLongRecording: concatenating two adjacent
@@ -172,8 +175,9 @@ func TestStreamedReplayEquivalenceAcrossGrid(t *testing.T) {
 	check("disk tier stream", diskRes)
 }
 
-// TestDiskTierStore: write-through, eviction survival, promotion of
-// small disk hits, per-tier listing/stats, and the streamed download.
+// TestDiskTierStore: write-through, small uploads kept in memory as
+// they spool, promotion of small disk hits, per-tier listing/stats,
+// and the streamed download.
 func TestDiskTierStore(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -216,31 +220,33 @@ func TestDiskTierStore(t *testing.T) {
 
 	// A second Batcher over the same directory starts with an empty
 	// store: uploading the same bytes is deduplicated against the
-	// existing file (no second spill file write), and a small disk-only
-	// trace is promoted into memory on first replay.
+	// existing file (no second spill file write), and the small v4
+	// upload enters the memory tier from the spool, so its replay
+	// promotes nothing.
 	b2 := NewBatcher(BatchOptions{TraceStoreBytes: 1 << 20, TraceDir: dir})
 	defer b2.Close()
 	info, err := b2.StoreTraceFrom(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Digest != digest || info.Tier != "disk" {
+	if info.Digest != digest || info.Tier != "memory+disk" {
 		t.Fatalf("re-upload info %+v", info)
 	}
 	res, err := b2.Run(ctx, Request{Trace: TraceRef(digest), Study: &StudyConfig{Budget: 10_000, Window: 64}})
 	if err != nil || res.Err != nil {
-		t.Fatalf("disk-tier replay: %v / %v", err, res.Err)
+		t.Fatalf("uploaded replay: %v / %v", err, res.Err)
 	}
 	st2 := b2.Stats()
-	if st2.TracePromotes != 1 {
-		t.Errorf("small disk hit not promoted: %+v", st2)
+	if st2.TracePromotes != 0 {
+		t.Errorf("replay of a kept upload promoted: %+v", st2)
 	}
 	if got := b2.Traces(); len(got) != 1 || got[0].Tier != "memory+disk" {
-		t.Errorf("post-promotion listing %+v", got)
+		t.Errorf("post-replay listing %+v", got)
 	}
 
 	// A restarted store over the same directory rehydrates its disk
-	// index: the digest resolves with no re-upload at all.
+	// index: the digest resolves with no re-upload at all, and the
+	// small disk-only trace is promoted into memory on first replay.
 	b3 := NewBatcher(BatchOptions{TraceStoreBytes: 1 << 20, TraceDir: dir})
 	defer b3.Close()
 	if got := b3.Traces(); len(got) != 1 || got[0].Digest != digest || got[0].Tier != "disk" ||
@@ -253,6 +259,135 @@ func TestDiskTierStore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*res.Study, *res3.Study) {
 		t.Error("rehydrated replay differs from the original store's")
+	}
+	if st3 := b3.Stats(); st3.TracePromotes != 1 {
+		t.Errorf("small disk hit not promoted: %+v", st3)
+	}
+	if got := b3.Traces(); len(got) != 1 || got[0].Tier != "memory+disk" {
+		t.Errorf("post-promotion listing %+v", got)
+	}
+}
+
+// TestCachedTraceRefLoadsNothing: a repeat request on a disk-only
+// trace is answered from the result cache by its key alone.  The key
+// is built from the store's index, so the repeat neither promotes the
+// trace nor counts a lookup of it, and it is still answered after the
+// trace's file has been renamed away.
+func TestCachedTraceRefLoadsNothing(t *testing.T) {
+	ctx := context.Background()
+	record := func(w string) *Trace {
+		rec, err := Record(ctx, RecordSpec{Workload: w, Budget: 3000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	var body bytes.Buffer
+	if _, err := record("compress").WriteTo(&body); err != nil {
+		t.Fatal(err)
+	}
+	// The promote bound (an eighth of the memory tier) admits the file
+	// but not its payload: the upload stays disk-only, and the first
+	// replay promotes it.
+	dir := t.TempDir()
+	b := NewBatcher(BatchOptions{TraceStoreBytes: 8 * int64(body.Len()), TraceDir: dir})
+	defer b.Close()
+	info, err := b.StoreTraceFrom(bytes.NewReader(body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Tier != "disk" {
+		t.Fatalf("upload landed in tier %q, want disk", info.Tier)
+	}
+	tier := func() string {
+		for _, ti := range b.Traces() {
+			if ti.Digest == info.Digest {
+				return ti.Tier
+			}
+		}
+		return ""
+	}
+	req := Request{Trace: TraceRef(info.Digest), Analyze: &AnalyzeConfig{}}
+	first, err := b.Run(ctx, req)
+	if err != nil || first.Err != nil || first.Cached {
+		t.Fatalf("first run: %v / %v (cached %v)", err, first.Err, first.Cached)
+	}
+	if st := b.Stats(); st.TracePromotes != 1 || tier() != "memory+disk" {
+		t.Fatalf("first run: %d promotes, tier %q", st.TracePromotes, tier())
+	}
+	// Two more recordings evict it from the memory tier again.
+	for _, w := range []string{"li", "gcc"} {
+		if _, err := b.StoreTrace(record(w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tier() != "disk" {
+		t.Fatalf("trace still in tier %q after eviction", tier())
+	}
+
+	before := b.Stats()
+	again, err := b.Run(ctx, req)
+	if err != nil || again.Err != nil || !again.Cached {
+		t.Fatalf("repeat: %v / %v (cached %v)", err, again.Err, again.Cached)
+	}
+	if !reflect.DeepEqual(first.Analyze, again.Analyze) {
+		t.Fatal("repeat answered differently")
+	}
+	if st := b.Stats(); st.TracePromotes != before.TracePromotes || st.TraceHits != before.TraceHits {
+		t.Fatalf("cached repeat promoted %d and looked up %d times",
+			st.TracePromotes-before.TracePromotes, st.TraceHits-before.TraceHits)
+	}
+
+	path := filepath.Join(dir, tracefile.DigestFileName(info.Digest))
+	if err := os.Rename(path, path+".moved"); err != nil {
+		t.Fatal(err)
+	}
+	third, err := b.Run(ctx, req)
+	if err != nil || third.Err != nil || !third.Cached {
+		t.Fatalf("repeat after the file moved: %v / %v (cached %v)", err, third.Err, third.Cached)
+	}
+}
+
+// TestSwappedDiskFileFailsJob: with a memory tier too small to promote,
+// a trace-ref job replays the disk tier's file as a stream.  When the
+// file of a 3,000-record trace has been swapped for the container of a
+// 3,001-record one, the job ends in an error instead of a result over
+// the other trace's records.
+func TestSwappedDiskFileFailsJob(t *testing.T) {
+	ctx := context.Background()
+	container := func(budget uint64) []byte {
+		rec, err := Record(ctx, RecordSpec{Workload: "compress", Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := rec.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	dir := t.TempDir()
+	b := NewBatcher(BatchOptions{TraceStoreBytes: 4096, TraceDir: dir})
+	defer b.Close()
+	info, err := b.StoreTraceFrom(bytes.NewReader(container(3000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, tracefile.DigestFileName(info.Digest))
+	if err := os.WriteFile(path, container(3001), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []Request{
+		{Trace: TraceRef(info.Digest), Analyze: &AnalyzeConfig{}},
+		{Trace: TraceRef(info.Digest), Study: &StudyConfig{Budget: 3000, Window: 64}},
+	} {
+		res, err := b.Run(ctx, req)
+		if err == nil && res.Err == nil {
+			t.Fatalf("%s job over a swapped file finished with a result", res.Kind)
+		}
+	}
+	if st := b.Stats(); st.TracePromotes != 0 {
+		t.Fatalf("tiny memory tier promoted: %+v", st)
 	}
 }
 

@@ -307,8 +307,11 @@ func (s *fileSource) openStream(b *Batcher) (trace.Stream, error) {
 // TraceRef returns a TraceSource addressing a trace already stored in
 // the executing Batcher's trace store by content digest (see
 // Batcher.StoreTrace) — upload a trace once, sweep it many times.
-// Resolution falls through the store's tiers: a memory-tier hit (or a
-// small disk-tier file, promoted back into memory) replays in-memory
+// Building a request's job and cache key reads the digest's record
+// count from the store's indexes and loads nothing, so a request
+// answered from the result cache never touches the trace.  A replay
+// resolves through the store's tiers: a memory-tier hit (or a small
+// disk-tier file, promoted back into memory) replays in-memory
 // cursors, a large disk-tier file replays as an incrementally decoded
 // stream in O(batch) memory.  cmd/tlrserve resolves these references
 // against its own store, so a digest-referenced request crosses the
@@ -328,29 +331,35 @@ func TraceRefDigest(src TraceSource) string {
 
 type refSource string
 
-func (r refSource) resolve(b *Batcher) (service.TraceHandle, error) {
-	if b == nil {
-		return service.TraceHandle{}, fmt.Errorf("tlr: trace reference %q can only be resolved by a Batcher with a trace store", string(r))
-	}
-	h, ok := b.svc.ResolveTrace(string(r))
-	if !ok {
-		return service.TraceHandle{}, fmt.Errorf("tlr: no stored trace with digest %q (store it first with StoreTrace or POST /v1/traces)", string(r))
-	}
-	return h, nil
+func (r refSource) errStore() error {
+	return fmt.Errorf("tlr: trace reference %q can only be resolved by a Batcher with a trace store", string(r))
 }
 
+func (r refSource) errMissing() error {
+	return fmt.Errorf("tlr: no stored trace with digest %q (store it first with StoreTrace or POST /v1/traces)", string(r))
+}
+
+// describe reads the record count from the store's indexes (see
+// service.TraceRecords): only openStream, when a job actually runs,
+// resolves the digest and may promote it.
 func (r refSource) describe(b *Batcher) (streamDesc, error) {
-	h, err := r.resolve(b)
-	if err != nil {
-		return streamDesc{}, err
+	if b == nil {
+		return streamDesc{}, r.errStore()
 	}
-	return streamDesc{digest: h.Digest, records: h.Records}, nil
+	n, ok := b.svc.TraceRecords(string(r))
+	if !ok {
+		return streamDesc{}, r.errMissing()
+	}
+	return streamDesc{digest: string(r), records: n}, nil
 }
 
 func (r refSource) openStream(b *Batcher) (trace.Stream, error) {
-	h, err := r.resolve(b)
-	if err != nil {
-		return nil, err
+	if b == nil {
+		return nil, r.errStore()
+	}
+	h, ok := b.svc.ResolveTrace(string(r))
+	if !ok {
+		return nil, r.errMissing()
 	}
 	return h.Open()
 }
@@ -567,11 +576,11 @@ func (b *Batcher) StoreTrace(src TraceSource) (string, error) {
 		// Storing a reference to an already-stored trace is idempotent:
 		// answer from the store instead of replaying and re-hashing the
 		// whole stream to recompute a digest the store already knows.
-		h, err := ref.resolve(b)
+		d, err := ref.describe(b)
 		if err != nil {
 			return "", err
 		}
-		return h.Digest, nil
+		return d.digest, nil
 	}
 	t, err := b.Materialize(src)
 	if err != nil {
@@ -583,11 +592,12 @@ func (b *Batcher) StoreTrace(src TraceSource) (string, error) {
 // StoreTraceFrom stores a trace read from a container stream (any
 // version), validating and digesting it incrementally.  With a disk
 // tier (BatchOptions.TraceDir) the bytes spool straight to the
-// digest-named file and the trace is never materialised, so
-// arbitrarily long streams cost O(batch) memory — this is the library
-// face of cmd/tlrserve's chunked POST /v1/traces upload.  Without a
-// disk tier the trace is decoded into the memory tier, as StoreTrace
-// would.
+// digest-named file; a version-4 stream small enough to promote also
+// enters the memory tier from the same pass, and any other is never
+// materialised, so arbitrarily long streams cost O(batch) memory —
+// this is the library face of cmd/tlrserve's chunked POST /v1/traces
+// upload.  Without a disk tier the trace is decoded into the memory
+// tier, as StoreTrace would.
 func (b *Batcher) StoreTraceFrom(r io.Reader) (TraceInfo, error) {
 	return b.svc.AddTraceStream(r)
 }
