@@ -625,7 +625,8 @@ func (s *Service) ResolveTrace(digest string) (TraceHandle, bool) {
 // indexes — the memory tier's trace or the disk tier's entry — under
 // one lock, opening, decoding and promoting nothing and counting no
 // hit: building a job and its cache key needs only the count, and a
-// job answered from the result cache never replays the trace.  Only
+// job answered from the result cache never replays the trace.  A
+// memory-tier hit still refreshes the trace's LRU position.  Only
 // when neither local tier knows the digest does it fall through to
 // ResolveTrace's peer leg, which installs what a peer holds; a digest
 // no tier or peer holds counts a miss.

@@ -118,9 +118,13 @@ func (c *traceStore) get(digest string) (*tracefile.Trace, bool) {
 }
 
 // records returns a digest's record count from whichever tier indexes
-// it, without touching LRU order or either tier's data.
+// it, reading neither tier's data.  A memory-tier hit refreshes LRU
+// order as get does: a trace whose requests are all answered from the
+// result cache is still in use, and without a disk tier its eviction
+// would lose it.
 func (c *traceStore) records(digest string) (uint64, bool) {
 	if el, ok := c.items[digest]; ok {
+		c.order.MoveToFront(el)
 		return el.Value.(*traceEntry).t.Records(), true
 	}
 	if e, ok := c.disk[digest]; ok {

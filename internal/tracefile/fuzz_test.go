@@ -2,7 +2,6 @@ package tracefile
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"os"
 	"testing"
@@ -138,9 +137,9 @@ func FuzzSpoolToDir(f *testing.F) {
 	addContainerSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var keepMax int64
-		declaredV4 := len(data) >= 68 && binary.LittleEndian.Uint32(data[8:12]) == Version4
-		if declaredV4 {
-			keepMax = int64(binary.LittleEndian.Uint64(data[60:68]))
+		var declaredV4 bool
+		if rd, err := NewReader(bytes.NewReader(data)); err == nil && rd.version == Version4 {
+			declaredV4, keepMax = true, int64(rd.rawLen)
 		}
 		dir := t.TempDir()
 		info, kept, err := SpoolToDir(bytes.NewReader(data), dir, keepMax)

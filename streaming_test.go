@@ -348,6 +348,52 @@ func TestCachedTraceRefLoadsNothing(t *testing.T) {
 	}
 }
 
+// TestCachedTraceRefStaysResident: without a disk tier, eviction loses
+// a trace.  A trace whose requests are answered from the result cache
+// is still in use, so those requests keep it at the front of the memory
+// tier's LRU: after a newer upload fills the tier, the store evicts the
+// other trace, and the next uncached request on it still runs.
+func TestCachedTraceRefStaysResident(t *testing.T) {
+	ctx := context.Background()
+	record := func(w string) *Trace {
+		rec, err := Record(ctx, RecordSpec{Workload: w, Budget: 3000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	a, bt, c := record("compress"), record("li"), record("gcc")
+	// Room for a with either of the others, not for all three.
+	capBytes := int64(a.Size() + max(bt.Size(), c.Size()))
+	b := NewBatcher(BatchOptions{TraceStoreBytes: capBytes})
+	defer b.Close()
+	store := func(tr *Trace) {
+		if _, err := b.StoreTrace(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store(a)
+	req := Request{Trace: TraceRef(a.Digest()), Analyze: &AnalyzeConfig{}}
+	if res, err := b.Run(ctx, req); err != nil || res.Err != nil || res.Cached {
+		t.Fatalf("first run: %v / %v", err, res.Err)
+	}
+	store(bt)
+	for i := 0; i < 3; i++ {
+		res, err := b.Run(ctx, req)
+		if err != nil || res.Err != nil || !res.Cached {
+			t.Fatalf("repeat %d: %v / %v (cached %v)", i, err, res.Err, res.Cached)
+		}
+	}
+	store(c)
+	if !b.HasTrace(a.Digest()) || b.HasTrace(bt.Digest()) {
+		t.Fatalf("after the third upload: a held %v, b held %v", b.HasTrace(a.Digest()), b.HasTrace(bt.Digest()))
+	}
+	res, err := b.Run(ctx, Request{Trace: TraceRef(a.Digest()), Study: &StudyConfig{Budget: 3000, Window: 64}})
+	if err != nil || res.Err != nil || res.Cached {
+		t.Fatalf("uncached run after the third upload: %v / %v (cached %v)", err, res.Err, res.Cached)
+	}
+}
+
 // TestSwappedDiskFileFailsJob: with a memory tier too small to promote,
 // a trace-ref job replays the disk tier's file as a stream.  When the
 // file of a 3,000-record trace has been swapped for the container of a
