@@ -292,7 +292,12 @@ func TestReserveAdmission(t *testing.T) {
 // read what Stats reads (run under -race in CI).  An upload within the
 // promote bound enters memory from its spool, so no lookup promotes;
 // one whose payload is over the bound but whose file is within it
-// stays disk-only until the lookups promote it, 1-4 times.
+// stays disk-only until the lookups promote it, 1-4 times.  Then other
+// traces, more than the memory tier holds, evict it while lookups
+// promote it back and goroutines read Stats, Traces, TraceRecords and
+// the metrics exposition: the store's own lock must keep every view
+// consistent, so afterwards the memory tier's bytes are the sum its
+// listing gives and the registry reads what Stats reads.
 func TestConcurrentInstallsCountOnce(t *testing.T) {
 	tr := recordTestTrace(t, "compress", 3000)
 	body := traceBytes(t, tr)
@@ -304,12 +309,36 @@ func TestConcurrentInstallsCountOnce(t *testing.T) {
 		capBytes               int64
 		minPromote, maxPromote uint64
 	}{
-		{"kept", 0, 0, 0},
+		{"kept", 16 * int64(tr.Bytes()), 0, 0},
 		{"promoted", 8 * int64(len(body)), 1, 4},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := New(Options{Workers: 1, TraceDir: t.TempDir(), TraceCacheBytes: c.capBytes})
 			defer s.Close()
+			registryMatches := func(st Stats) {
+				t.Helper()
+				for _, m := range []struct {
+					name, tier string
+					want       float64
+				}{
+					{"tlr_trace_spills_total", "", float64(st.TraceSpills)},
+					{"tlr_trace_promotes_total", "", float64(st.TracePromotes)},
+					{"tlr_trace_hits_total", "", float64(st.TraceHits)},
+					{"tlr_trace_misses_total", "", float64(st.TraceMisses)},
+					{"tlr_trace_store_traces", "memory", float64(st.Traces)},
+					{"tlr_trace_store_traces", "disk", float64(st.TraceDisk)},
+					{"tlr_trace_store_bytes", "memory", float64(st.TraceBytes)},
+					{"tlr_trace_store_bytes", "disk", float64(st.TraceDiskBytes)},
+				} {
+					var labels []string
+					if m.tier != "" {
+						labels = []string{m.tier}
+					}
+					if got, ok := s.Metrics().Value(m.name, labels...); !ok || got != m.want {
+						t.Errorf("%s%v = %v (found %v), Stats reads %v", m.name, labels, got, ok, m.want)
+					}
+				}
+			}
 			var wg sync.WaitGroup
 			for i := 0; i < 4; i++ {
 				wg.Add(1)
@@ -331,14 +360,63 @@ func TestConcurrentInstallsCountOnce(t *testing.T) {
 				t.Fatalf("stats %+v, want one disk trace, one spill, one memory trace and %d-%d promotions",
 					st, c.minPromote, c.maxPromote)
 			}
-			for name, want := range map[string]uint64{
-				"tlr_trace_spills_total":   st.TraceSpills,
-				"tlr_trace_promotes_total": st.TracePromotes,
+			registryMatches(st)
+
+			others := make([]*tracefile.Trace, c.capBytes/int64(tr.Bytes())+1)
+			for i := range others {
+				others[i] = recordTestTrace(t, "compress", 3001+uint64(i))
+			}
+			done := make(chan struct{})
+			var readers sync.WaitGroup
+			for _, read := range []func(){
+				func() { s.Stats() },
+				func() { s.Traces() },
+				func() {
+					if n, ok := s.TraceRecords(tr.Digest()); !ok || n != tr.Records() {
+						t.Errorf("TraceRecords = %d, %v during evictions", n, ok)
+					}
+				},
+				func() { s.Metrics().WritePrometheus(io.Discard) },
 			} {
-				if got, ok := s.Metrics().Value(name); !ok || got != float64(want) {
-					t.Errorf("%s = %v (found %v), Stats reads %d", name, got, ok, want)
+				readers.Add(1)
+				go func() {
+					defer readers.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+							read()
+						}
+					}
+				}()
+			}
+			for round := 0; round < 3; round++ {
+				for _, o := range others {
+					s.AddTrace(o)
+				}
+				if _, ok := s.ResolveTrace(tr.Digest()); !ok {
+					t.Error("evicted trace did not resolve")
 				}
 			}
+			close(done)
+			readers.Wait()
+
+			st = s.Stats()
+			var memTraces int
+			var memBytes int64
+			for _, e := range s.Traces() {
+				if e.Tier != "disk" {
+					memTraces++
+					memBytes += int64(e.Bytes)
+				}
+			}
+			if st.Traces != memTraces || st.TraceBytes != memBytes || st.TraceBytes > c.capBytes ||
+				st.TraceDisk != 1+len(others) || st.TraceSpills != uint64(1+len(others)) {
+				t.Fatalf("stats %+v; the listing holds %d memory-tier traces of %d bytes, %d traces in all",
+					st, memTraces, memBytes, 1+len(others))
+			}
+			registryMatches(st)
 		})
 	}
 }

@@ -8,9 +8,10 @@ import (
 // counter the service keeps IS a registry counter — Stats() reads the
 // same atomic cells /metrics renders, so the JSON view and the
 // Prometheus exposition cannot disagree.  Derived occupancy numbers
-// (cache lengths, trace-store tiers) stay owned by their mutex-guarded
-// structures and are exported as Func-backed gauges evaluated at
-// scrape time, again from the single source of truth.
+// (cache lengths) stay owned by their mutex-guarded structures and are
+// exported as Func-backed gauges evaluated at scrape time, again from
+// the single source of truth.  The trace store registers its own
+// counters and gauges the same way (see newTraceStore).
 type serviceMetrics struct {
 	submitted *metrics.Counter
 	ran       *metrics.Counter
@@ -20,13 +21,6 @@ type serviceMetrics struct {
 	coalesced *metrics.Counter
 	errors    *metrics.Counter
 	shed      *metrics.Counter
-
-	traceHits   *metrics.Counter
-	traceMisses *metrics.Counter
-	peerFetches *metrics.Counter
-	peerRejects *metrics.Counter
-	spills      *metrics.Counter
-	promotes    *metrics.Counter
 
 	resultDiskHits   *metrics.Counter
 	resultDiskWrites *metrics.Counter
@@ -61,19 +55,6 @@ func (s *Service) registerMetrics(reg *metrics.Registry) {
 		"Jobs that completed with an error (including cancellations).")
 	m.shed = reg.Counter("tlr_jobs_shed_total",
 		"Reservations refused because the in-flight budget was exhausted.")
-
-	m.traceHits = reg.Counter("tlr_trace_hits_total",
-		"Trace-store lookups that resolved a digest: one per replay a job (or a stream pass of jobs) opens, none for a job answered from cache.")
-	m.traceMisses = reg.Counter("tlr_trace_misses_total",
-		"Trace-store lookups for unknown digests.")
-	m.peerFetches = reg.Counter("tlr_trace_peer_fetches_total",
-		"Traces pulled from cluster peers into the local store.")
-	m.peerRejects = reg.Counter("tlr_trace_peer_rejects_total",
-		"Peer trace bodies rejected as invalid or digest-mismatched.")
-	m.spills = reg.Counter("tlr_trace_spills_total",
-		"Traces written through to the disk tier.")
-	m.promotes = reg.Counter("tlr_trace_promotes_total",
-		"Disk-tier hits decoded back into the memory tier.")
 
 	m.resultDiskHits = reg.Counter("tlr_result_disk_hits_total",
 		"Jobs answered from the persistent result cache.")
@@ -125,30 +106,6 @@ func (s *Service) registerMetrics(reg *metrics.Registry) {
 			return float64(s.resultDisk.len())
 		})
 
-	stores := reg.GaugeVec("tlr_trace_store_traces",
-		"Recorded traces held, by store tier.", "tier")
-	stores.WithFunc(func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.traces.len())
-	}, "memory")
-	stores.WithFunc(func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.traces.diskLen())
-	}, "disk")
-	storeBytes := reg.GaugeVec("tlr_trace_store_bytes",
-		"Bytes held by the trace store, by tier (encoded in memory, file bytes on disk).", "tier")
-	storeBytes.WithFunc(func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.traces.bytes)
-	}, "memory")
-	storeBytes.WithFunc(func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(s.traces.diskBytes)
-	}, "disk")
 }
 
 // jobKind labels a job for the per-kind instruments; jobs submitted

@@ -26,17 +26,12 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/tracereuse/tlr/internal/metrics"
-	"github.com/tracereuse/tlr/internal/trace"
-	"github.com/tracereuse/tlr/internal/tracefile"
 )
 
 // ErrClosed reports a job that could not be dispatched because the
@@ -178,18 +173,17 @@ type Service struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 
-	peerFetch func(digest string, exclude []string) (io.ReadCloser, string, error)
-
 	maxInflight int64
 	load        atomic.Int64 // jobs reserved and not yet released
 
 	reg *metrics.Registry
 	met serviceMetrics
 
+	*traceStore // guards itself under its own lock (tracestore.go)
+
 	mu         sync.Mutex
 	programs   *lru
 	results    *lru
-	traces     *traceStore
 	resultDisk *resultDisk // nil: no persistent result cache
 	inflight   map[string]*flight
 
@@ -290,18 +284,14 @@ func New(opt Options) *Service {
 		workers:     opt.Workers,
 		jobs:        make(chan *task),
 		done:        make(chan struct{}),
-		peerFetch:   opt.PeerFetch,
 		maxInflight: int64(opt.MaxInflight),
 		programs:    newLRU(programCache),
 		results:     newLRU(opt.ResultCache),
-		traces:      newTraceStore(opt.TraceCacheBytes, opt.TraceDir),
 		inflight:    make(map[string]*flight),
 		reg:         metrics.NewRegistry(),
 	}
 	s.registerMetrics(s.reg)
-	if opt.TraceDir != "" {
-		s.rehydrateTraceDir(opt.TraceDir)
-	}
+	s.traceStore = newTraceStore(opt, s.reg)
 	if opt.ResultDir != "" {
 		s.resultDisk = newResultDisk(opt.ResultDir)
 		s.resultDisk.rehydrate()
@@ -349,10 +339,13 @@ func (s *Service) Metrics() *metrics.Registry { return s.reg }
 // they derive from (completions before admissions, analyze splits
 // before their totals), so cross-field invariants — Ran + CacheHits +
 // Coalesced <= Submitted, ResultDiskHits <= CacheHits, AnalyzeRuns <=
-// Ran — hold in any concurrent snapshot, and every mutex-guarded
-// occupancy number is read under one critical section.
+// Ran — hold in any concurrent snapshot.  Occupancy numbers are read
+// under their owner's lock: the trace store's tiers as one snapshot
+// under the store's, the caches' under one critical section of the
+// Service's.
 func (s *Service) Stats() Stats {
-	var st Stats
+	// The trace store's tiers, as one snapshot under its own lock.
+	st := s.occupancy()
 	// Completion-side counters first.  Each completion's admission was
 	// counted strictly before it, so reading completions before
 	// admissions can only under-count completions, never over-count
@@ -366,12 +359,12 @@ func (s *Service) Stats() Stats {
 	st.Errors = s.met.errors.Value()
 	st.Submitted = s.met.submitted.Value()
 
-	st.TraceHits = s.met.traceHits.Value()
-	st.TraceMisses = s.met.traceMisses.Value()
-	st.TracePeerFetches = s.met.peerFetches.Value()
-	st.TracePeerRejects = s.met.peerRejects.Value()
-	st.TraceSpills = s.met.spills.Value()
-	st.TracePromotes = s.met.promotes.Value()
+	st.TraceHits = s.traceHits.Value()
+	st.TraceMisses = s.traceMisses.Value()
+	st.TracePeerFetches = s.peerFetches.Value()
+	st.TracePeerRejects = s.peerRejects.Value()
+	st.TraceSpills = s.spills.Value()
+	st.TracePromotes = s.promotes.Value()
 	st.ResultDiskWrites = s.met.resultDiskWrites.Value()
 	st.IngestedTraces = s.met.ingestedTraces.Value()
 	st.IngestedRecords = s.met.ingestedRecords.Value()
@@ -381,10 +374,6 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	st.Programs = s.programs.len()
 	st.Results = s.results.len()
-	st.Traces = s.traces.len()
-	st.TraceBytes = s.traces.bytes
-	st.TraceDisk = s.traces.diskLen()
-	st.TraceDiskBytes = s.traces.diskBytes
 	if s.resultDisk != nil {
 		st.ResultsOnDisk = s.resultDisk.len()
 	}
@@ -438,381 +427,6 @@ func (s *Service) NoteIngest(records, rejected uint64) {
 	s.met.ingestedTraces.Inc()
 	s.met.ingestedRecords.Add(records)
 	s.met.ingestRejects.Add(rejected)
-}
-
-// AddTrace stores a recorded trace in the service's digest-addressed
-// trace store and returns its digest.  Storing an already-present
-// digest refreshes its LRU position.  With a disk tier the trace is
-// also written through to its digest-named file (so a later memory
-// eviction loses nothing); a write-through failure leaves the trace
-// memory-only rather than failing the store.
-func (s *Service) AddTrace(t *tracefile.Trace) string {
-	digest := t.Digest()
-	var disk *tracefile.SpoolInfo
-	wrote := false
-	if dir := s.traceDir(); dir != "" {
-		path := filepath.Join(dir, tracefile.DigestFileName(digest))
-		if _, err := os.Stat(path); err != nil {
-			wrote = t.Save(path) == nil
-		}
-		if fi, err := os.Stat(path); err == nil {
-			disk = &tracefile.SpoolInfo{
-				Digest:         digest,
-				Records:        t.Records(),
-				CanonicalBytes: int64(t.CanonicalBytes()),
-				Path:           path,
-				FileBytes:      fi.Size(),
-			}
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if disk != nil && s.traces.addDisk(*disk) && wrote {
-		s.met.spills.Inc()
-	}
-	return s.traces.add(t)
-}
-
-// AddTraceStream stores a trace read from a container stream (any
-// version), validating and digesting it incrementally.  With a disk
-// tier the stream spools straight to its digest-named file.  A
-// version-4 upload whose declared payload fits the promote bound (one
-// eighth of the memory tier) keeps the payload the spool validates and
-// enters the memory tier too, as AddTrace would, so its first replay
-// decodes nothing again; any other upload (versions 1-3, longer
-// payloads) is never materialised, so arbitrarily long uploads cost
-// O(batch) memory, and the memory tier fills in when the digest is
-// first replayed (see ResolveTrace).  Without a disk tier the trace is
-// decoded into the memory tier, as AddTrace would.  The returned
-// TraceInfo is the entry GET /v1/traces would list.
-func (s *Service) AddTraceStream(r io.Reader) (TraceInfo, error) {
-	return s.installStream(r, "")
-}
-
-// installStream is the one way a container stream enters the store:
-// AddTraceStream's uploads (want == "") and peer fetches, which want
-// one digest.  It makes one verifying pass over the body: with a disk
-// tier, SpoolToDir tees it into the digest-named file and keeps a
-// version-4 payload within the promote bound; without one, Load decodes
-// it.  A body whose content digests to anything else than want is
-// rejected before it is stored, so it can neither resolve the digest
-// asked for nor take either tier's room.  (A spool has already
-// installed such a body's file under its true name, possibly a trace
-// the store holds; the disk index does not learn of it.)
-func (s *Service) installStream(r io.Reader, want string) (TraceInfo, error) {
-	var (
-		t   *tracefile.Trace // memory tier: the decoded or kept trace
-		sp  tracefile.SpoolInfo
-		err error
-	)
-	if dir := s.traceDir(); dir == "" {
-		t, err = tracefile.Load(r)
-	} else {
-		sp, t, err = tracefile.SpoolToDir(r, dir, s.traces.promoteMaxFileBytes())
-	}
-	if err != nil {
-		return TraceInfo{}, err
-	}
-	digest := sp.Digest
-	if t != nil {
-		digest = t.Digest()
-	}
-	if want != "" && digest != want {
-		return TraceInfo{}, fmt.Errorf("content digest is %s", digest)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sp.Path != "" && s.traces.addDisk(sp) {
-		s.met.spills.Inc()
-	}
-	if t != nil {
-		s.traces.add(t)
-	} else {
-		// Storing a memory-resident digest again refreshes its LRU
-		// position, as AddTrace does.
-		s.traces.get(digest)
-	}
-	return s.traces.info(digest), nil
-}
-
-// traceDir returns the disk tier's directory ("" = no disk tier).
-func (s *Service) traceDir() string { return s.traces.dir }
-
-// rehydrateTraceDir registers the digest-named trace files already in
-// the disk tier's directory, so a store pointed at an existing
-// directory (a restarted server) serves its traces without re-upload.
-// Runs before the Service is shared, so no locking; files that fail to
-// probe, or whose name does not match their declared digest, are
-// logged and skipped (they 404, exactly as they would have before
-// rehydration existed) — junk in the data dir must never prevent
-// startup.
-func (s *Service) rehydrateTraceDir(dir string) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, ent := range ents {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".trc") {
-			continue
-		}
-		path := filepath.Join(dir, ent.Name())
-		info, err := tracefile.ProbeFile(path)
-		if err != nil {
-			log.Printf("service: trace store: skipping %s: %v", path, err)
-			continue
-		}
-		if tracefile.DigestFileName(info.Digest) != ent.Name() {
-			log.Printf("service: trace store: skipping %s: file name does not match its digest %s", path, info.Digest)
-			continue
-		}
-		fi, err := ent.Info()
-		if err != nil {
-			log.Printf("service: trace store: skipping %s: %v", path, err)
-			continue
-		}
-		s.traces.addDisk(tracefile.SpoolInfo{
-			Digest:         info.Digest,
-			Records:        info.Records,
-			CanonicalBytes: info.CanonicalBytes,
-			Path:           path,
-			FileBytes:      fi.Size(),
-		})
-	}
-}
-
-// TraceHandle is a resolved stored trace: its identity plus an opener
-// that yields one replayable record stream per call.
-type TraceHandle struct {
-	Digest  string
-	Records uint64
-	open    func() (trace.Stream, error)
-}
-
-// Open opens one pass over the stored stream.  The caller must Close
-// it.
-func (h TraceHandle) Open() (trace.Stream, error) { return h.open() }
-
-// ResolveTrace looks a digest up in the trace store, falling through
-// memory → disk → peers (when Options.PeerFetch is wired) → miss.  A
-// memory hit (and a small disk hit, which is decoded back into the
-// memory tier — a promotion) serves O(1)-seekable cursors over the
-// in-memory trace; a large disk hit serves incrementally decoded file
-// streams, each refused at open when the file's header no longer
-// matches the store's entry, so replay memory stays O(batch) however
-// long the trace is.  A peer hit streams the fetched container into the
-// local store (see installStream: disk tier when configured, memory
-// too when it is a small version-4 body) and then resolves locally, so
-// the next lookup is a local hit.  Each call counts one hit or miss;
-// callers that only need a digest's record count use TraceRecords,
-// which counts none.
-func (s *Service) ResolveTrace(digest string) (TraceHandle, bool) {
-	if h, ok := s.resolveLocal(digest); ok {
-		return h, true
-	}
-	// A fetched body resolves through the normal local path: a body the
-	// install kept hits the memory tier, and a longer one promotes or
-	// streams as a restart-rehydrated file would.
-	if s.fetchFromPeer(digest) {
-		if h, ok := s.resolveLocal(digest); ok {
-			return h, true
-		}
-	}
-	s.met.traceMisses.Inc()
-	return TraceHandle{}, false
-}
-
-// TraceRecords returns a stored trace's record count from the store's
-// indexes — the memory tier's trace or the disk tier's entry — under
-// one lock, opening, decoding and promoting nothing and counting no
-// hit: building a job and its cache key needs only the count, and a
-// job answered from the result cache never replays the trace.  A
-// memory-tier hit still refreshes the trace's LRU position.  Only
-// when neither local tier knows the digest does it fall through to
-// ResolveTrace's peer leg, which installs what a peer holds; a digest
-// no tier or peer holds counts a miss.
-func (s *Service) TraceRecords(digest string) (uint64, bool) {
-	if n, ok := s.indexedRecords(digest); ok {
-		return n, true
-	}
-	if s.fetchFromPeer(digest) {
-		if n, ok := s.indexedRecords(digest); ok {
-			return n, true
-		}
-	}
-	s.met.traceMisses.Inc()
-	return 0, false
-}
-
-func (s *Service) indexedRecords(digest string) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.traces.records(digest)
-}
-
-// resolveLocal is ResolveTrace's memory → disk leg.  Hits count
-// TraceHits; a miss counts nothing (the caller decides whether it is
-// final).
-func (s *Service) resolveLocal(digest string) (TraceHandle, bool) {
-	s.mu.Lock()
-	if t, ok := s.traces.get(digest); ok {
-		s.met.traceHits.Inc()
-		s.mu.Unlock()
-		return memHandle(digest, t), true
-	}
-	ent, onDisk := s.traces.getDisk(digest)
-	if !onDisk {
-		s.mu.Unlock()
-		return TraceHandle{}, false
-	}
-	s.met.traceHits.Inc()
-	promote := ent.FileBytes <= s.traces.promoteMaxFileBytes()
-	s.mu.Unlock()
-
-	if promote {
-		// The file must hold the digest it is indexed under: a valid
-		// container of another trace (replaced out-of-band) is not it.
-		if t, err := tracefile.OpenFile(ent.Path); err == nil && t.Digest() == digest {
-			s.met.promotes.Inc()
-			s.mu.Lock()
-			// Another goroutine may have promoted the same digest while
-			// this one was decoding; the store's add is idempotent.
-			s.traces.add(t)
-			s.mu.Unlock()
-			return memHandle(digest, t), true
-		}
-		// A disk-tier file that no longer loads or holds another digest
-		// (deleted, corrupted or replaced out-of-band) degrades to the
-		// streaming path.  Its opener refuses a file whose header
-		// disagrees with the entry (another trace's container) and
-		// surfaces one that no longer decodes, but a stream is never
-		// hashed, so a payload altered under an intact header replays
-		// as it decodes.
-	}
-	return TraceHandle{
-		Digest:  digest,
-		Records: ent.Records,
-		open: func() (trace.Stream, error) {
-			st, err := ent.Open()
-			if err != nil {
-				return nil, err
-			}
-			return st, nil
-		},
-	}, true
-}
-
-// fetchFromPeer is ResolveTrace's peer leg: pull the digest's
-// container from whichever peer holds it, validate every byte (the
-// spool re-digests the content), and install it locally, reporting
-// whether it did.  A body whose content digests to something else is
-// rejected and never indexed under the requested digest — a
-// misbehaving peer cannot poison the local store.  A rejected body
-// does not end the lookup: the fetch is retried with the offending
-// peer excluded, so a corrupt or dying primary owner falls through to
-// the next holder.
-func (s *Service) fetchFromPeer(digest string) bool {
-	if s.peerFetch == nil {
-		return false
-	}
-	const maxAttempts = 3
-	var exclude []string
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		body, peer, err := s.peerFetch(digest, exclude)
-		if err != nil {
-			// The transport already fell through every reachable peer.
-			log.Printf("service: peer fetch %s: %v", digest, err)
-			return false
-		}
-		if body == nil {
-			return false
-		}
-		if s.installPeerBody(digest, body) {
-			return true
-		}
-		if peer == "" {
-			// No peer identity to exclude: retrying would just ask the
-			// same source again.
-			return false
-		}
-		exclude = append(exclude, peer)
-	}
-	return false
-}
-
-// installPeerBody validates one fetched container and installs it in
-// the local tiers.  false means the body was rejected (invalid or
-// wrong digest) and the caller may retry from another peer.
-func (s *Service) installPeerBody(digest string, body io.ReadCloser) bool {
-	defer body.Close()
-	if _, err := s.installStream(body, digest); err != nil {
-		s.met.peerRejects.Inc()
-		log.Printf("service: peer fetch %s: rejected body: %v", digest, err)
-		return false
-	}
-	s.met.peerFetches.Inc()
-	return true
-}
-
-// TraceDigests returns every digest the local tiers hold (memory and
-// disk, deduplicated, sorted).  It feeds the cluster repair loop's
-// scan; no hit/miss accounting.
-func (s *Service) TraceDigests() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.traces.digests()
-}
-
-// HasTrace reports whether the digest resolves from the local tiers
-// alone — no peer traffic, no hit/miss accounting.  Routing layers use
-// it to decide whether a digest-referenced request needs forwarding.
-func (s *Service) HasTrace(digest string) bool {
-	_, ok := s.indexedRecords(digest)
-	return ok
-}
-
-func memHandle(digest string, t *tracefile.Trace) TraceHandle {
-	return TraceHandle{
-		Digest:  digest,
-		Records: t.Records(),
-		open:    func() (trace.Stream, error) { return t.Cursor(), nil },
-	}
-}
-
-// WriteTraceTo streams the stored trace for a digest to w as a
-// version-4 container, serving the memory tier's encoding or copying
-// the disk tier's file without decoding it.  It reports the bytes
-// written and whether the digest was found; an error with zero bytes
-// written means nothing reached w, so a server can still answer with
-// an error status.
-func (s *Service) WriteTraceTo(digest string, w io.Writer) (int64, bool, error) {
-	s.mu.Lock()
-	t, inMem := s.traces.get(digest)
-	ent, onDisk := s.traces.getDisk(digest)
-	s.mu.Unlock()
-	if !inMem && !onDisk {
-		s.met.traceMisses.Inc()
-		return 0, false, nil
-	}
-	s.met.traceHits.Inc()
-	if inMem {
-		n, err := t.WriteTo(w)
-		return n, true, err
-	}
-	f, err := os.Open(ent.Path)
-	if err != nil {
-		return 0, true, err
-	}
-	defer f.Close()
-	n, err := io.Copy(w, f)
-	return n, true, err
-}
-
-// Traces lists the stored traces: the memory tier most recently used
-// first, then disk-only traces.
-func (s *Service) Traces() []TraceInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.traces.list()
 }
 
 // Batch is a submitted set of jobs.

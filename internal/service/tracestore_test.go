@@ -188,3 +188,63 @@ func TestDiskStreamChecksHeader(t *testing.T) {
 		t.Fatal("tiny memory tier promoted")
 	}
 }
+
+// TestStoringRepairsDamagedFile: a file under a trace's digest name
+// whose header does not declare the trace (junk here, which startup
+// skips) is not the trace, so storing the trace — as an upload to a
+// memory tier too small to hold it, or through AddTrace before a second
+// trace evicts it from a one-trace memory tier — replaces the file, and
+// the trace replays in full from the disk tier.
+func TestStoringRepairsDamagedFile(t *testing.T) {
+	tr := recordTestTrace(t, "compress", 3000)
+	other := recordTestTrace(t, "li", 3000)
+	for _, c := range []struct {
+		name     string
+		capBytes int64
+		store    func(s *Service)
+	}{
+		{"upload", 4096, func(s *Service) {
+			if _, err := s.AddTraceStream(bytes.NewReader(traceBytes(t, tr))); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"AddTrace", int64(max(tr.Bytes(), other.Bytes())), func(s *Service) {
+			s.AddTrace(tr)
+			s.AddTrace(other)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, tracefile.DigestFileName(tr.Digest()))
+			if err := os.WriteFile(path, []byte("not a trace"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := New(Options{Workers: 1, TraceDir: dir, TraceCacheBytes: c.capBytes})
+			defer s.Close()
+			c.store(s)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var info TraceInfo
+			for _, e := range s.Traces() {
+				if e.Digest == tr.Digest() {
+					info = e
+				}
+			}
+			if info.Tier != "disk" || info.DiskBytes != fi.Size() {
+				t.Fatalf("stored as %+v, file holds %d bytes", info, fi.Size())
+			}
+			h, ok := s.ResolveTrace(tr.Digest())
+			if !ok {
+				t.Fatal("stored digest did not resolve")
+			}
+			if got := replayCount(t, h); got != tr.Records() {
+				t.Fatalf("replayed %d records, want %d", got, tr.Records())
+			}
+			if back, err := tracefile.OpenFile(path); err != nil || back.Digest() != tr.Digest() {
+				t.Fatalf("file at the digest's name does not load as the trace (%v)", err)
+			}
+		})
+	}
+}

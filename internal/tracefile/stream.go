@@ -204,41 +204,48 @@ func OpenFile(path string) (*Trace, error) {
 	return t, nil
 }
 
-// ProbeFile reads an indexed (version 2-4) container's header without
-// decoding any records: the declared digest, record count and (v3/v4)
-// canonical size.  It is how a directory store rehydrates its index
-// from digest-named files it wrote earlier — cheap enough to run per
-// file at startup.  The header is declared, not verified; Probe is for
-// files installed by a verifying writer (Save, SpoolToDir), and a
-// corrupt payload still fails at replay time.
-func ProbeFile(path string) (ScanInfo, error) {
+// ProbeFile reads an indexed (version 2-4) container file's header
+// without decoding any records: the declared digest, record count and
+// (v3/v4) canonical size, with the file's path and its size from one
+// fstat.  It is how a directory store rehydrates its index from
+// digest-named files it wrote earlier — cheap enough to run per file at
+// startup — and how an install decides whether the file already at a
+// digest's name is the trace (see installed).  The header is declared,
+// not verified; Probe is for files installed by a verifying writer
+// (SaveToDir, SpoolToDir), and a corrupt payload still fails at replay
+// time.
+func ProbeFile(path string) (SpoolInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return ScanInfo{}, err
+		return SpoolInfo{}, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return SpoolInfo{}, err
+	}
 	rd, err := NewReader(f)
 	if err != nil {
-		return ScanInfo{}, fmt.Errorf("%s: %w", path, err)
+		return SpoolInfo{}, fmt.Errorf("%s: %w", path, err)
 	}
 	info, err := rd.header()
 	if err != nil {
-		return ScanInfo{}, fmt.Errorf("%s: %w", path, err)
+		return SpoolInfo{}, fmt.Errorf("%s: %w", path, err)
 	}
+	info.Path, info.FileBytes = path, fi.Size()
 	return info, nil
 }
 
 // header returns what an indexed (version 2-4) container's header
 // declares: digest, record count and (v3/v4) canonical size.
-func (r *Reader) header() (ScanInfo, error) {
+func (r *Reader) header() (SpoolInfo, error) {
 	if r.version < Version2 {
-		return ScanInfo{}, fmt.Errorf("version-%d containers carry no header to probe", r.version)
+		return SpoolInfo{}, fmt.Errorf("version-%d containers carry no header to probe", r.version)
 	}
-	return ScanInfo{
+	return SpoolInfo{
 		Digest:         fmt.Sprintf("%s%x", DigestPrefix, r.declaredDigest),
 		Records:        r.declaredRecords,
 		CanonicalBytes: int64(r.declaredCanonical),
-		Version:        r.version,
 	}, nil
 }
 
@@ -394,15 +401,59 @@ func (e SpoolInfo) Open() (*FileStream, error) {
 		return nil, err
 	}
 	h, err := s.r.header()
-	if err == nil && (h.Digest != e.Digest || h.Records != e.Records || h.CanonicalBytes != e.CanonicalBytes) {
-		err = fmt.Errorf("header declares %s, %d records, %d canonical bytes; the store holds %s, %d records, %d canonical bytes",
-			h.Digest, h.Records, h.CanonicalBytes, e.Digest, e.Records, e.CanonicalBytes)
+	if err == nil {
+		err = e.declaredBy(h)
 	}
 	if err != nil {
 		s.Close()
 		return nil, fmt.Errorf("%s: %w", e.Path, err)
 	}
 	return s, nil
+}
+
+// declaredBy reports an error unless the header h declares the entry's
+// digest, record count and canonical size.
+func (e SpoolInfo) declaredBy(h SpoolInfo) error {
+	if h.Digest == e.Digest && h.Records == e.Records && h.CanonicalBytes == e.CanonicalBytes {
+		return nil
+	}
+	return fmt.Errorf("header declares %s, %d records, %d canonical bytes; the store holds %s, %d records, %d canonical bytes",
+		h.Digest, h.Records, h.CanonicalBytes, e.Digest, e.Records, e.CanonicalBytes)
+}
+
+// installed returns the file already at want.Path when its header
+// declares want's trace, which an install keeps rather than writing the
+// same trace again.  Anything else there — junk, a truncated write,
+// another trace's container — is not the trace, and the install
+// replaces it through a temp file renamed into place, so re-storing a
+// trace repairs a damaged file.  Where no file exists this is one
+// failed open, no read.
+func installed(want SpoolInfo) (SpoolInfo, bool) {
+	got, err := ProbeFile(want.Path)
+	return got, err == nil && want.declaredBy(got) == nil
+}
+
+// SaveToDir installs t into dir as its digest-named file, as SpoolToDir
+// installs an upload, and reports whether it wrote the file: a file
+// already there that declares t is kept (see installed).
+func (t *Trace) SaveToDir(dir string) (SpoolInfo, bool, error) {
+	info := SpoolInfo{
+		Digest:         t.digest,
+		Records:        t.n,
+		CanonicalBytes: int64(t.canonical),
+		Path:           filepath.Join(dir, DigestFileName(t.digest)),
+	}
+	if got, ok := installed(info); ok {
+		return got, false, nil
+	}
+	err := writeFileRenamed(info.Path, func(w io.Writer) (err error) {
+		info.FileBytes, err = t.WriteTo(w)
+		return err
+	})
+	if err != nil {
+		return SpoolInfo{}, false, err
+	}
+	return info, true, nil
 }
 
 // DigestFileName maps a content digest to the file name a directory
@@ -453,8 +504,10 @@ func (t *teeCapture) Read(p []byte) (int, error) {
 // neither the trace nor the body carrying it is ever held in memory,
 // so arbitrarily long uploads cost O(batch).  Re-uploading a digest the
 // directory already holds is a no-op that returns the existing file's
-// info.  Store-side failures carry ErrStoreWrite; any other error means
-// the uploaded bytes were invalid.
+// info, provided the file's header declares the uploaded trace (see
+// installed); any other file under the digest's name is replaced.
+// Store-side failures carry ErrStoreWrite; any other error means the
+// uploaded bytes were invalid.
 func SpoolToDir(r io.Reader, dir string, keepMax int64) (SpoolInfo, *Trace, error) {
 	tmp, err := os.CreateTemp(dir, ".upload-*.tmp")
 	if err != nil {
@@ -482,12 +535,10 @@ func SpoolToDir(r io.Reader, dir string, keepMax int64) (SpoolInfo, *Trace, erro
 		CanonicalBytes: scan.CanonicalBytes,
 		Path:           filepath.Join(dir, DigestFileName(scan.Digest)),
 	}
-	if fi, err := os.Stat(info.Path); err == nil {
-		// Already installed (same digest, same bytes): keep the existing
-		// file.  Content addressing makes this safe — equal digests mean
-		// equal streams.
-		info.FileBytes = fi.Size()
-		return info, kept, nil
+	if got, ok := installed(info); ok {
+		// Already installed: content addressing makes keeping the file
+		// safe — equal digests mean equal streams.
+		return got, kept, nil
 	}
 	if scan.Version == Version4 {
 		// The upload is already a valid, fully-verified v4 container:
