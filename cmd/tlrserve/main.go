@@ -103,10 +103,11 @@
 // Each node heals the ring it can see.  A background anti-entropy
 // loop (-repair-interval; POST /v1/repair runs one cycle on demand)
 // scans the local store and backfills digests whose other owners do
-// not hold them; replication failures leave durable hints (-hint-dir)
-// redelivered when the peer's health probe recovers; a per-peer
-// circuit breaker sheds calls to dead peers immediately and half-opens
-// after a cooldown.  -max-inflight bounds admitted simulation work:
+// not hold them; it is the one path that re-delivers a failed
+// replication, and a health probe that sees a dead peer answering
+// again triggers an immediate cycle.  A per-peer circuit breaker
+// sheds calls to dead peers immediately and half-opens after a
+// cooldown.  -max-inflight bounds admitted simulation work:
 // beyond it, run/analyze/batch/ingest answer 429 with Retry-After
 // instead of queueing toward a timeout.  SIGTERM/SIGINT shut down
 // gracefully: stop accepting, drain open requests and the replication
@@ -161,7 +162,6 @@ func main() {
 	replication := flag.Int("replication", 2, "cluster replication factor (owners per digest)")
 	peerProbe := flag.Duration("peer-probe", 10*time.Second, "peer health probe interval (0 disables probing)")
 	repairEvery := flag.Duration("repair-interval", time.Minute, "anti-entropy repair interval (0 disables the loop; POST /v1/repair still runs one cycle)")
-	hintDir := flag.String("hint-dir", "", "durable replication hint directory (empty = in-memory hints only); created if absent")
 	maxInflight := flag.Int("max-inflight", 0, "in-flight job admission budget for run/analyze/batch/ingest (0 = unlimited); beyond it requests get 429")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for open requests and replication queues")
 	chaosDrop := flag.Float64("chaos-drop", 0, "fault injection: probability [0,1) of dropping each peer request (testing only)")
@@ -202,13 +202,12 @@ func main() {
 			Replication: *replication,
 			ProbeEvery:  *peerProbe,
 			RepairEvery: *repairEvery,
-			HintDir:     *hintDir,
 			Logf:        log.Printf,
 		}
 		if *chaosDrop > 0 || *chaosDelay > 0 {
 			// Every peer request flows through the fault injector; the
-			// flags exist so chaos smoke tests can exercise the repair,
-			// hint, and breaker paths against a real process.
+			// flags exist so chaos smoke tests can exercise the repair
+			// and breaker paths against a real process.
 			inj := cluster.NewInjector(nil)
 			if *chaosDelay > 0 {
 				inj.Add(&cluster.InjectRule{Delay: *chaosDelay})
@@ -261,13 +260,11 @@ func main() {
 		log.Printf("tlrserve: shutdown: %v", err)
 	}
 	replDrained := true
-	hintsPending := 0
 	if srv.fabric != nil {
 		if err := srv.fabric.Drain(dctx); err != nil {
 			replDrained = false
 			log.Printf("tlrserve: replication drain: %v", err)
 		}
-		hintsPending = srv.fabric.HintsPending()
 		srv.fabric.Close()
 	}
 	st := srv.batcher.Stats()
@@ -276,8 +273,8 @@ func main() {
 	if !replDrained {
 		replState = "replication NOT drained"
 	}
-	log.Printf("tlrserve: drained: %d requests served, %s, %d hints pending; exiting",
-		st.Submitted, replState, hintsPending)
+	log.Printf("tlrserve: drained: %d requests served, %s; exiting",
+		st.Submitted, replState)
 }
 
 // splitPeers parses the -peers flag, trimming whitespace and trailing

@@ -155,6 +155,7 @@ func TestClusterMetricsExposed(t *testing.T) {
 		"tlr_cluster_replications_queued_total",
 		"tlr_cluster_peers_healthy",
 		"tlr_cluster_breakers_open",
+		"tlr_cluster_repair_backfills_total",
 	} {
 		if len(metrics.Find(samples, name)) == 0 {
 			t.Errorf("clustered exposition is missing %s", name)

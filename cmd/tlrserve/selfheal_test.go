@@ -87,7 +87,7 @@ func TestRepairConvergenceAfterNodeOutage(t *testing.T) {
 	}
 
 	// Kill the node, then upload to each digest's surviving owner: the
-	// dead owner's copy cannot be delivered, leaving a hint behind.
+	// dead owner's copy cannot be delivered.
 	dead.close()
 	for _, v := range victims {
 		uploadTrace(t, v.liveOwner, v.rec)
@@ -132,11 +132,11 @@ func TestRepairConvergenceAfterNodeOutage(t *testing.T) {
 			t.Fatalf("backfilled replay differs from live run:\ngot  %s\nwant %s", got, want)
 		}
 	}
-	// The successful backfills must also have cleared the hints the
-	// failed replications left behind.
+	// Nothing is left owed: a second cycle on each survivor finds
+	// every owner holding its copies.
 	for _, n := range nodes[:2] {
-		if p := n.srv.fabric.HintsPending(); p != 0 {
-			t.Fatalf("%d hints pending on %s after repair, want 0", p, n.url)
+		if rep := postRepair(t, n.url); rep.Backfilled != 0 || rep.Failed != 0 {
+			t.Fatalf("second repair on %s: %+v, want backfilled 0, failed 0", n.url, rep)
 		}
 	}
 }

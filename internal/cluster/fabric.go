@@ -82,29 +82,24 @@ type Config struct {
 	// ProbeEvery is the health-probe interval (GET /healthz on every
 	// other peer).  Defaults to 10s; zero or negative disables the
 	// probe loop (request outcomes still update health).  A probe
-	// that finds a peer healthy with hints pending triggers hint
-	// redelivery.
+	// that finds an unhealthy peer answering again wakes the repair
+	// loop for one immediate cycle, which backfills whatever the peer
+	// missed while it was down.
 	ProbeEvery time.Duration
 
 	// BreakerCooldown is how long an open per-peer breaker waits
 	// before admitting one half-open trial call.  Defaults to 5s.
 	BreakerCooldown time.Duration
 
-	// RepairEvery enables the anti-entropy repair loop: every
+	// RepairEvery sets the anti-entropy repair interval: every
 	// interval the node scans ListDigests, asks each digest's other
 	// owners whether they hold it, and backfills the ones that don't.
-	// Zero or negative disables the loop; RepairCycle can still be
-	// called directly.
+	// Zero or negative disables the periodic cycle; probe recovery
+	// still triggers one, and RepairCycle can be called directly.
 	RepairEvery time.Duration
 	// ListDigests returns the digests held locally (memory + disk
 	// tiers).  Required for repair; nil disables it.
 	ListDigests func() []string
-	// HintDir, when set, makes failed replication writes durable:
-	// each failure writes a hint file naming the peer and digest,
-	// redelivered when the peer's health probe recovers (or by the
-	// repair loop) and removed on success.  Hints are rehydrated on
-	// startup.
-	HintDir string
 
 	// ReadTrace streams the locally stored trace for digest to w in
 	// download (v4) format, reporting whether the digest was held.
@@ -128,7 +123,6 @@ type PeerHealth struct {
 	ConsecutiveFailures int       `json:"consecutiveFailures"`
 	Healthy             bool      `json:"healthy"`
 	BreakerOpen         bool      `json:"breakerOpen"`
-	HintsPending        int       `json:"hintsPending,omitempty"`
 }
 
 // Stats counts fabric activity since startup.
@@ -147,9 +141,6 @@ type Stats struct {
 	RepairChecks        uint64 `json:"repairChecks"`
 	RepairBackfills     uint64 `json:"repairBackfills"`
 	RepairFailures      uint64 `json:"repairFailures"`
-	HintsQueued         uint64 `json:"hintsQueued"`
-	HintsDelivered      uint64 `json:"hintsDelivered"`
-	HintsPending        int    `json:"hintsPending"`
 	BreakerOpens        uint64 `json:"breakerOpens"`
 	BreakerShed         uint64 `json:"breakerShed"`
 	BreakerOpen         int    `json:"breakerOpen"`
@@ -180,17 +171,15 @@ type Fabric struct {
 	readTrace   func(string, io.Writer) (bool, error)
 	listDigests func() []string
 	logf        func(string, ...any)
-	hintDir     string
 
 	breakerCooldown time.Duration
 
-	mu         sync.Mutex
-	peers      map[string]*peerState
-	stats      Stats
-	hints      map[string]map[string]struct{} // peer -> digests owed
-	delivering map[string]bool                // peer -> redelivery in flight
+	mu    sync.Mutex
+	peers map[string]*peerState
+	stats Stats
 
-	repairMu sync.Mutex // serializes repair cycles
+	repairMu  sync.Mutex    // serializes repair cycles
+	repairNow chan struct{} // 1-buffered: probe recovery wakes the repair loop
 
 	fetchDur *metrics.Histogram // peer fetch call latency
 	replDur  *metrics.Histogram // replication delivery latency
@@ -259,11 +248,9 @@ func New(cfg Config) (*Fabric, error) {
 		readTrace:       cfg.ReadTrace,
 		listDigests:     cfg.ListDigests,
 		logf:            cfg.Logf,
-		hintDir:         cfg.HintDir,
 		breakerCooldown: cfg.BreakerCooldown,
 		peers:           make(map[string]*peerState, len(cfg.Peers)),
-		hints:           make(map[string]map[string]struct{}),
-		delivering:      make(map[string]bool),
+		repairNow:       make(chan struct{}, 1),
 		queue:           make(chan string, cfg.QueueDepth),
 		ctx:             ctx,
 		cancel:          cancel,
@@ -274,19 +261,13 @@ func New(cfg Config) (*Fabric, error) {
 		}
 	}
 	f.registerMetrics(cfg.Registry)
-	if f.hintDir != "" {
-		if err := f.rehydrateHints(); err != nil {
-			cancel()
-			return nil, err
-		}
-	}
 	f.wg.Add(1)
 	go f.replicationWorker()
 	if cfg.ProbeEvery > 0 {
 		f.wg.Add(1)
 		go f.probeLoop(cfg.ProbeEvery)
 	}
-	if cfg.RepairEvery > 0 && f.listDigests != nil {
+	if f.listDigests != nil {
 		f.wg.Add(1)
 		go f.repairLoop(cfg.RepairEvery)
 	}
@@ -294,9 +275,9 @@ func New(cfg Config) (*Fabric, error) {
 }
 
 // Close stops the replication worker and the probe and repair loops.
-// Queued replications that have not started are abandoned (with
-// HintDir set they were never the only copy of the intent: repair
-// re-derives it from the digest set).
+// Queued replications that have not started are abandoned; they were
+// never the only copy of the intent, since repair re-derives it from
+// the digest set.
 func (f *Fabric) Close() {
 	f.cancel()
 	f.wg.Wait()
@@ -533,9 +514,6 @@ func (f *Fabric) replicationWorker() {
 				}
 				if err := f.replicateTo(digest, p); err != nil {
 					failed = true
-					if !isPermanent(err) {
-						f.addHint(p, digest)
-					}
 					f.logf("cluster: replicate %s to %s: %v", digest, p, err)
 				}
 			}
@@ -551,8 +529,8 @@ func (f *Fabric) replicationWorker() {
 // replicateTo delivers one digest to one peer with bounded
 // retry/backoff.  Connection errors and 5xx are retried; any 4xx is
 // permanent (the peer understood us and refused).  An open breaker
-// sheds the delivery immediately — the hint (or the next repair
-// cycle) picks it up after the peer recovers.
+// sheds the delivery immediately; the repair cycle that the peer's
+// probe recovery triggers picks it up.
 func (f *Fabric) replicateTo(digest, peer string) error {
 	var lastErr error
 	delay := f.backoff
@@ -696,8 +674,8 @@ func (f *Fabric) probeAll() {
 
 // probe checks one peer's /healthz under the probe deadline.  Probes
 // bypass the circuit breaker — they are its recovery path: a healthy
-// probe resets the failure count (closing the breaker) and kicks off
-// redelivery of any hints owed to the peer.
+// probe resets the failure count (closing the breaker), and one that
+// finds an unhealthy peer answering again wakes the repair loop.
 func (f *Fabric) probe(peer string) {
 	now := time.Now()
 	ctx, cancel := context.WithTimeout(f.ctx, probeTimeout)
@@ -720,6 +698,7 @@ func (f *Fabric) probe(peer string) {
 		return
 	}
 	st.lastProbe = now
+	recovered := ok && st.consec >= failuresBeforeUnhealthy
 	if ok {
 		st.lastOK = now
 		st.consec = 0
@@ -730,10 +709,12 @@ func (f *Fabric) probe(peer string) {
 			f.stats.BreakerOpens++
 		}
 	}
-	owed := ok && len(f.hints[peer]) > 0
 	f.mu.Unlock()
-	if owed {
-		f.deliverHints(peer)
+	if recovered {
+		select {
+		case f.repairNow <- struct{}{}:
+		default: // a cycle is already pending
+		}
 	}
 }
 
@@ -757,40 +738,20 @@ func (f *Fabric) Health() []PeerHealth {
 			ConsecutiveFailures: st.consec,
 			Healthy:             st.consec < failuresBeforeUnhealthy,
 			BreakerOpen:         open,
-			HintsPending:        len(f.hints[p]),
 		})
 	}
 	return out
 }
 
 // StatsSnapshot returns the fabric counters, including the current
-// replication queue depth, pending hint count, and open breakers.
+// replication queue depth and open breakers.
 func (f *Fabric) StatsSnapshot() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s := f.stats
 	s.ReplicationQueue = len(f.queue)
-	s.HintsPending = f.hintsPendingLocked()
 	s.BreakerOpen = f.breakersOpenLocked()
 	return s
-}
-
-// HintsPending reports how many failed replication writes are waiting
-// for their peer to recover.
-func (f *Fabric) HintsPending() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.hintsPendingLocked()
-}
-
-// hintsPendingLocked counts the hints owed across all peers; f.mu must
-// be held.
-func (f *Fabric) hintsPendingLocked() int {
-	n := 0
-	for _, hs := range f.hints {
-		n += len(hs)
-	}
-	return n
 }
 
 // breakersOpenLocked counts the peers whose breaker is open; f.mu must

@@ -7,9 +7,9 @@ import (
 // registerMetrics exports the fabric on a metrics registry.  The
 // mutex-guarded Stats struct stays the single source of truth for
 // counters — every exported counter is a Func-backed view over the
-// same fields StatsSnapshot serves, and the hint and breaker gauges
-// call the same locked counts it does, so /metrics and /v1/stats
-// cannot drift apart.  Only the latency distributions are native histograms,
+// same fields StatsSnapshot serves, and the breaker gauges call the
+// same locked count it does, so /metrics and /v1/stats cannot drift
+// apart.  Only the latency distributions are native histograms,
 // observed on the peer-call paths themselves.
 func (f *Fabric) registerMetrics(reg *metrics.Registry) {
 	counter := func(name, help string, get func(*Stats) uint64) {
@@ -58,12 +58,6 @@ func (f *Fabric) registerMetrics(reg *metrics.Registry) {
 	counter("tlr_cluster_repair_failures_total",
 		"Repair backfills that failed.",
 		func(s *Stats) uint64 { return s.RepairFailures })
-	counter("tlr_cluster_hints_queued_total",
-		"Failed replication writes recorded as durable hints.",
-		func(s *Stats) uint64 { return s.HintsQueued })
-	counter("tlr_cluster_hints_delivered_total",
-		"Hinted replications delivered after peer recovery.",
-		func(s *Stats) uint64 { return s.HintsDelivered })
 	counter("tlr_cluster_breaker_opens_total",
 		"Per-peer circuit breakers opened.",
 		func(s *Stats) uint64 { return s.BreakerOpens })
@@ -74,9 +68,6 @@ func (f *Fabric) registerMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("tlr_cluster_replication_queue_depth",
 		"Replications enqueued and not yet picked up by the worker.",
 		func() float64 { return float64(len(f.queue)) })
-	reg.GaugeFunc("tlr_cluster_hints_pending",
-		"Hinted replications waiting for their peer to recover.",
-		func() float64 { return float64(f.HintsPending()) })
 	reg.GaugeFunc("tlr_cluster_breakers_open",
 		"Peers whose circuit breaker is currently open.",
 		func() float64 {

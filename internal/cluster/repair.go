@@ -2,12 +2,14 @@ package cluster
 
 // Anti-entropy repair: the write path replicates asynchronously and
 // can fail silently (peer down during upload, queue overflow, node
-// restarted with a hint file lost).  The repair loop closes every such
-// hole from first principles: periodically scan the digests this node
-// holds, ask each digest's other owners whether they hold it, and
-// backfill the ones that don't.  One cycle after every owner is back
-// up, the cluster is at full replication factor again — regardless of
-// which writes were lost or why.
+// restarted with deliveries still queued).  The repair loop is the one
+// path that closes every such hole, from first principles: scan the
+// digests this node holds, ask each digest's other owners whether they
+// hold it, and backfill the ones that don't.  It runs every
+// RepairEvery and once more whenever a probe sees an unhealthy peer
+// answering again, so one cycle after every owner is back up the
+// cluster is at full replication factor — regardless of which writes
+// were lost or why.
 
 import (
 	"context"
@@ -28,20 +30,27 @@ type RepairReport struct {
 	Failed int `json:"failed"`
 }
 
+// repairLoop runs a cycle every interval (never, when every <= 0) and
+// whenever probe recovery signals repairNow.
 func (f *Fabric) repairLoop(every time.Duration) {
 	defer f.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
+	var tick <-chan time.Time
+	if every > 0 {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-f.ctx.Done():
 			return
-		case <-t.C:
-			rep := f.RepairCycle()
-			if rep.Backfilled > 0 || rep.Failed > 0 {
-				f.logf("cluster: repair: %d digests, %d checks, %d backfilled, %d failed",
-					rep.Digests, rep.Checked, rep.Backfilled, rep.Failed)
-			}
+		case <-tick:
+		case <-f.repairNow:
+		}
+		rep := f.RepairCycle()
+		if rep.Backfilled > 0 || rep.Failed > 0 {
+			f.logf("cluster: repair: %d digests, %d checks, %d backfilled, %d failed",
+				rep.Digests, rep.Checked, rep.Backfilled, rep.Failed)
 		}
 	}
 }
@@ -81,20 +90,16 @@ func (f *Fabric) RepairCycle() RepairReport {
 				continue
 			}
 			if held {
-				// The peer has it; any hint owed is satisfied.
-				f.dropHint(p, digest)
 				continue
 			}
 			if err := f.replicateTo(digest, p); err != nil {
 				rep.Failed++
 				f.bump(func(s *Stats) { s.RepairFailures++ })
-				f.addHint(p, digest)
 				f.logf("cluster: repair backfill %s to %s: %v", digest, p, err)
 				continue
 			}
 			rep.Backfilled++
 			f.bump(func(s *Stats) { s.RepairBackfills++ })
-			f.dropHint(p, digest)
 		}
 	}
 	f.bump(func(s *Stats) { s.RepairCycles++ })

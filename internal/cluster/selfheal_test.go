@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -139,75 +137,71 @@ func TestReplicationQueueOverflowCountsDrops(t *testing.T) {
 	}
 }
 
-func TestHintWrittenOnFailureAndRedeliveredOnProbeRecovery(t *testing.T) {
-	peer := newFlakyPeer(t)
-	peer.setDown(true)
-	hintDir := t.TempDir()
-	self := "http://self.invalid"
-	f := newTestFabric(t, self, []string{self, peer.ts.URL}, func(c *Config) {
-		c.Retries = 1
-		c.ProbeEvery = 5 * time.Millisecond
-		c.HintDir = hintDir
-		c.ReadTrace = digestAsTrace
-	})
+// TestProbeRecoveryRepairsFailedDelivery: a delivery that fails while
+// its peer is down reaches the peer once it answers again, through the
+// repair cycle its probe recovery triggers — whether the periodic cycle
+// is an hour away or switched off.
+func TestProbeRecoveryRepairsFailedDelivery(t *testing.T) {
+	for _, every := range []time.Duration{time.Hour, 0} {
+		t.Run(fmt.Sprintf("RepairEvery=%v", every), func(t *testing.T) {
+			peer := newFlakyPeer(t)
+			peer.setDown(true)
+			self := "http://self.invalid"
+			const digest = "sha256-owed"
+			f := newTestFabric(t, self, []string{self, peer.ts.URL}, func(c *Config) {
+				c.Retries = 1
+				c.ProbeEvery = 5 * time.Millisecond
+				c.RepairEvery = every
+				c.ReadTrace = digestAsTrace
+				c.ListDigests = func() []string { return []string{digest} }
+			})
+			f.Replicate(digest)
+			waitUntil(t, "delivery to fail", func() bool { return f.StatsSnapshot().ReplicationsFailed == 1 })
+			waitUnhealthy(t, f)
 
-	const digest = "sha256-owed"
-	f.Replicate(digest)
-	waitUntil(t, "hint to be recorded", func() bool { return f.HintsPending() == 1 })
-	if entries, _ := os.ReadDir(hintDir); len(entries) != 1 {
-		t.Fatalf("hint dir has %d files, want one durable hint", len(entries))
-	}
-	if st := f.StatsSnapshot(); st.HintsQueued != 1 {
-		t.Fatalf("stats %+v, want one hint queued", st)
-	}
-	if peer.has(digest) {
-		t.Fatal("down peer somehow received the trace")
-	}
-
-	peer.setDown(false)
-	waitUntil(t, "hint redelivery after probe recovery", func() bool {
-		return peer.has(digest) && f.HintsPending() == 0
-	})
-	if st := f.StatsSnapshot(); st.HintsDelivered != 1 {
-		t.Fatalf("stats %+v, want one hint delivered", st)
-	}
-	if entries, _ := os.ReadDir(hintDir); len(entries) != 0 {
-		t.Fatalf("hint dir still has %d files after delivery", len(entries))
+			peer.setDown(false)
+			waitUntil(t, "repair backfill after probe recovery", func() bool {
+				return peer.has(digest) && f.StatsSnapshot().RepairBackfills == 1
+			})
+		})
 	}
 }
 
-func TestHintsRehydrateAcrossRestart(t *testing.T) {
+// TestRestartedFabricRepairsFailedDelivery: a failed delivery needs no
+// state of its own to survive a restart.  A fresh fabric over the same
+// digest set backfills the peer once it recovers.
+func TestRestartedFabricRepairsFailedDelivery(t *testing.T) {
 	peer := newFlakyPeer(t)
 	peer.setDown(true)
-	hintDir := t.TempDir()
 	self := "http://self.invalid"
-	mkFabric := func() *Fabric {
+	const digest = "sha256-owed"
+	mkFabric := func(probeEvery time.Duration) *Fabric {
 		return newTestFabric(t, self, []string{self, peer.ts.URL}, func(c *Config) {
 			c.Retries = 1
-			c.HintDir = hintDir
+			c.ProbeEvery = probeEvery
+			c.RepairEvery = time.Hour
 			c.ReadTrace = digestAsTrace
+			c.ListDigests = func() []string { return []string{digest} }
 		})
 	}
-	f1 := mkFabric()
-	f1.Replicate("sha256-owed")
-	waitUntil(t, "hint to be recorded", func() bool { return f1.HintsPending() == 1 })
+	f1 := mkFabric(0)
+	f1.Replicate(digest)
+	waitUntil(t, "delivery to fail", func() bool { return f1.StatsSnapshot().ReplicationsFailed == 1 })
 	f1.Close()
 
-	f2 := mkFabric()
-	if n := f2.HintsPending(); n != 1 {
-		t.Fatalf("restarted fabric rehydrated %d hints, want 1", n)
-	}
-	if st := f2.StatsSnapshot(); st.HintsPending != 1 {
-		t.Fatalf("stats %+v, want one pending hint", st)
-	}
-	// Sanity: a malformed hint file must not wedge startup.
-	if err := os.WriteFile(filepath.Join(hintDir, "junk.hint"), []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f3 := mkFabric()
-	if n := f3.HintsPending(); n != 1 {
-		t.Fatalf("fabric with junk hint file rehydrated %d hints, want 1", n)
-	}
+	f2 := mkFabric(5 * time.Millisecond)
+	waitUnhealthy(t, f2)
+	peer.setDown(false)
+	waitUntil(t, "restarted fabric to backfill the peer", func() bool {
+		return peer.has(digest) && f2.StatsSnapshot().RepairBackfills == 1
+	})
+}
+
+// waitUnhealthy waits until f's probes mark its one other peer
+// unhealthy, so that the peer's recovery is one the probe notices.
+func waitUnhealthy(t *testing.T, f *Fabric) {
+	t.Helper()
+	waitUntil(t, "peer to be marked unhealthy", func() bool { return !f.Health()[0].Healthy })
 }
 
 func TestBreakerShedsFastAndHalfOpensAfterCooldown(t *testing.T) {
@@ -275,9 +269,6 @@ func TestRepairCycleBackfillsMissingOwners(t *testing.T) {
 		c.ReadTrace = digestAsTrace
 		c.ListDigests = func() []string { return []string{digest} }
 	})
-	// A stale hint for the peer that already holds the digest must be
-	// cleared by the repair check, not redelivered.
-	f.addHint(holder.ts.URL, digest)
 
 	rep := f.RepairCycle()
 	if rep.Digests != 1 || rep.Checked != 2 || rep.Backfilled != 1 || rep.Failed != 0 {
@@ -285,9 +276,6 @@ func TestRepairCycleBackfillsMissingOwners(t *testing.T) {
 	}
 	if !empty.has(digest) {
 		t.Fatal("repair did not backfill the missing owner")
-	}
-	if n := f.HintsPending(); n != 0 {
-		t.Fatalf("%d hints pending after repair, want 0 (stale hint cleared)", n)
 	}
 	st := f.StatsSnapshot()
 	if st.RepairCycles != 1 || st.RepairBackfills != 1 || st.RepairChecks != 2 {
