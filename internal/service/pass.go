@@ -24,13 +24,18 @@ import (
 // lone trace-backed job is a pass of one, so every trace-backed job runs
 // through runPass.
 //
-// Program-backed jobs do not share a stream: a live stream would have to
-// be recorded to be shared, and on the Figure-9 grid recording each
-// window once and replaying its 40 RTM configurations took longer than
-// the 40 live simulations it would replace.  They share simulations
-// instead: a program-backed geometry family is one task that runs one
-// live simulation per member it cannot derive (runFamily), and every
-// other program-backed job is a task of its own.
+// Program-backed jobs do not share a stream, though they could without
+// recording it.  Feeding one unrecorded live stream to every RTM lane
+// of a workload (about 30 rtm.Replay lanes on the Figure-9 grid) gave
+// all 560 Figure-9 results byte-identical to separate runs, but took
+// 1.13-1.49x as long as the separate per-cell simulations over 7
+// rounds: each Replay lane keeps its own shadow state, so sharing the
+// simulator saves less than the lanes cost.  Recording each window once
+// and replaying its 40 RTM configurations was slower than the live
+// simulations too.  They share simulations instead: a program-backed
+// geometry family is one task that runs one live simulation per member
+// it cannot derive (runFamily), and every other program-backed job is a
+// task of its own.
 
 // laneSpec is one trace-driven job: its stream and what it computes
 // over it (exactly one of study, vp, rtm, analyze).

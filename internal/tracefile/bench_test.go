@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/tracereuse/tlr/internal/cpu"
@@ -111,6 +112,40 @@ func BenchmarkSimulatorStep(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*n), "ns/record")
+}
+
+// recordSink keeps BenchmarkRecord's result live.
+var recordSink *Trace
+
+// BenchmarkRecord measures recording: Recorder.Write for every record,
+// then Trace — dictionary, block encode, digest and assembly.  The
+// windows are 200k records of the four workloads the replay-grid
+// benchmark records, whose canonical sizes (13 to 46 B/record) and
+// dictionaries differ; the simulator runs before the timer starts.
+// ns/record and B/record are per recorded record.
+func BenchmarkRecord(b *testing.B) {
+	const n = 200_000
+	for _, name := range []string{"gcc", "compress", "ijpeg", "tomcatv"} {
+		b.Run(name, func(b *testing.B) {
+			recs := execWorkload(b, name, n)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := NewRecorder()
+				for j := range recs {
+					rec.Write(&recs[j])
+				}
+				recordSink = rec.Trace()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			total := float64(uint64(b.N) * n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/record")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/total, "B/record")
+		})
+	}
 }
 
 // BenchmarkFileStreamReplay measures the incremental on-disk replay

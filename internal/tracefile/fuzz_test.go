@@ -2,10 +2,15 @@ package tracefile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
+	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
+	"github.com/tracereuse/tlr/internal/isa"
 	"github.com/tracereuse/tlr/internal/trace"
 )
 
@@ -210,6 +215,208 @@ func FuzzSpoolToDir(f *testing.F) {
 			}
 			if normalize(ke) != normalize(de) {
 				t.Fatalf("record %d: kept cursor replays %+v, Load's %+v", i, ke, de)
+			}
+		}
+	})
+}
+
+// oracleRecorder is the Recorder as it was before recording went
+// chunked and parallel: every canonical record appended to one buffer,
+// which finalisation hashes whole, then decodes and transcodes to v4 on
+// one goroutine.  FuzzRecorder holds Recorder to it.
+type oracleRecorder struct {
+	canon []byte
+	n     uint64
+	freq  trace.LocMap[uint64]
+}
+
+func (r *oracleRecorder) Write(e *trace.Exec) {
+	r.canon = appendRecord(r.canon, e)
+	for _, ref := range e.Inputs() {
+		*r.freq.At(ref.Loc)++
+	}
+	for _, ref := range e.Outputs() {
+		*r.freq.At(ref.Loc)++
+	}
+	r.n++
+}
+
+func (r *oracleRecorder) Trace() *Trace {
+	dict := buildDict(&r.freq)
+	v := newV4Encoder(dict, 0)
+	var blocks []int
+	var e trace.Exec
+	off := 0
+	for i := uint64(0); i < r.n; i++ {
+		next, err := decodeRecord(r.canon, off, &e)
+		if err != nil {
+			panic("tracefile: Recorder holds an unencodable record: " + recErr(i, off, err).Error())
+		}
+		off = next
+		if i%BlockLen == 0 {
+			blocks = append(blocks, len(v.enc))
+		}
+		v.write(&e)
+	}
+	v.finish()
+	return newTrace(v.enc, blocks, dict, r.n, len(r.canon), sha256.Sum256(r.canon))
+}
+
+// Shape bits of a FuzzRecorder stream.
+const (
+	genWideVals = 1 << iota // full 64-bit values only (else mixed magnitudes)
+	genJumps                // arbitrary PCs and next PCs (else mostly sequential)
+	genKind3                // also the undefined fourth location kind
+	genSideEff              // side-effect records
+	genMaxRefs              // every record carries 3 inputs and 2 outputs
+	genOddLat               // latencies other than the op's
+	genBadOp                // one record with an undefined op
+	genBadOps               // two more, placed independently
+)
+
+// genRecords derives a record stream from FuzzRecorder's parameters: n
+// records from a PRNG seeded with seed, their memory operands spread
+// over spread+1 words (beyond DictCap, the dictionary's wide codes and
+// literal locations come into play), shaped by the gen* bits.
+func genRecords(seed int64, n int, spread uint16, shape uint8) []trace.Exec {
+	rng := rand.New(rand.NewSource(seed))
+	loc := func() trace.Loc {
+		kinds := 3
+		if shape&genKind3 != 0 {
+			kinds = 4
+		}
+		switch rng.Intn(kinds) {
+		case 0:
+			return trace.IntReg(uint8(rng.Intn(isa.NumRegs)))
+		case 1:
+			return trace.FPReg(uint8(rng.Intn(isa.NumRegs)))
+		case 2:
+			return trace.Mem(uint64(rng.Intn(int(spread) + 1)))
+		default:
+			return trace.Loc(3<<62 | uint64(rng.Intn(int(spread)+1)))
+		}
+	}
+	val := func() uint64 {
+		if shape&genWideVals != 0 {
+			return rng.Uint64()
+		}
+		return rng.Uint64() >> rng.Intn(64)
+	}
+	recs := make([]trace.Exec, n)
+	var pc uint64
+	for i := range recs {
+		e := &recs[i]
+		e.Op = isa.Op(rng.Intn(isa.NumOps))
+		e.Lat = latByOp[e.Op]
+		if shape&genOddLat != 0 && rng.Intn(2) == 0 {
+			e.Lat = uint8(rng.Intn(256))
+		}
+		e.SideEffect = shape&genSideEff != 0 && rng.Intn(8) == 0
+		if shape&genJumps != 0 && rng.Intn(4) == 0 {
+			pc = rng.Uint64()
+		}
+		e.PC = pc
+		e.Next = pc + 1
+		if shape&genJumps != 0 && rng.Intn(4) == 0 {
+			e.Next = rng.Uint64()
+		}
+		pc = e.Next
+		e.NIn, e.NOut = uint8(rng.Intn(len(e.In)+1)), uint8(rng.Intn(len(e.Out)+1))
+		if shape&genMaxRefs != 0 {
+			e.NIn, e.NOut = uint8(len(e.In)), uint8(len(e.Out))
+		}
+		for k := range e.Inputs() {
+			e.In[k] = trace.Ref{Loc: loc(), Val: val()}
+		}
+		for k := range e.Outputs() {
+			e.Out[k] = trace.Ref{Loc: loc(), Val: val()}
+		}
+	}
+	for _, bad := range []uint8{genBadOp, genBadOps, genBadOps} {
+		if shape&bad != 0 && n > 0 {
+			recs[rng.Intn(n)].Op = isa.Op(255)
+		}
+	}
+	return recs
+}
+
+// finishRecording records recs into rec and finalises it, returning the
+// panic message instead when finalising panics.
+func finishRecording(rec interface {
+	Write(*trace.Exec)
+	Trace() *Trace
+}, recs []trace.Exec) (tr *Trace, panicked string) {
+	for i := range recs {
+		rec.Write(&recs[i])
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			panicked = fmt.Sprint(r)
+		}
+	}()
+	return rec.Trace(), ""
+}
+
+// FuzzRecorder holds the chunked, parallel Recorder to the sequential
+// single-buffer oracle on generated record streams: the v4 encoding
+// (exactly sized), block offsets, dictionary, digest, canonical size and
+// record count must be identical, an unencodable record must panic on
+// the caller's goroutine with the oracle's message, and the Trace must
+// replay like the oracle's — and, when every location has a defined
+// kind, replay exactly the records written.
+func FuzzRecorder(f *testing.F) {
+	for _, n := range []int{0, 1, BlockLen - 1, BlockLen, BlockLen + 1, 3*BlockLen + 17} {
+		f.Add(int64(n), uint16(n), uint16(64), uint8(0))
+		f.Add(int64(n), uint16(n), uint16(4*DictCap), uint8(genWideVals|genJumps|genSideEff|genMaxRefs))
+	}
+	f.Add(int64(1), uint16(2*BlockLen+5), uint16(2*DictCap), uint8(genKind3|genOddLat))
+	f.Add(int64(2), uint16(3*BlockLen), uint16(16), uint8(genBadOp))
+	f.Add(int64(3), uint16(4*BlockLen-1), uint16(300), uint8(genBadOps|genJumps))
+	f.Fuzz(func(t *testing.T, seed int64, n, spread uint16, shape uint8) {
+		recs := genRecords(seed, int(n)%(5*BlockLen), spread, shape)
+		want, wantPanic := finishRecording(&oracleRecorder{}, recs)
+		got, gotPanic := finishRecording(NewRecorder(), recs)
+		if gotPanic != wantPanic {
+			t.Fatalf("Trace panics with %q, oracle with %q", gotPanic, wantPanic)
+		}
+		if wantPanic != "" {
+			return
+		}
+		if !bytes.Equal(got.enc, want.enc) {
+			t.Fatalf("v4 encoding differs: %d bytes, oracle %d", len(got.enc), len(want.enc))
+		}
+		if cap(got.enc) != len(got.enc) {
+			t.Fatalf("v4 encoding of %d bytes holds %d", len(got.enc), cap(got.enc))
+		}
+		if !slices.Equal(got.blocks, want.blocks) || !slices.Equal(got.dict, want.dict) {
+			t.Fatalf("blocks %v dict %d entries, oracle blocks %v dict %d entries",
+				got.blocks, len(got.dict), want.blocks, len(want.dict))
+		}
+		if got.Digest() != want.Digest() || got.sum != want.sum || got.CanonicalBytes() != want.CanonicalBytes() ||
+			got.Records() != want.Records() || got.Records() != uint64(len(recs)) {
+			t.Fatalf("identity %s/%d/%d, oracle %s/%d/%d (%d written)", got.Digest(), got.CanonicalBytes(), got.Records(),
+				want.Digest(), want.CanonicalBytes(), want.Records(), len(recs))
+		}
+		gc, wc := got.Cursor(), want.Cursor()
+		defer gc.Close()
+		defer wc.Close()
+		var ge, we trace.Exec
+		for i := range len(recs) + 1 {
+			gerr, werr := gc.Next(&ge), wc.Next(&we)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("record %d: cursor says %v, oracle's %v", i, gerr, werr)
+			}
+			if gerr != nil {
+				if i < len(recs) && shape&genKind3 == 0 {
+					t.Fatalf("record %d: %v", i, gerr)
+				}
+				break
+			}
+			if normalize(ge) != normalize(we) {
+				t.Fatalf("record %d: cursor replays %+v, oracle's %+v", i, ge, we)
+			}
+			if shape&genKind3 == 0 && normalize(ge) != normalize(recs[i]) {
+				t.Fatalf("record %d: cursor replays %+v, %+v was written", i, ge, recs[i])
 			}
 		}
 	})

@@ -39,7 +39,7 @@ import (
 // canonicalHasher digests a record stream's canonical encoding
 // incrementally: records are encoded into a scratch buffer that feeds
 // sha256 a hashChunk at a time, instead of one small Write per record
-// or the whole canonical stream a Recorder accumulates.
+// or keeping the canonical stream, as a Recorder must.
 type canonicalHasher struct {
 	h   hash.Hash
 	buf []byte
@@ -600,10 +600,7 @@ func transcodeV4File(dst string, src io.Reader, scan ScanInfo) error {
 		if _, err := zw.Write(enc.enc); err != nil {
 			return err
 		}
-		// The encoder's block-offset bookkeeping is meaningless across
-		// drains and unused here; reset both so the buffers stay small.
 		enc.enc = enc.enc[:0]
-		enc.blocks = enc.blocks[:0]
 		return nil
 	}
 	var e trace.Exec

@@ -12,20 +12,25 @@ package tracefile
 // version-1 record stream; never a container header and never the v3 or
 // v4 delta forms), so the same dynamic stream has the same digest
 // whether it was recorded in memory or loaded from a version-1, -2, -3
-// or -4 file.  The Recorder hashes the canonical bytes it accumulates
-// before transcoding them to the v4 form it keeps.  Load hashes the
-// canonical form of every record it decodes: a version-4 container's
-// validated payload and dictionary become the Trace as they are, and
-// older versions are re-recorded into the v4 form.
+// or -4 file.  The Recorder keeps the canonical bytes in block-sized
+// chunks; finalising hashes them in order while the v4 blocks are
+// encoded from them in parallel.  Load hashes the canonical form of
+// every record it decodes: a version-4 container's validated payload
+// and dictionary become the Trace as they are, and older versions are
+// re-recorded into the v4 form.
 
 import (
 	"bufio"
+	"bytes"
 	"compress/flate"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"github.com/tracereuse/tlr/internal/isa"
 	"github.com/tracereuse/tlr/internal/trace"
@@ -74,13 +79,18 @@ func (t *Trace) Digest() string { return t.digest }
 
 // Recorder accumulates records into an in-memory Trace: the recording
 // half of the record/replay workflow (and how Load reads a version-1,
-// -2 or -3 container).  It buffers the canonical encoding (the digest
-// is defined over it) and counts location frequencies; finalisation
-// builds the dictionary and transcodes to the v4 form the Trace keeps.
+// -2 or -3 container).  It keeps the canonical encoding (the digest is
+// defined over it) in chunks of exactly one v4 block each and counts
+// location frequencies.  Finalisation builds the dictionary, then
+// encodes the blocks independently on up to GOMAXPROCS goroutines while
+// it hashes the chunks in order: v4 delta state resets at every block
+// boundary, so the result is the same as one sequential transcode.
+// No whole-trace buffer is ever grown: the one whole-trace allocation
+// is the exactly-sized v4 encoding the blocks are assembled into.
 type Recorder struct {
-	canon []byte
-	n     uint64
-	freq  trace.LocMap[uint64]
+	chunks [][]byte // canonical encoding, BlockLen records per chunk
+	n      uint64
+	freq   trace.LocMap[uint64]
 }
 
 // NewRecorder returns an empty Recorder.
@@ -89,7 +99,17 @@ func NewRecorder() *Recorder { return new(Recorder) }
 // Write appends one record.  The signature matches the cpu.Run callback
 // so a Recorder can tap the simulator's stream directly.
 func (r *Recorder) Write(e *trace.Exec) {
-	r.canon = appendRecord(r.canon, e)
+	if r.n%BlockLen == 0 {
+		// Size each chunk from the one before: consecutive blocks of one
+		// stream encode to similar sizes, so most chunks never grow.
+		hint := 0
+		if k := len(r.chunks); k > 0 {
+			hint = len(r.chunks[k-1]) + len(r.chunks[k-1])/8
+		}
+		r.chunks = append(r.chunks, make([]byte, 0, hint))
+	}
+	c := &r.chunks[len(r.chunks)-1]
+	*c = appendRecord(*c, e)
 	for _, ref := range e.Inputs() {
 		*r.freq.At(ref.Loc)++
 	}
@@ -102,29 +122,89 @@ func (r *Recorder) Write(e *trace.Exec) {
 // Records returns how many records were written so far.
 func (r *Recorder) Records() uint64 { return r.n }
 
-// Trace finalises the recording: digest the canonical bytes, build the
-// location dictionary, transcode to the v4 encoding.  The Recorder must
-// not be written to afterwards.
+// Trace finalises the recording: build the location dictionary, encode
+// every chunk to its v4 block, digest the chunks, and assemble the
+// blocks into one encoding.  Every goroutine it starts has returned
+// when it returns.  The Recorder must not be written to afterwards.
 func (r *Recorder) Trace() *Trace {
 	dict := buildDict(&r.freq)
-	// The v4 form runs well under half the canonical size; starting at
-	// half avoids most growth copies without overshooting.
-	v := newV4Encoder(dict, len(r.canon)/2)
-	var e trace.Exec
-	off := 0
-	for i := uint64(0); i < r.n; i++ {
-		var err error
-		if off, err = decodeRecord(r.canon, off, i, &e); err != nil {
+	nb := len(r.chunks)
+	// offs[i] is chunk i's offset in the canonical stream; offs[nb] is
+	// the stream's size.
+	offs := make([]int, nb+1)
+	for i, c := range r.chunks {
+		offs[i+1] = offs[i] + len(c)
+	}
+	out := make([][]byte, nb)
+	errs := make([]error, nb)
+	var next atomic.Int64
+	encode := func() {
+		v := newV4Encoder(dict, 0)
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= nb {
+				return
+			}
+			out[i], errs[i] = encodeChunk(v, r.chunks[i], uint64(i)*BlockLen, offs[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), nb) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			encode()
+		}()
+	}
+	// This goroutine hashes while the others encode, then joins them.
+	h := sha256.New()
+	for _, c := range r.chunks {
+		h.Write(c)
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	encode()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			// Write accepts any *trace.Exec, but only records that decode
 			// back (valid op, in-range ref counts) can be carried by any
 			// container version; a failure here is a caller bug, caught at
 			// the same point a Save or WriteTo would have failed before.
+			// The first failing block holds the first failing record.
 			panic("tracefile: Recorder holds an unencodable record: " + err.Error())
 		}
+	}
+	var blocks []int
+	size := 0
+	for _, b := range out {
+		blocks = append(blocks, size)
+		size += len(b)
+	}
+	enc := make([]byte, 0, size)
+	for _, b := range out {
+		enc = append(enc, b...)
+	}
+	return newTrace(enc, blocks, dict, r.n, offs[nb], sum)
+}
+
+// encodeChunk transcodes one chunk of canonical records — block
+// first/BlockLen, at offset base of the canonical stream — into a
+// sealed v4 block of its own, leaving v empty for the next chunk.
+func encodeChunk(v *v4Encoder, chunk []byte, first uint64, base int) ([]byte, error) {
+	var e trace.Exec
+	for off, i := 0, first; off < len(chunk); i++ {
+		next, err := decodeRecord(chunk, off, &e)
+		if err != nil {
+			return nil, recErr(i, base+off, err)
+		}
+		off = next
 		v.write(&e)
 	}
 	v.finish()
-	return newTrace(v.enc, v.blocks, dict, r.n, len(r.canon), sha256.Sum256(r.canon))
+	blk := bytes.Clone(v.enc)
+	v.enc = v.enc[:0]
+	return blk, nil
 }
 
 // newTrace assembles a Trace from its v4 encoding and the identity of
@@ -349,46 +429,45 @@ func appendRecord(buf []byte, e *trace.Exec) []byte {
 }
 
 // decodeRecord decodes the canonical record at enc[off:] into e and
-// returns the offset of the following record.  idx is the record's
-// index, used only for error context.
-func decodeRecord(enc []byte, off int, idx uint64, e *trace.Exec) (int, error) {
-	start := off
+// returns the offset of the following record.  Callers add the
+// record's index and offset to an error (recErr).
+func decodeRecord(enc []byte, off int, e *trace.Exec) (int, error) {
 	if off+3 > len(enc) {
-		return off, recErr(idx, start, io.ErrUnexpectedEOF)
+		return off, io.ErrUnexpectedEOF
 	}
 	flags, op, lat := enc[off], enc[off+1], enc[off+2]
 	off += 3
 	if flags&flagUnused != 0 {
-		return off, recErr(idx, start, fmt.Errorf("unknown flag bits %#x", flags&flagUnused))
+		return off, fmt.Errorf("unknown flag bits %#x", flags&flagUnused)
 	}
 	nIn := int(flags>>flagNInShift) & 3
 	nOut := int(flags>>flagNOutShift) & 3
 	if nIn > len(e.In) || nOut > len(e.Out) {
-		return off, recErr(idx, start, fmt.Errorf("ref counts %d/%d out of range", nIn, nOut))
+		return off, fmt.Errorf("ref counts %d/%d out of range", nIn, nOut)
 	}
 	e.Reset()
 	e.Op = isa.Op(op)
 	if !e.Op.Valid() {
-		return off, recErr(idx, start, fmt.Errorf("undefined op %d", op))
+		return off, fmt.Errorf("undefined op %d", op)
 	}
 	e.Lat = lat
 	e.SideEffect = flags&flagSideEff != 0
 	var err error
 	if e.PC, off, err = sliceUvarint(enc, off); err != nil {
-		return off, recErr(idx, start, err)
+		return off, err
 	}
 	if flags&flagSeqNext != 0 {
 		e.Next = e.PC + 1
 	} else if e.Next, off, err = sliceUvarint(enc, off); err != nil {
-		return off, recErr(idx, start, err)
+		return off, err
 	}
 	for i := 0; i < nIn; i++ {
 		var loc, val uint64
 		if loc, off, err = sliceUvarint(enc, off); err != nil {
-			return off, recErr(idx, start, err)
+			return off, err
 		}
 		if val, off, err = sliceUvarint(enc, off); err != nil {
-			return off, recErr(idx, start, err)
+			return off, err
 		}
 		e.In[i] = trace.Ref{Loc: trace.Loc(loc), Val: val}
 	}
@@ -396,10 +475,10 @@ func decodeRecord(enc []byte, off int, idx uint64, e *trace.Exec) (int, error) {
 	for i := 0; i < nOut; i++ {
 		var loc, val uint64
 		if loc, off, err = sliceUvarint(enc, off); err != nil {
-			return off, recErr(idx, start, err)
+			return off, err
 		}
 		if val, off, err = sliceUvarint(enc, off); err != nil {
-			return off, recErr(idx, start, err)
+			return off, err
 		}
 		e.Out[i] = trace.Ref{Loc: trace.Loc(loc), Val: val}
 	}
@@ -419,10 +498,11 @@ func CanonicalDecode(enc []byte, fn func(*trace.Exec)) (uint64, error) {
 	var n uint64
 	off := 0
 	for off < len(enc) {
-		var err error
-		if off, err = decodeRecord(enc, off, n, &e); err != nil {
-			return n, err
+		next, err := decodeRecord(enc, off, &e)
+		if err != nil {
+			return n, recErr(n, off, err)
 		}
+		off = next
 		if fn != nil {
 			fn(&e)
 		}

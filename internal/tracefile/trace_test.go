@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,6 +31,25 @@ func recordWorkload(t testing.TB, name string, n uint64) *Trace {
 		t.Fatal(err)
 	}
 	return rec.Trace()
+}
+
+// execWorkload runs n instructions of a workload and returns their
+// records, so recording can be timed or measured without the simulator.
+func execWorkload(t testing.TB, name string, n uint64) []trace.Exec {
+	t.Helper()
+	w, ok := workload.ByName(name)
+	if !ok {
+		t.Fatalf("workload %q missing", name)
+	}
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]trace.Exec, 0, n)
+	if _, err := cpu.New(prog).Run(n, func(e *trace.Exec) { recs = append(recs, *e) }); err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 // normalize zeroes the operand slots beyond NIn/NOut so two records can
@@ -452,5 +472,35 @@ func TestReaderErrorsCarryOffset(t *testing.T) {
 	want := "record 4 (offset " + strconv.Itoa(good) + ")"
 	if !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not carry %q", err, want)
+	}
+}
+
+// TestRecordAllocBound bounds what recording allocates per record,
+// relative to what the finished trace is made of: the canonical bytes
+// the Recorder keeps until Trace, plus the v4 encoding.  Chunks sized
+// from their predecessor, one copy of each encoded block and one
+// exactly-sized assembly come to 1.6-1.8 times that on these windows;
+// growing one whole-trace buffer, or an encoding from a guessed size,
+// pays for every doubling again (4.2-4.5 times).  Each encoding
+// goroutine also holds one block's planes, so the count is pinned.
+func TestRecordAllocBound(t *testing.T) {
+	const bound = 2.25
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, name := range []string{"gcc", "tomcatv"} {
+		recs := execWorkload(t, name, 200_000)
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		rec := NewRecorder()
+		for i := range recs {
+			rec.Write(&recs[i])
+		}
+		tr := rec.Trace()
+		runtime.ReadMemStats(&m1)
+		got, size := m1.TotalAlloc-m0.TotalAlloc, tr.CanonicalBytes()+tr.Bytes()
+		if ratio := float64(got) / float64(size); ratio > bound {
+			t.Errorf("%s: recording %d records allocated %d B (%.1f B/record), %.2f times the %d canonical + %d v4 bytes; want <= %.2f",
+				name, len(recs), got, float64(got)/float64(len(recs)), ratio, tr.CanonicalBytes(), tr.Bytes(), bound)
+		}
 	}
 }

@@ -606,17 +606,15 @@ func (d *planeDec) applyFixups(dict *[DictCap]trace.Loc, dictLen int, last *[Dic
 
 // v4Encoder transcodes a record stream into plane-split blocks.  It is
 // fed records in order and owns all per-block delta state; the caller
-// may drain enc between blocks (the streaming transcode does) or let it
-// accumulate with per-block offsets (the in-memory Trace does).
+// drains enc after each sealed block (the streaming transcode writes it
+// out, the Recorder's block encoders copy it).
 type v4Encoder struct {
 	enc    []byte // sealed blocks (header + planes, back to back)
-	blocks []int  // blocks[i] = offset of sealed block i in enc
 	dict   []trace.Loc
 	idx    trace.LocMap[uint16] // dictionary index + 1; 0 = not in the dictionary
 	last   [DictCap]uint64
 	prevPC uint64
-	n      uint64 // records written in total
-	cnt    int    // records in the open block
+	cnt    int // records in the open block
 
 	flags, ops, pcb, nxb, lat, pcx, nxx, ref, refx, val, valx []byte
 }
@@ -658,7 +656,6 @@ func (v *v4Encoder) write(e *trace.Exec) {
 	v.prevPC = e.PC
 	v.refs(e.Inputs())
 	v.refs(e.Outputs())
-	v.n++
 	v.cnt++
 	if v.cnt == BlockLen {
 		v.sealBlock()
@@ -709,7 +706,6 @@ func (v *v4Encoder) finish() {
 // sealBlock frames the open block's planes into enc and resets all
 // per-block state for the next one.
 func (v *v4Encoder) sealBlock() {
-	v.blocks = append(v.blocks, len(v.enc))
 	for _, l := range [7]int{len(v.lat), len(v.pcx), len(v.nxx), len(v.ref), len(v.refx), len(v.val), len(v.valx)} {
 		v.enc = binary.AppendUvarint(v.enc, uint64(l))
 	}
