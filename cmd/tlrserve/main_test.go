@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -458,6 +459,46 @@ func TestTraceUploadAndDigestRun(t *testing.T) {
 	defer gresp.Body.Close()
 	if gresp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage upload: status %d", gresp.StatusCode)
+	}
+}
+
+// TestUndefinedLocationKindUploadRejected: a version-1 body whose
+// second record reads a location of the undefined kind 3 is a bad
+// request, for a memory-only server and for one with a disk tier, and
+// neither stores anything — a trace the store could not write back out
+// as a readable container never enters it.
+func TestUndefinedLocationKindUploadRejected(t *testing.T) {
+	body := append(tracefile.Magic[:], 1, 0, 0, 0)
+	for pc, loc := range []uint64{1, 3<<62 | 5, 1} {
+		// add, nIn 1, sequential next: flags, op, latency, pc, then the
+		// input's location and value.
+		body = append(body, 0x21, 0x1B, 1)
+		body = binary.AppendUvarint(body, uint64(pc))
+		body = binary.AppendUvarint(body, loc)
+		body = binary.AppendUvarint(body, 7)
+	}
+	for _, opt := range []tlr.BatchOptions{{Workers: 1}, {Workers: 1, TraceDir: t.TempDir()}} {
+		srv := newServer(opt)
+		ts := httptest.NewServer(srv.mux())
+		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "undefined kind") {
+			t.Errorf("trace dir %q: upload answers %d %q, want 400 naming the undefined kind", opt.TraceDir, resp.StatusCode, msg)
+		}
+		if digests := srv.batcher.TraceDigests(); len(digests) != 0 {
+			t.Errorf("trace dir %q: the store holds %v after a refused upload", opt.TraceDir, digests)
+		}
+		if opt.TraceDir != "" {
+			if ents, err := os.ReadDir(opt.TraceDir); err != nil || len(ents) != 0 {
+				t.Errorf("refused upload left %d entries in the trace dir (%v)", len(ents), err)
+			}
+		}
+		ts.Close()
+		srv.batcher.Close()
 	}
 }
 

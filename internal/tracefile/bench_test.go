@@ -203,33 +203,41 @@ func BenchmarkFileStreamReplay(b *testing.B) {
 	}
 }
 
-// containerBench runs load over the version-4 containers of 20k-record
-// recordings of gcc, compress, ijpeg and tomcatv, one sub-benchmark per
-// workload, reporting ns/record.  These are the containers a trace
-// store takes in: the upload and promote paths load or scan exactly
-// such files.
+// containerBench runs load over the version-4 containers of 20k- and
+// 300k-record recordings of gcc, compress, ijpeg and tomcatv, one
+// sub-benchmark per size and workload, reporting ns/record.  These are
+// the containers a trace store takes in: the upload and promote paths
+// load or scan exactly such files.  20k records are 5 blocks; 300k are
+// 74, the size of serve-read's uploads, enough blocks for the verifying
+// pass's workers to overlap the caller's inflate and digest.
 func containerBench(b *testing.B, load func(data []byte) (uint64, error)) {
-	const n = 20_000
-	for _, name := range []string{"gcc", "compress", "ijpeg", "tomcatv"} {
-		b.Run(name, func(b *testing.B) {
-			var buf bytes.Buffer
-			if _, err := recordWorkload(b, name, n).WriteTo(&buf); err != nil {
-				b.Fatal(err)
+	for _, size := range []struct {
+		name string
+		n    uint64
+	}{{"20k", 20_000}, {"300k", 300_000}} {
+		b.Run(size.name, func(b *testing.B) {
+			for _, name := range []string{"gcc", "compress", "ijpeg", "tomcatv"} {
+				b.Run(name, func(b *testing.B) {
+					var buf bytes.Buffer
+					if _, err := recordWorkload(b, name, size.n).WriteTo(&buf); err != nil {
+						b.Fatal(err)
+					}
+					data := buf.Bytes()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						got, err := load(data)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if got != size.n {
+							b.Fatalf("read %d records, want %d", got, size.n)
+						}
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*size.n), "ns/record")
+				})
 			}
-			data := buf.Bytes()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, err := load(data)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got != n {
-					b.Fatalf("read %d records, want %d", got, n)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*n), "ns/record")
 		})
 	}
 }

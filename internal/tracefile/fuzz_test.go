@@ -49,8 +49,9 @@ func addContainerSeeds(f *testing.F) {
 // cmd/tlrserve parses client uploads with exactly this code, so no byte
 // sequence may panic it, loop it forever, or let a malformed file
 // masquerade as a valid trace.  Accepted inputs must satisfy the decoder
-// invariants; a loaded trace's Cursor must replay exactly the records
-// the streaming Reader delivered (a version-4 payload is kept as it was
+// invariants; Load and Scan must reject whatever the streaming Reader
+// rejects; a loaded trace's Cursor must replay exactly the records the
+// streaming Reader delivered (a version-4 payload is kept as it was
 // read, so this pins the adopted encoding to the streamed one); Scan
 // must agree on its identity; and Load must round-trip to an identical,
 // identically digested trace.
@@ -79,14 +80,22 @@ func FuzzTraceReader(f *testing.F) {
 		}
 
 		// Load path: anything it accepts must replay what the stream
-		// delivered and round-trip bit-exactly.
+		// delivered and round-trip bit-exactly, and whatever the stream
+		// rejects, Load and Scan must reject too.
 		loaded, err := Load(bytes.NewReader(data))
+		if streamErr != nil {
+			if err == nil {
+				t.Fatalf("Load accepted what streaming rejects: %v", streamErr)
+			}
+			if _, err := Scan(bytes.NewReader(data)); err == nil {
+				t.Fatalf("Scan accepted what streaming rejects: %v", streamErr)
+			}
+		}
 		if err != nil {
 			return
 		}
-		if loaded.Records() != uint64(len(streamed)) || streamErr != nil {
-			t.Fatalf("Load accepted %d records but streaming saw %d (err %v)",
-				loaded.Records(), len(streamed), streamErr)
+		if loaded.Records() != uint64(len(streamed)) {
+			t.Fatalf("Load accepted %d records but streaming saw %d", loaded.Records(), len(streamed))
 		}
 		cur := loaded.Cursor()
 		var e trace.Exec
@@ -357,13 +366,28 @@ func finishRecording(rec interface {
 	return rec.Trace(), ""
 }
 
+// hasKind3 reports whether any record references a location of the
+// undefined kind 3.
+func hasKind3(recs []trace.Exec) bool {
+	for i := range recs {
+		for _, refs := range [][]trace.Ref{recs[i].Inputs(), recs[i].Outputs()} {
+			for _, r := range refs {
+				if r.Loc>>62 == 3 {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // FuzzRecorder holds the chunked, parallel Recorder to the sequential
 // single-buffer oracle on generated record streams: the v4 encoding
 // (exactly sized), block offsets, dictionary, digest, canonical size and
-// record count must be identical, an unencodable record must panic on
-// the caller's goroutine with the oracle's message, and the Trace must
-// replay like the oracle's — and, when every location has a defined
-// kind, replay exactly the records written.
+// record count must be identical, an unencodable record — an undefined
+// op or a location of the undefined kind 3 — must panic on the caller's
+// goroutine with the oracle's message, and the Trace must replay like
+// the oracle's and exactly the records written.
 func FuzzRecorder(f *testing.F) {
 	for _, n := range []int{0, 1, BlockLen - 1, BlockLen, BlockLen + 1, 3*BlockLen + 17} {
 		f.Add(int64(n), uint16(n), uint16(64), uint8(0))
@@ -378,6 +402,9 @@ func FuzzRecorder(f *testing.F) {
 		got, gotPanic := finishRecording(NewRecorder(), recs)
 		if gotPanic != wantPanic {
 			t.Fatalf("Trace panics with %q, oracle with %q", gotPanic, wantPanic)
+		}
+		if hasKind3(recs) && gotPanic == "" {
+			t.Fatal("a stream with a kind-3 location finalises without a panic")
 		}
 		if wantPanic != "" {
 			return
@@ -407,7 +434,7 @@ func FuzzRecorder(f *testing.F) {
 				t.Fatalf("record %d: cursor says %v, oracle's %v", i, gerr, werr)
 			}
 			if gerr != nil {
-				if i < len(recs) && shape&genKind3 == 0 {
+				if i < len(recs) {
 					t.Fatalf("record %d: %v", i, gerr)
 				}
 				break
@@ -415,7 +442,7 @@ func FuzzRecorder(f *testing.F) {
 			if normalize(ge) != normalize(we) {
 				t.Fatalf("record %d: cursor replays %+v, oracle's %+v", i, ge, we)
 			}
-			if shape&genKind3 == 0 && normalize(ge) != normalize(recs[i]) {
+			if normalize(ge) != normalize(recs[i]) {
 				t.Fatalf("record %d: cursor replays %+v, %+v was written", i, ge, recs[i])
 			}
 		}

@@ -9,9 +9,11 @@ package tracefile
 //     O(N) a loaded Trace spends.
 //   - Scan is the incremental-digesting pass: one read over a container
 //     computes the content digest, record count and canonical size (and,
-//     for the versions SpoolToDir transcodes, location frequencies) in
-//     O(batch) memory, verifying the embedded header as it goes — the
-//     validation half of a chunked upload.
+//     for the versions SpoolToDir transcodes, location frequencies),
+//     verifying the embedded header as it goes — the validation half of
+//     a chunked upload.  Its memory is O(batch) for versions 1-3 and at
+//     most GOMAXPROCS blocks for version 4, whose blocks it verifies in
+//     parallel (verify.go).
 //   - SpoolToDir couples the two: it tees an incoming container to a
 //     temp file while Scan validates and digests it, then installs a
 //     digest-named version-4 file (renaming a v4 upload, streaming a
@@ -288,52 +290,44 @@ type ScanInfo struct {
 const scanFreqCap = 1 << 20
 
 // Scan reads a complete container from r in one pass, computing the
-// content digest, record count and canonical size in O(batch) memory.
-// Every record is validated, and a version 2-4 header whose declared
-// digest, record count or canonical size disagrees with the stream is
-// rejected — the same guarantees Load gives, without materialising the
-// trace.  For versions 1-3, the containers SpoolToDir must transcode,
-// it also builds the operand-location dictionary the version-4 form
-// will carry; a version-4 container keeps the dictionary it has.
+// content digest, record count and canonical size.  Every record is
+// validated, and a version 2-4 header whose declared digest, record
+// count or canonical size disagrees with the stream is rejected — the
+// same guarantees Load gives, without materialising the trace.  A
+// version-4 container takes Load's verifying pass (verifyV4: blocks
+// decoded and checked on up to GOMAXPROCS goroutines, canonical chunks
+// hashed in block order, the first failing block's error reported), in
+// memory proportional to the blocks in flight; older versions are read
+// in O(batch) memory.  For versions 1-3, the containers SpoolToDir must
+// transcode, Scan also builds the operand-location dictionary the
+// version-4 form will carry; a version-4 container keeps the
+// dictionary it has.
 func Scan(r io.Reader) (ScanInfo, error) {
 	info, _, err := scanKeep(r, 0)
 	return info, err
 }
 
 // scanKeep is Scan that also keeps a version-4 container whose header
-// declares a payload of at most keepMax bytes: the pass is Load's
-// (loadV4 decodes, checks and hashes every block exactly as Scan's
-// read does, but appends each block to the Trace's encoding instead of
-// a reusable buffer), so the one verifying pass yields the in-memory
-// Trace as well, and the kept encoding never exceeds keepMax.  Other
-// containers (older versions, longer payloads, keepMax <= 0) are
-// scanned in O(batch) memory and return a nil Trace.
+// declares a payload of at most keepMax bytes.  Every version-4
+// container takes the one verifying pass Load takes (verifyV4), in keep
+// mode when the payload is within keepMax: the caller inflates, frames
+// and checks each block in order and appends it to the Trace's
+// encoding, workers decode, check and canonically encode the blocks,
+// and the chunks are hashed in block order.  So the one pass yields the
+// in-memory Trace as well, the kept encoding never exceeds keepMax, and
+// a bad container fails with the error a sequential read gives, its
+// first failing block's.  Other containers (older versions, longer
+// payloads, keepMax <= 0) return a nil Trace.
 func scanKeep(r io.Reader, keepMax int64) (ScanInfo, *Trace, error) {
 	rd, err := NewReader(r)
 	if err != nil {
 		return ScanInfo{}, nil, err
 	}
-	if rd.version == Version4 && keepMax > 0 && rd.rawLen <= uint64(keepMax) {
-		t, err := loadV4(rd)
-		if err != nil {
-			return ScanInfo{}, nil, err
-		}
-		if err := rd.checkDeclared(t.n, t.sum, int64(t.canonical)); err != nil {
-			return ScanInfo{}, nil, err
-		}
-		return ScanInfo{
-			Digest:         t.digest,
-			Records:        t.n,
-			CanonicalBytes: int64(t.canonical),
-			Version:        Version4,
-			sum:            t.sum,
-		}, t, nil
+	if rd.version == Version4 {
+		return rd.loadV4(keepMax > 0 && rd.rawLen <= uint64(keepMax))
 	}
 	h := newCanonicalHasher()
-	var freq *trace.LocMap[uint64]
-	if rd.version != Version4 {
-		freq = new(trace.LocMap[uint64])
-	}
+	freq := new(trace.LocMap[uint64])
 	count := func(refs []trace.Ref) {
 		for _, ref := range refs {
 			if freq.Len() < scanFreqCap {
@@ -355,10 +349,8 @@ func scanKeep(r io.Reader, keepMax int64) (ScanInfo, *Trace, error) {
 		for i := range arena.recs[:n] {
 			e := &arena.recs[i]
 			h.write(e)
-			if freq != nil {
-				count(e.Inputs())
-				count(e.Outputs())
-			}
+			count(e.Inputs())
+			count(e.Outputs())
 		}
 	}
 	info := ScanInfo{
@@ -366,9 +358,7 @@ func scanKeep(r io.Reader, keepMax int64) (ScanInfo, *Trace, error) {
 		CanonicalBytes: h.n,
 		Version:        rd.Version(),
 		sum:            h.sum(),
-	}
-	if freq != nil {
-		info.dict = buildDict(freq)
+		dict:           buildDict(freq),
 	}
 	info.Digest = fmt.Sprintf("%s%x", DigestPrefix, info.sum)
 	if err := rd.checkDeclared(info.Records, info.sum, info.CanonicalBytes); err != nil {
@@ -497,12 +487,16 @@ func (t *teeCapture) Read(p []byte) (int, error) {
 // incrementally.  The incoming bytes are teed to a temporary file in
 // dir while one pass validates them; a version-4 upload is then renamed
 // into place, and a version-1/2/3 upload is transcoded to version 4 by
-// a second O(batch) pass.  When the upload is a version-4 container
-// whose header declares a payload of at most keepMax bytes, the
-// validating pass also keeps that payload, as Load does, and SpoolToDir
-// returns it as the decoded Trace; otherwise the Trace is nil and
-// neither the trace nor the body carrying it is ever held in memory,
-// so arbitrarily long uploads cost O(batch).  Re-uploading a digest the
+// a second O(batch) pass.  The validating pass over a version-4 upload
+// is Load's (verifyV4): blocks are decoded and checked on up to
+// GOMAXPROCS goroutines while the caller inflates, frames and hashes
+// in order, and a damaged upload fails with the error a sequential
+// read gives.  When the upload's header declares a payload of at most
+// keepMax bytes, that pass also keeps the payload, as Load does, and
+// SpoolToDir returns it as the decoded Trace; otherwise the Trace is
+// nil and neither the trace nor the body carrying it is ever held in
+// memory, so arbitrarily long uploads cost O(batch) for versions 1-3
+// and at most GOMAXPROCS blocks for version 4.  Re-uploading a digest the
 // directory already holds is a no-op that returns the existing file's
 // info, provided the file's header declares the uploaded trace (see
 // installed); any other file under the digest's name is replaced.

@@ -15,9 +15,11 @@ package tracefile
 // or -4 file.  The Recorder keeps the canonical bytes in block-sized
 // chunks; finalising hashes them in order while the v4 blocks are
 // encoded from them in parallel.  Load hashes the canonical form of
-// every record it decodes: a version-4 container's validated payload
-// and dictionary become the Trace as they are, and older versions are
-// re-recorded into the v4 form.
+// every record it decodes: a version-4 container's blocks are decoded
+// and re-encoded canonically in parallel and the chunks hashed in
+// order (verify.go), its validated payload and dictionary become the
+// Trace as they are, and older versions are re-recorded into the v4
+// form.
 
 import (
 	"bufio"
@@ -168,9 +170,10 @@ func (r *Recorder) Trace() *Trace {
 	for _, err := range errs {
 		if err != nil {
 			// Write accepts any *trace.Exec, but only records that decode
-			// back (valid op, in-range ref counts) can be carried by any
-			// container version; a failure here is a caller bug, caught at
-			// the same point a Save or WriteTo would have failed before.
+			// back (valid op, in-range ref counts, defined location kinds)
+			// can be carried by any container version; a failure here is a
+			// caller bug, caught at the same point a Save or WriteTo would
+			// have failed before.
 			// The first failing block holds the first failing record.
 			panic("tracefile: Recorder holds an unencodable record: " + err.Error())
 		}
@@ -466,10 +469,14 @@ func decodeRecord(enc []byte, off int, e *trace.Exec) (int, error) {
 		if loc, off, err = sliceUvarint(enc, off); err != nil {
 			return off, err
 		}
+		l, err := canonicalLoc(loc)
+		if err != nil {
+			return off, err
+		}
 		if val, off, err = sliceUvarint(enc, off); err != nil {
 			return off, err
 		}
-		e.In[i] = trace.Ref{Loc: trace.Loc(loc), Val: val}
+		e.In[i] = trace.Ref{Loc: l, Val: val}
 	}
 	e.NIn = uint8(nIn)
 	for i := 0; i < nOut; i++ {
@@ -477,10 +484,14 @@ func decodeRecord(enc []byte, off int, e *trace.Exec) (int, error) {
 		if loc, off, err = sliceUvarint(enc, off); err != nil {
 			return off, err
 		}
+		l, err := canonicalLoc(loc)
+		if err != nil {
+			return off, err
+		}
 		if val, off, err = sliceUvarint(enc, off); err != nil {
 			return off, err
 		}
-		e.Out[i] = trace.Ref{Loc: trace.Loc(loc), Val: val}
+		e.Out[i] = trace.Ref{Loc: l, Val: val}
 	}
 	e.NOut = uint8(nOut)
 	return off, nil
@@ -611,9 +622,14 @@ func (t *Trace) CanonicalEncoding() ([]byte, error) {
 }
 
 // Load reads a complete trace from r in any container version and
-// validates every record.  A version-4 container's payload is kept as
-// the Trace's encoding once each block has decoded cleanly, with the
-// container's dictionary; older versions are re-recorded into the v4
+// validates every record.  A version-4 container goes through the one
+// verifying pass Scan and SpoolToDir also use (verifyV4): the caller
+// inflates and frames the blocks in order while up to GOMAXPROCS
+// goroutines decode, check and canonically re-encode them, and the
+// canonical chunks are hashed in block order; a bad container fails
+// with the error a sequential read gives, its first failing block's.
+// The validated payload is kept as the Trace's encoding, with the
+// container's dictionary.  Older versions are re-recorded into the v4
 // form.  Either way the canonical form of every record is hashed, so
 // the digest is container-independent, and for version-2 and later
 // input the declared record count, digest and canonical size are
@@ -624,49 +640,52 @@ func Load(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	var t *Trace
 	if tr.version == Version4 {
-		if t, err = loadV4(tr); err != nil {
-			return nil, err
-		}
-	} else {
-		rec := NewRecorder()
-		if err := tr.ForEach(func(e *trace.Exec) bool {
-			rec.Write(e)
-			return true
-		}); err != nil {
-			return nil, err
-		}
-		t = rec.Trace()
+		_, t, err := tr.loadV4(true)
+		return t, err
 	}
+	rec := NewRecorder()
+	if err := tr.ForEach(func(e *trace.Exec) bool {
+		rec.Write(e)
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	t := rec.Trace()
 	if err := tr.checkDeclared(t.n, t.sum, int64(t.canonical)); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// loadV4 decodes a version-4 container to its end — every block framed,
-// checked and decoded exactly as a streaming read does — while keeping
-// each block's bytes (see v4Stream.keep) and hashing each record's
-// canonical form.
-func loadV4(tr *Reader) (*Trace, error) {
-	s := tr.v4
-	s.keep = true
-	// The payload length is declared, not yet verified: the first
-	// allocation is capped at the small-file expansion allowance and
-	// keepBlock grows it from there.
-	s.enc = make([]byte, 0, min(tr.rawLen, maxV3ExpansionSlack))
-	h := newCanonicalHasher()
-	for {
-		n, err := tr.readBatchV4(s.recs[:])
-		if err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		for i := range s.recs[:n] {
-			h.write(&s.recs[i])
-		}
+// loadV4 verifies a version-4 container to its end (verifyV4) and
+// returns what the pass learnt.  When keep is set the validated payload
+// — each block's plane lengths, rewritten as minimal uvarints, then its
+// planes (see v4Stream.keep) — becomes a Trace with the container's
+// dictionary; otherwise the Trace is nil and the pass holds only the
+// blocks in flight.
+func (r *Reader) loadV4(keep bool) (ScanInfo, *Trace, error) {
+	s := r.v4
+	s.keep = keep
+	if keep {
+		// The payload length is declared, not yet verified: the first
+		// allocation is capped at the small-file expansion allowance and
+		// keepBlock grows it from there.
+		s.enc = make([]byte, 0, min(r.rawLen, maxV3ExpansionSlack))
 	}
-	return newTrace(s.enc, s.blocks, tr.dict, tr.n, int(h.n), h.sum()), nil
+	sum, canonical, err := r.verifyV4()
+	if err != nil {
+		return ScanInfo{}, nil, err
+	}
+	info := ScanInfo{
+		Digest:         fmt.Sprintf("%s%x", DigestPrefix, sum),
+		Records:        r.n,
+		CanonicalBytes: canonical,
+		Version:        Version4,
+		sum:            sum,
+	}
+	if !keep {
+		return info, nil, nil
+	}
+	return info, newTrace(s.enc, s.blocks, r.dict, r.n, int(canonical), sum), nil
 }

@@ -133,9 +133,9 @@ type v4Stream struct {
 	recs     [BatchLen]trace.Exec // buffered batch for per-record Read
 	bn, bpos int
 
-	// keep makes loadV4Block append each block (plane lengths, then
+	// keep makes readV4Block append each block (plane lengths, then
 	// planes) to enc, recording its offset in blocks, instead of reading
-	// it into the reusable blockBuf: how Load adopts the payload it
+	// it into a reusable buffer: how Load adopts the payload it
 	// validates as the Trace's encoding.
 	keep   bool
 	enc    []byte
@@ -619,15 +619,35 @@ func (r *Reader) readBatchV4(recs []trace.Exec) (int, error) {
 	return count, nil
 }
 
-// loadV4Block reads and validates the next block's header and planes
-// from the inflated payload, then points the decode head at it.  All
-// seven declared plane lengths are bounded before any plane byte is
-// read, and the block must fit the declared payload; the expansion
-// bound is enforced per block.  Every failure — a bad or over-declared
-// plane length, a frame that overruns the payload, a truncated plane —
-// names the block's first record and the payload offset the block
-// header starts at, so a damaged file is diagnosable down to the byte.
+// loadV4Block reads and validates the next block (readV4Block), then
+// points the streaming decode head at it.
 func (r *Reader) loadV4Block() error {
+	s := r.v4
+	b, err := r.readV4Block(&s.blockBuf)
+	if err != nil {
+		return err
+	}
+	s.d.reset(b)
+	clear(s.last[:s.dictLen])
+	s.blkRecs = len(b.flags)
+	s.blkDone = 0
+	return nil
+}
+
+// readV4Block reads and validates the next block's header and planes
+// from the inflated payload and returns the block sliced over the bytes
+// it read: onto the kept encoding in keep mode (keepBlock), otherwise
+// into *scratch, which it grows as needed.  All seven
+// declared plane lengths are bounded before any plane byte is read, and
+// the block must fit the declared payload; the expansion bound is
+// enforced per block, and the flags and ops planes are validated.
+// Every failure — a bad or over-declared plane length, a frame that
+// overruns the payload, a truncated plane — names the block's first
+// record and the payload offset the block header starts at, so a
+// damaged file is diagnosable down to the byte.  This is all of a
+// block's checking that needs the payload in order; decoding the block
+// (decodeV4Run, checkConsumed) needs only the block itself.
+func (r *Reader) readV4Block(scratch *[]byte) (v4Block, error) {
 	s := r.v4
 	s.blk++
 	count := blockRecords(r.declaredRecords, s.blk)
@@ -640,58 +660,61 @@ func (r *Reader) loadV4Block() error {
 	for i := range lens {
 		l, err := binary.ReadUvarint(r)
 		if err != nil {
-			return blockErr(start, fmt.Errorf("reading %s plane length: %w",
+			return v4Block{}, blockErr(start, fmt.Errorf("reading %s plane length: %w",
 				v4PlaneNames[i], eofToUnexpected(err)))
 		}
 		if l > r.rawLen {
-			return blockErr(start, fmt.Errorf("%s plane declares %d bytes beyond the %d-byte payload",
+			return v4Block{}, blockErr(start, fmt.Errorf("%s plane declares %d bytes beyond the %d-byte payload",
 				v4PlaneNames[i], l, r.rawLen))
 		}
 		lens[i] = int(l)
 	}
 	if err := checkV4PlaneLens(count, lens); err != nil {
-		return blockErr(start, err)
+		return v4Block{}, blockErr(start, err)
 	}
 	size := v4BlockSize(count, lens)
 	if r.off+int64(size) > int64(r.rawLen) {
-		return blockErr(start, fmt.Errorf("%d plane bytes at offset %d extend past the declared %d-byte payload",
+		return v4Block{}, blockErr(start, fmt.Errorf("%d plane bytes at offset %d extend past the declared %d-byte payload",
 			size, r.off, r.rawLen))
 	}
 	var buf []byte
 	if s.keep {
-		buf = s.keepBlock(lens, size, r.rawLen)
+		buf = s.keepBlock(lens, size, r.rawLen, r.raw.n*maxV3Expansion+maxV3ExpansionSlack)
 	} else {
-		if cap(s.blockBuf) < size {
-			s.blockBuf = make([]byte, size)
+		if cap(*scratch) < size {
+			*scratch = make([]byte, size)
 		}
-		buf = s.blockBuf[:size]
+		buf = (*scratch)[:size]
 	}
 	if _, err := io.ReadFull(r.src, buf); err != nil {
-		return blockErr(start, fmt.Errorf("reading %d plane bytes: %w", size, eofToUnexpected(err)))
+		return v4Block{}, blockErr(start, fmt.Errorf("reading %d plane bytes: %w", size, eofToUnexpected(err)))
 	}
 	r.off += int64(size)
 	if r.off > r.raw.n*maxV3Expansion+maxV3ExpansionSlack {
-		return fmt.Errorf("tracefile: payload inflates %d bytes from %d compressed (limit %dx): decompression bomb",
+		return v4Block{}, fmt.Errorf("tracefile: payload inflates %d bytes from %d compressed (limit %dx): decompression bomb",
 			r.off, r.raw.n, maxV3Expansion)
 	}
 	b := sliceV4Block(buf, count, lens)
 	if err := validateV4RecPlanes(b.flags, b.ops, uint64(s.blk)*BlockLen); err != nil {
-		return err
+		return v4Block{}, err
 	}
-	s.d.reset(b)
-	clear(s.last[:s.dictLen])
-	s.blkRecs = count
-	s.blkDone = 0
-	return nil
+	return b, nil
 }
 
 // keepBlock appends a block's plane lengths to enc, records the block's
 // offset, and returns the size-byte region of enc its planes are read
-// into.  Growth doubles but never past the declared payload length, so
-// an honest container's encoding ends exactly full; a block that fits
-// the declared payload (loadV4Block checks) always fits that bound,
-// since the lengths are rewritten as minimal uvarints.
-func (s *v4Stream) keepBlock(lens v4PlaneLens, size int, rawLen uint64) []byte {
+// into.  Growth goes at least to double, and at once to allow — what
+// the compressed bytes read so far may inflate to under the expansion
+// bound, so a large payload is copied about once, not once per
+// doubling — but never past the declared payload length, so an honest
+// container's encoding ends exactly full and a lying header costs at
+// most what the bytes that arrived are allowed to inflate to, or twice
+// what did; a block that fits the declared payload (readV4Block
+// checks) always fits that bound, since the lengths are rewritten as
+// minimal uvarints.  Blocks already handed to verifyV4's workers keep
+// reading the array they were sliced from, which growth copies but
+// never writes.
+func (s *v4Stream) keepBlock(lens v4PlaneLens, size int, rawLen uint64, allow int64) []byte {
 	s.blocks = append(s.blocks, len(s.enc))
 	var hdr [len(lens) * maxUvarintLen]byte
 	h := hdr[:0]
@@ -700,7 +723,7 @@ func (s *v4Stream) keepBlock(lens v4PlaneLens, size int, rawLen uint64) []byte {
 	}
 	off := len(s.enc) + len(h)
 	if need := off + size; need > cap(s.enc) {
-		grown := make([]byte, len(s.enc), max(need, min(2*cap(s.enc), int(rawLen))))
+		grown := make([]byte, len(s.enc), max(need, min(max(2*cap(s.enc), int(allow)), int(rawLen))))
 		copy(grown, s.enc)
 		s.enc = grown
 	}
@@ -762,15 +785,32 @@ func (r *Reader) readBatch(recs []trace.Exec) (int, error) {
 }
 
 func (r *Reader) readRef(start int64) (trace.Loc, uint64, error) {
-	loc, err := binary.ReadUvarint(r)
+	v, err := binary.ReadUvarint(r)
 	if err != nil {
 		return 0, 0, r.trunc(start, err)
+	}
+	loc, err := canonicalLoc(v)
+	if err != nil {
+		return 0, 0, r.errAt(start, err)
 	}
 	val, err := binary.ReadUvarint(r)
 	if err != nil {
 		return 0, 0, r.trunc(start, err)
 	}
-	return trace.Loc(loc), val, nil
+	return loc, val, nil
+}
+
+// canonicalLoc checks a location as the canonical record encoding
+// spells it (the v1/v2 Reader and decodeRecord both call it): the
+// undefined kind 3 (top bits 11) is rejected, as docs/FORMAT.md
+// requires of every reader.  No container can carry such a location —
+// the v3/v4 dictionary and literal escapes reject it too — so a
+// canonical stream holding one must not load as a trace.
+func canonicalLoc(v uint64) (trace.Loc, error) {
+	if v>>62 == 3 {
+		return 0, fmt.Errorf("location %#x has undefined kind", v)
+	}
+	return trace.Loc(v), nil
 }
 
 // trunc maps mid-record EOF to ErrUnexpectedEOF with context.

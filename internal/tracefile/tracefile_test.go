@@ -2,8 +2,13 @@ package tracefile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"strings"
 	"testing"
 
 	"github.com/tracereuse/tlr/internal/cpu"
@@ -181,6 +186,87 @@ func TestUndefinedOpRejected(t *testing.T) {
 	if err := r.Read(&e); err == nil {
 		t.Error("undefined op must be rejected")
 	}
+}
+
+// canonicalContainer wraps recs' canonical encoding in a version-1 or
+// version-2 container, the two that carry records as they are: the
+// crafted-stream counterpart of the frozen fixtures.
+func canonicalContainer(version uint32, recs []trace.Exec) []byte {
+	var canon []byte
+	for i := range recs {
+		canon = appendRecord(canon, &recs[i])
+	}
+	out := append(Magic[:], byte(version), 0, 0, 0)
+	if version == Version2 {
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(recs)))
+		sum := sha256.Sum256(canon)
+		out = append(out, sum[:]...)
+		nIndex := (len(recs) + IndexInterval - 1) / IndexInterval
+		out = binary.LittleEndian.AppendUint32(out, IndexInterval)
+		out = binary.LittleEndian.AppendUint32(out, uint32(nIndex))
+		out = append(out, make([]byte, 8*nIndex)...)
+	}
+	return append(out, canon...)
+}
+
+// TestUndefinedLocationKindRejected: docs/FORMAT.md requires readers to
+// reject the undefined location kind 3 (top bits 11).  A version-1 or
+// -2 body whose middle record reads such a location is refused by the
+// streaming Reader, Load, Scan and SpoolToDir (which leaves no file
+// behind), and by CanonicalDecode; a Recorder fed the record panics
+// when it finalises.
+func TestUndefinedLocationKindRejected(t *testing.T) {
+	recs := make([]trace.Exec, 3)
+	for i := range recs {
+		e := &recs[i]
+		e.Op, e.Lat = isa.ADD, isa.InfoOf(isa.ADD).Latency
+		e.PC, e.Next = uint64(i), uint64(i)+1
+		e.AddIn(trace.IntReg(1), uint64(i))
+	}
+	recs[1].In[0].Loc = trace.Loc(3<<62 | 5)
+	const want = "location 0xc000000000000005 has undefined kind"
+	for _, version := range []uint32{Version, Version2} {
+		data := canonicalContainer(version, recs)
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ForEach(func(*trace.Exec) bool { return true }); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("v%d: streaming read gives %v, want %q", version, err, want)
+		}
+		if _, err := Load(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("v%d: Load gives %v, want %q", version, err, want)
+		}
+		if _, err := Scan(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("v%d: Scan gives %v, want %q", version, err, want)
+		}
+		for _, keepMax := range []int64{0, 1 << 20} {
+			dir := t.TempDir()
+			if _, _, err := SpoolToDir(bytes.NewReader(data), dir, keepMax); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("v%d: SpoolToDir gives %v, want %q", version, err, want)
+			}
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+				t.Errorf("v%d: refused spool left %d entries (%v)", version, len(ents), err)
+			}
+		}
+	}
+	var canon []byte
+	for i := range recs {
+		canon = appendRecord(canon, &recs[i])
+	}
+	if n, err := CanonicalDecode(canon, nil); n != 1 || err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("CanonicalDecode gives %d records, %v; want 1 and %q", n, err, want)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("Recorder.Trace panics with %v, want %q", r, want)
+		}
+	}()
+	rec := NewRecorder()
+	for i := range recs {
+		rec.Write(&recs[i])
+	}
+	rec.Trace()
 }
 
 func TestEmptyStream(t *testing.T) {
